@@ -81,9 +81,9 @@ analyze:
 	dune exec bin/rkdctl.exe -- mc --self-test
 
 # Chaos soak (DESIGN.md section 12): 1000 seeded fault scenarios at pool
-# widths 1 and 4 — zero uncaught exceptions, every breaker re-closed
-# (rkdctl exits non-zero otherwise), and bit-identical digests across
-# the two widths.  Then the serving fleet (DESIGN.md section 14) at 2
+# width 1, replayed at width 4 — rkdctl exits non-zero unless there are
+# zero uncaught exceptions, every breaker re-closed, and the digests are
+# bit-identical across the two widths.  Then the serving fleet (DESIGN.md section 14) at 2
 # and 4 shards under a 1% everything-fault plan: --soak replays the
 # trace twice and exits non-zero unless decision digests are
 # bit-identical and every tripped breaker re-closed.  Then the net
@@ -95,14 +95,7 @@ analyze:
 # stay bit-identical across widths, re-close every breaker and keep the
 # per-episode install bound.
 chaos:
-	@out1=$$(dune exec bin/rkdctl.exe -- chaos -n 1000 -d 1) || { echo "$$out1"; exit 1; }; \
-	echo "$$out1"; \
-	out4=$$(dune exec bin/rkdctl.exe -- chaos -n 1000 -d 4) || { echo "$$out4"; exit 1; }; \
-	echo "$$out4"; \
-	d1=$$(echo "$$out1" | grep -o 'digest [0-9a-f]*'); \
-	d4=$$(echo "$$out4" | grep -o 'digest [0-9a-f]*'); \
-	test -n "$$d1" && test "$$d1" = "$$d4" \
-	  || { echo "chaos: digest mismatch across pool widths ($$d1 vs $$d4)"; exit 1; }
+	dune exec bin/rkdctl.exe -- chaos -n 1000 -d 1
 	RKD_FAULTS=all:0.01 dune exec bin/rkdctl.exe -- serve --soak --shards 2
 	RKD_FAULTS=all:0.01 dune exec bin/rkdctl.exe -- serve --soak --shards 4
 	RKD_FAULTS=all:0.01 dune exec bin/rkdctl.exe -- net

@@ -108,9 +108,15 @@ let absint_fixture () =
   done;
   (elided, guarded, ctxt, prog, helpers)
 
+(* A one-slot batch over [ctxt]: how a single event enters the datapath. *)
+let single ctxt =
+  let b = Rmt.Batch.create ~capacity:1 in
+  b.Rmt.Batch.ctxts.(0) <- ctxt;
+  b
+
 (* Batched-invocation fixture (DESIGN.md section 13): a qMLP prefetch
    program — vector-load the feature block, one CALL_ML inference, store
-   the predicted class — run either as looped scalar invokes or through
+   the predicted class — run either as 64 batches of one or as one
    Vm.invoke_batch at increasing widths.  The program is SoA-eligible, so
    the batch rows exercise the instruction-major kernel with the tiled
    Qmat.mul_vec_batch matmuls. *)
@@ -133,7 +139,7 @@ let batch_fixture () =
     Kml.Dataset.add ds { Kml.Dataset.features; label = features.(0) land 7 }
   done;
   (* Two 64-wide hidden layers: the quantized weights (~42 KB) overflow
-     L1, so the looped scalar path re-streams them per invocation while
+     L1, so the per-slot path re-streams them per invocation while
      the SoA kernel touches each row once per batch — the cache-reuse
      half of the batching win, on top of amortized dispatch. *)
   let mlp =
@@ -158,7 +164,7 @@ let batch_fixture () =
       Ctxt.set c (Rkd.Hooks.key_feature_base + i) (((s + i) * 37) land 255)
     done
   done;
-  (vm, ctxt, batch)
+  (vm, single ctxt, batch)
 
 (* Proof-specialized vs guard-elision-only JIT on the same program: the
    loop body carries a power-of-two Mul/Div/Mod chain on a masked
@@ -220,8 +226,7 @@ let failsafe_fixture () =
     Control.protect control ~hook:"fs_guarded" ~programs:[ "fs_bench" ]
       ~fallback:(fun _ -> 0) ()
   in
-  let ctxt = Ctxt.of_list [ (0, 1234) ] in
-  (control, breaker, ctxt)
+  (control, breaker, single (Ctxt.of_list [ (0, 1234) ]))
 
 let micro_tests () =
   let collect_i, predict_i, ctxt_i, _ = prefetch_fixture Rmt.Vm.Interpreted in
@@ -240,26 +245,27 @@ let micro_tests () =
     done;
     t
   in
-  let table_ctxt = Rmt.Ctxt.of_list [ (0, 40) ] in
-  let bvm, bctxt, batch = batch_fixture () in
+  let table_one = single (Rmt.Ctxt.of_list [ (0, 40) ]) in
+  let one_i = single ctxt_i and one_j = single ctxt_j in
+  let bvm, bone, batch = batch_fixture () in
   let sp_specialized, sp_elided, sp_ctxt = specialize_fixture () in
-  let fs_control, fs_breaker, fs_ctxt = failsafe_fixture () in
+  let fs_control, fs_breaker, fs_one = failsafe_fixture () in
   let obs_counter = Obs.Counter.make "bench.obs.counter" in
   let obs_histo = Obs.Histo.make "bench.obs.histo" in
   [ (* Figure 1 family: the VM itself, interpreted vs JIT. *)
     Test.make ~name:"fig1/collect/interp"
-      (Staged.stage (fun () -> Rmt.Vm.invoke collect_i ~ctxt:ctxt_i ~now));
+      (Staged.stage (fun () -> Rmt.Vm.invoke_batch collect_i one_i ~now));
     Test.make ~name:"fig1/collect/jit"
-      (Staged.stage (fun () -> Rmt.Vm.invoke collect_j ~ctxt:ctxt_j ~now));
+      (Staged.stage (fun () -> Rmt.Vm.invoke_batch collect_j one_j ~now));
     Test.make ~name:"fig1/predict/interp"
-      (Staged.stage (fun () -> Rmt.Vm.invoke predict_i ~ctxt:ctxt_i ~now));
+      (Staged.stage (fun () -> Rmt.Vm.invoke_batch predict_i one_i ~now));
     Test.make ~name:"fig1/predict/jit"
-      (Staged.stage (fun () -> Rmt.Vm.invoke predict_j ~ctxt:ctxt_j ~now));
+      (Staged.stage (fun () -> Rmt.Vm.invoke_batch predict_j one_j ~now));
     (* Table 1 datapath pieces: tree inference and table match. *)
     Test.make ~name:"table1/tree-predict"
       (Staged.stage (fun () -> Kml.Decision_tree.predict tree tree_features));
     Test.make ~name:"table1/table-match"
-      (Staged.stage (fun () -> Rmt.Table.lookup table ~ctxt:table_ctxt ~now));
+      (Staged.stage (fun () -> Rmt.Table.lookup_batch table table_one ~now));
     (* Table 2 datapath pieces: quantized vs float MLP and the full RMT
        migration decision. *)
     Test.make ~name:"table2/qmlp-predict"
@@ -295,20 +301,16 @@ let micro_tests () =
     Test.make_with_resource ~name:"obs/invoke-jit-off" Test.uniq
       ~allocate:(fun () -> Obs.set_enabled false)
       ~free:(fun () -> Obs.set_enabled true)
-      (Staged.stage (fun () -> Rmt.Vm.invoke predict_j ~ctxt:ctxt_j ~now));
+      (Staged.stage (fun () -> Rmt.Vm.invoke_batch predict_j one_j ~now));
     (* Batched invocation (DESIGN.md section 13): one qMLP inference per
-       slot, scalar loop vs the SoA kernel at widths 1/8/64/256.  The
+       slot, 64 batches of one vs the SoA kernel at widths 8/64/256.  The
        b64-vs-loop64 ratio is the headline amortization win and is gated
        relative in perf-check. *)
     Test.make ~name:"batch/qmlp/loop64"
       (Staged.stage (fun () ->
            for _ = 1 to 64 do
-             ignore (Rmt.Vm.invoke_result bvm ~ctxt:bctxt ~now : int)
+             Rmt.Vm.invoke_batch bvm bone ~now
            done));
-    Test.make ~name:"batch/qmlp/b1"
-      (Staged.stage (fun () ->
-           Rmt.Batch.set_n batch 1;
-           Rmt.Vm.invoke_batch bvm batch ~now));
     Test.make ~name:"batch/qmlp/b8"
       (Staged.stage (fun () ->
            Rmt.Batch.set_n batch 8;
@@ -331,9 +333,9 @@ let micro_tests () =
        breaker-protected on the healthy path (closed breaker, no faults),
        plus the breaker admission check itself. *)
     Test.make ~name:"failsafe/fire-bare"
-      (Staged.stage (fun () -> Rmt.Control.fire fs_control ~hook:"fs_bare" ~ctxt:fs_ctxt));
+      (Staged.stage (fun () -> Rmt.Control.fire_batch fs_control ~hook:"fs_bare" fs_one));
     Test.make ~name:"failsafe/fire-protected"
-      (Staged.stage (fun () -> Rmt.Control.fire fs_control ~hook:"fs_guarded" ~ctxt:fs_ctxt));
+      (Staged.stage (fun () -> Rmt.Control.fire_batch fs_control ~hook:"fs_guarded" fs_one));
     Test.make ~name:"failsafe/breaker-allow"
       (Staged.stage (fun () -> Rmt.Breaker.allow fs_breaker ~now:0)) ]
 

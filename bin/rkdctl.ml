@@ -416,9 +416,10 @@ let decode_fuzz_cmd =
 let chaos_cmd =
   let run scenarios events seed domains snapshot =
     (match domains with Some n -> Par.set_global_domains n | None -> ());
+    let soak () = fst (Rkd.Chaos.run ~seed ~events ~pool:(Par.global ()) ~scenarios ()) in
     let before = Obs.Registry.snapshot () in
     let t0 = Unix.gettimeofday () in
-    let summary, _reports = Rkd.Chaos.run ~seed ~events ~pool:(Par.global ()) ~scenarios () in
+    let summary = soak () in
     Format.printf "%a@." Rkd.Chaos.pp_summary summary;
     Format.printf "[chaos] elapsed %.2f s (domains=%d)@."
       (Unix.gettimeofday () -. t0)
@@ -439,8 +440,20 @@ let chaos_cmd =
          ~finally:(fun () -> close_out_noerr oc)
          (fun () -> output_string oc (Obs.Snapshot.to_json snap));
        Format.printf "wrote breaker/fault snapshot to %s@." path);
-    if summary.Rkd.Chaos.total_uncaught > 0 || summary.Rkd.Chaos.not_reclosed > 0 then 1
-    else 0
+    (* Determinism witness: replay the soak at a second pool width; the
+       digests must be bit-identical and the replay must contain its
+       faults too. *)
+    let width = Par.global_domains () in
+    let alt_width = if width = 1 then 4 else 1 in
+    Par.set_global_domains alt_width;
+    let alt = soak () in
+    Par.set_global_domains width;
+    let deterministic = alt.Rkd.Chaos.digest = summary.Rkd.Chaos.digest in
+    Format.printf "chaos digest %016x (domains=%d) / %016x (domains=%d): %s@."
+      summary.Rkd.Chaos.digest width alt.Rkd.Chaos.digest alt_width
+      (if deterministic then "identical" else "DIVERGED");
+    let contained (s : Rkd.Chaos.summary) = s.total_uncaught = 0 && s.not_reclosed = 0 in
+    if deterministic && contained summary && contained alt then 0 else 1
   in
   let scenarios_arg =
     Arg.(value & opt int 200 & info [ "n"; "scenarios" ] ~docv:"N" ~doc:"Fault scenarios to run.")
@@ -461,8 +474,9 @@ let chaos_cmd =
              ~doc:"Write the breaker/fault/canary telemetry delta as JSON to FILE.")
   in
   let doc =
-    "chaos soak: seeded fault-injection scenarios over the failsafe datapath; fails unless \
-     every scenario contains its faults and every breaker re-closes"
+    "chaos soak: seeded fault-injection scenarios over the failsafe datapath, replayed at a \
+     second pool width; fails unless every scenario contains its faults, every breaker \
+     re-closes and the two digests are bit-identical"
   in
   Cmd.v (Cmd.info "chaos" ~doc)
     Term.(const run $ scenarios_arg $ events_arg $ seed_arg $ domains_arg $ snapshot_arg)
@@ -815,15 +829,17 @@ let run_cmd =
          prerr_endline e;
          1
        | Ok vm ->
+         let b = Rmt.Batch.create ~capacity:1 in
          let ctxt = Rmt.Ctxt.of_list bindings in
-         (match Rmt.Vm.invoke_checked vm ~ctxt ~now:(fun () -> 0) with
-          | Ok outcome ->
+         b.Rmt.Batch.ctxts.(0) <- ctxt;
+         Rmt.Vm.invoke_batch vm b ~now:(fun () -> 0);
+         (match b.Rmt.Batch.traps.(0) with
+          | None ->
             Format.printf "result = %d (steps = %d, privacy denials = %d)@."
-              outcome.Rmt.Interp.result outcome.Rmt.Interp.steps
-              outcome.Rmt.Interp.privacy_denied;
+              b.Rmt.Batch.results.(0) b.Rmt.Batch.steps.(0) b.Rmt.Batch.denied.(0);
             Format.printf "context after run: %a@." Rmt.Ctxt.pp ctxt;
             0
-          | Error trap ->
+          | Some trap ->
             Format.printf "trap: %s@." (Rmt.Interp.trap_message trap);
             1))
   in
@@ -872,12 +888,14 @@ let install_and_run path bindings engine iters ~hook =
        prerr_endline e;
        None
      | Ok vm ->
+       let b = Rmt.Batch.create ~capacity:1 in
        let ctxt = Rmt.Ctxt.of_list bindings in
+       b.Rmt.Batch.ctxts.(0) <- ctxt;
        Rmt.Ctxt.watch ~name:"rkdctl" ctxt;
        Obs.Trace.set_current_hook (Obs.intern hook);
        let now () = 0 in
        for _ = 1 to iters do
-         ignore (Rmt.Vm.invoke_result vm ~ctxt ~now)
+         Rmt.Vm.invoke_batch vm b ~now
        done;
        Obs.Trace.set_current_hook (-1);
        Some vm)

@@ -80,12 +80,14 @@ let () =
   let tree_handle = Option.get (Rmt.Model_store.find models "tree") in
   let correct = ref 0 and total = 2000 in
   let escalations_before = Rmt.Model_store.invocations models tree_handle in
+  let b = Rmt.Batch.create ~capacity:1 in
   for _ = 1 to total do
     let f = Array.init n_features (fun _ -> Kml.Rng.int rng 41 - 20) in
     let ctxt = Rmt.Ctxt.create () in
     Array.iteri (fun i v -> Rmt.Ctxt.set ctxt i v) f;
-    let outcome = Rmt.Vm.invoke s1 ~ctxt ~now:(fun () -> 0) in
-    if outcome.Rmt.Interp.result = truth f then incr correct
+    b.Rmt.Batch.ctxts.(0) <- ctxt;
+    Rmt.Vm.invoke_batch s1 b ~now:(fun () -> 0);
+    if b.Rmt.Batch.results.(0) = truth f then incr correct
   done;
   let escalations = Rmt.Model_store.invocations models tree_handle - escalations_before in
   Format.printf "inputs:        %d@." total;

@@ -322,20 +322,20 @@ let ablation_privacy ?(seed = 42) () =
         | Ok vm -> vm
         | Error e -> invalid_arg ("ablation_privacy: " ^ e)
       in
-      let ctxt = Rmt.Ctxt.create () in
+      let b = Rmt.Batch.create ~capacity:1 in
       let truth = ref 0 in
       for i = 0 to 15 do
-        Rmt.Ctxt.set ctxt (Hooks.key_feature_base + i) (i + 1);
+        Rmt.Ctxt.set b.Rmt.Batch.ctxts.(0) (Hooks.key_feature_base + i) (i + 1);
         truth := !truth + i + 1
       done;
       let answered = ref 0 and denied = ref 0 and noise_total = ref 0.0 in
       for _ = 1 to queries do
-        let outcome = Rmt.Vm.invoke vm ~ctxt ~now:(fun () -> 0) in
-        if outcome.Rmt.Interp.privacy_denied > 0 then incr denied
+        Rmt.Vm.invoke_batch vm b ~now:(fun () -> 0);
+        if b.Rmt.Batch.denied.(0) > 0 then incr denied
         else begin
           incr answered;
           noise_total :=
-            !noise_total +. float_of_int (abs (outcome.Rmt.Interp.result - !truth))
+            !noise_total +. float_of_int (abs (b.Rmt.Batch.results.(0) - !truth))
         end
       done;
       { epsilon_milli;
@@ -395,20 +395,22 @@ let vm_overhead ?(iterations = 50_000) () =
       | Ok vm -> vm
       | Error e -> invalid_arg ("vm_overhead: " ^ e)
     in
-    let ctxt = Rmt.Ctxt.create () in
+    let b = Rmt.Batch.create ~capacity:1 in
+    let ctxt = b.Rmt.Batch.ctxts.(0) in
     Rmt.Ctxt.set ctxt Hooks.key_page 1234;
     Rmt.Ctxt.set ctxt Hooks.key_last_page 1230;
     for i = 0 to params.Prefetch_rmt.history + 2 do
       Rmt.Ctxt.set ctxt (Hooks.key_feature_base + i) (i + 1)
     done;
+    let now () = 0 in
     (* warmup *)
     for _ = 1 to 1000 do
-      ignore (Rmt.Vm.invoke vm ~ctxt ~now:(fun () -> 0))
+      Rmt.Vm.invoke_batch vm b ~now
     done;
     let steps_before = Rmt.Vm.total_steps vm in
     let t0 = Sys.time () in
     for _ = 1 to iterations do
-      ignore (Rmt.Vm.invoke vm ~ctxt ~now:(fun () -> 0))
+      Rmt.Vm.invoke_batch vm b ~now
     done;
     let elapsed = Sys.time () -. t0 in
     let steps = Rmt.Vm.total_steps vm - steps_before in

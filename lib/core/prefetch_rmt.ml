@@ -66,7 +66,6 @@ type t = {
   mutable recent_correct : int;
   mutable current_depth : int;
   mutable online : bool; (* background retraining enabled *)
-  mutable batch : Rmt.Batch.t option; (* grown on demand by on_access_batch *)
 }
 
 (* Feature layout: [0..K-1] recent deltas (newest first), [K] page mod 64,
@@ -221,8 +220,7 @@ let create ?(params = default_params) ?(engine = Rmt.Vm.Jit_compiled) ?(seed = 4
       recent_checked = 0;
       recent_correct = 0;
       current_depth = params.depth;
-      online = true;
-      batch = None }
+      online = true }
   in
   Rmt.Control.set_clock control (fun () -> t.now_ns);
   t
@@ -342,8 +340,7 @@ let rec take n = function
   | _ when n <= 0 -> []
   | x :: rest -> x :: take (n - 1) rest
 
-(* Decode one slot's predicted delta classes into prefetch targets —
-   shared tail of the scalar and batched access paths. *)
+(* Decode the predicted delta classes into prefetch targets. *)
 let decode_predictions t st ~page ~now =
   let classes = Rmt.Ctxt.get_range st.ctxt ~base:result_key_base ~len:t.current_depth in
   let pages = ref [] in
@@ -428,139 +425,6 @@ let on_access t ~pid ~page ~hit ~now =
     | None -> []
     | Some r when r = predict_fallback_marker -> stock_delegate t st ~pid ~page ~hit ~now
     | Some _depth_marker -> decode_predictions t st ~page ~now
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Batched access entry (DESIGN.md section 13)                         *)
-(* ------------------------------------------------------------------ *)
-
-let ensure_batch t n =
-  match t.batch with
-  | Some b when Rmt.Batch.capacity b >= n -> b
-  | Some _ | None ->
-    let b = Rmt.Batch.create ~capacity:(max 8 n) in
-    t.batch <- Some b;
-    b
-
-let rec has_duplicate (pids : int array) i n =
-  i < n
-  && ((let rec dup j = j < n && (pids.(i) = pids.(j) || dup (j + 1)) in
-       dup (i + 1))
-      || has_duplicate pids (i + 1) n)
-
-(* Batched access entry: [n] accesses from [n] {e distinct} processes
-   arriving in the same simulator tick run through the batched hook path
-   ({!Rmt.Control.fire_batch} -> {!Rmt.Table.lookup_batch} ->
-   {!Rmt.Vm.invoke_batch}), so model inference and dispatch amortize
-   across the burst.  Host-side bookkeeping (scoring, labelling,
-   retraining, rate limiting) stays per slot in slot order, as a loop of
-   scalar [on_access] calls — except that retrains and adaptive depth
-   updates triggered inside the burst apply to the whole burst's
-   predictions (batch-atomic model view; see the interface).  Duplicate
-   pids share one execution context, which batch slots must not, so such
-   bursts fall back to the scalar loop. *)
-let on_access_batch t ~pids ~pages ~hit ~now =
-  let n = Array.length pids in
-  if Array.length pages <> n then
-    invalid_arg "Prefetch_rmt.on_access_batch: pids/pages length mismatch";
-  let results = Array.make n [] in
-  if n = 0 then results
-  else if has_duplicate pids 0 n then begin
-    for i = 0 to n - 1 do
-      results.(i) <- on_access t ~pid:pids.(i) ~page:pages.(i) ~hit ~now
-    done;
-    results
-  end
-  else begin
-    t.now_ns <- now;
-    let b = ensure_batch t n in
-    Rmt.Batch.set_n b n;
-    let sts = Array.map (fun pid -> pid_state t pid) pids in
-    (* Per-slot prologue, in slot order: context refresh, one-step-ahead
-       scoring, and labelling of pending feature snapshots. *)
-    for s = 0 to n - 1 do
-      let st = sts.(s) and pid = pids.(s) and page = pages.(s) in
-      t.accesses <- t.accesses + 1;
-      Rmt.Ctxt.set st.ctxt Hooks.key_pid pid;
-      Rmt.Ctxt.set st.ctxt Hooks.key_page page;
-      if not st.seen_first then begin
-        st.seen_first <- true;
-        Rmt.Ctxt.set st.ctxt Hooks.key_last_page page
-      end;
-      (match st.predicted_next_page with
-       | Some predicted ->
-         t.predictions_checked <- t.predictions_checked + 1;
-         t.recent_checked <- t.recent_checked + 1;
-         if predicted = page then begin
-           t.predictions_correct <- t.predictions_correct + 1;
-           t.recent_correct <- t.recent_correct + 1
-         end;
-         st.predicted_next_page <- None
-       | None -> ());
-      adaptive_update t;
-      List.iteri
-        (fun age (features, base_page) ->
-          let horizon = age + 1 in
-          if horizon <= t.params.depth then begin
-            let f = Array.copy features in
-            f.(Array.length f - 1) <- horizon;
-            ring_push t { features = f; cum_delta = page - base_page }
-          end)
-        st.pending;
-      b.Rmt.Batch.ctxts.(s) <- st.ctxt
-    done;
-    (* Data collection over the whole burst through one batched fire. *)
-    ignore (Rmt.Control.fire_batch t.control ~hook:Hooks.lookup_swap_cache b : bool);
-    let live = Array.make n true in
-    let any_stock = ref false in
-    for s = 0 to n - 1 do
-      if b.Rmt.Batch.results.(s) = collect_fallback_marker then begin
-        (* Breaker open or the collect program trapped in this slot. *)
-        live.(s) <- false;
-        any_stock := true;
-        results.(s) <- stock_delegate t sts.(s) ~pid:pids.(s) ~page:pages.(s) ~hit ~now
-      end
-      else begin
-        let st = sts.(s) in
-        let features =
-          Rmt.Ctxt.get_range st.ctxt ~base:Hooks.key_feature_base ~len:(n_features t.params)
-        in
-        st.pending <- take t.params.depth ((features, pages.(s)) :: st.pending);
-        t.since_retrain <- t.since_retrain + 1;
-        if t.online && t.since_retrain >= t.params.retrain_period && t.ring_len >= 256
-        then begin
-          t.since_retrain <- 0;
-          retrain t
-        end
-      end
-    done;
-    if t.model_ready then begin
-      if not !any_stock then begin
-        (* Common case: every slot is on the learned path — one batched
-           prediction fire amortizes the model across the burst. *)
-        ignore (Rmt.Control.fire_batch t.control ~hook:Hooks.swap_cluster_readahead b : bool);
-        for s = 0 to n - 1 do
-          if b.Rmt.Batch.results.(s) = predict_fallback_marker then
-            results.(s) <- stock_delegate t sts.(s) ~pid:pids.(s) ~page:pages.(s) ~hit ~now
-          else results.(s) <- decode_predictions t sts.(s) ~page:pages.(s) ~now
-        done
-      end
-      else
-        (* Some slots already degraded to stock: predict scalar per live
-           slot so the batch columns of degraded slots stay untouched. *)
-        for s = 0 to n - 1 do
-          if live.(s) then
-            match
-              Rmt.Control.fire t.control ~hook:Hooks.swap_cluster_readahead
-                ~ctxt:sts.(s).ctxt
-            with
-            | None -> ()
-            | Some r when r = predict_fallback_marker ->
-              results.(s) <- stock_delegate t sts.(s) ~pid:pids.(s) ~page:pages.(s) ~hit ~now
-            | Some _ -> results.(s) <- decode_predictions t sts.(s) ~page:pages.(s) ~now
-        done
-    end;
-    results
   end
 
 let reset t =

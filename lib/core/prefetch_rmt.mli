@@ -55,24 +55,6 @@ val prefetcher : t -> Ksim.Prefetcher.t
 val control : t -> Rmt.Control.t
 (** The underlying control plane (for inspection and tests). *)
 
-val on_access_batch :
-  t -> pids:int array -> pages:int array -> hit:bool -> now:int -> int list array
-(** Batched access entry (DESIGN.md section 13): [n] accesses from [n]
-    {e distinct} processes arriving in the same simulator tick are run
-    through the batched hook path ({!Rmt.Control.fire_batch}), so the
-    collect and predict programs — and the decision-tree inference inside
-    them — amortize across the burst.  Host-side bookkeeping (scoring,
-    training-window labelling, retraining triggers, breaker fallbacks,
-    rate limiting) runs per slot in slot order, as a loop of scalar
-    accesses would.  The one deliberate relaxation is the {e batch-atomic
-    model view}: retrains and adaptive depth updates triggered inside a
-    burst take effect for the whole burst's predictions, where the scalar
-    loop would apply them only to later slots of the same tick.  With a
-    frozen model (online training off, adaptivity off) the two entries
-    agree exactly.  Returns the prefetch targets per slot.  Bursts
-    containing duplicate pids fall back to the scalar loop (their slots
-    would share one execution context). *)
-
 val set_online : t -> bool -> unit
 (** Enable/disable background retraining at runtime (freezing the current
     model) — the control the adaptivity ablation toggles.  [reset]

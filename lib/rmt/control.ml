@@ -15,6 +15,7 @@ type t = {
   retries : (string, retry) Hashtbl.t; (* update_model_checked backoff, per model *)
   view_ns : string; (* registry namespace for per-control-plane views *)
   mutable gate : install_gate option; (* optional analysis gate on installs *)
+  single : Batch.t; (* the one-slot batch {!fire} runs an event through *)
 }
 
 and gate_verdict = Gate_ok | Gate_warn of string list | Gate_deny of string list
@@ -29,7 +30,6 @@ and retry = { mutable failures : int; mutable next_allowed : int }
 let c_installs = Obs.Counter.make "rmt.control.installs"
 let c_install_rejected = Obs.Counter.make "rmt.control.install_rejected"
 let c_model_updates = Obs.Counter.make "rmt.control.model_updates"
-let c_fires = Obs.Counter.make "rmt.control.fires"
 
 (* Model-update failsafe totals (DESIGN.md section 12). *)
 let c_update_rollbacks = Obs.Counter.make "rmt.control.model_update_rollbacks"
@@ -73,7 +73,8 @@ let create ?(engine = Vm.Jit_compiled) ?(limits = Verifier.default_limits) ?(see
     installs = 0;
     retries = Hashtbl.create 8;
     view_ns;
-    gate = None }
+    gate = None;
+    single = Batch.create ~capacity:1 }
 
 let helpers t = t.helpers
 let models t = t.store
@@ -363,13 +364,19 @@ let create_table t ~name ~match_keys ~default =
 let find_table t name = Hashtbl.find_opt t.tables name
 let attach t ~hook table = Pipeline.attach t.pipeline ~hook table
 
+(* A single event is a batch of one.  Only an unprotected hook surfaces
+   the slot's trap: a protected one has already served its fallback. *)
 let fire t ~hook ~ctxt =
-  Obs.Counter.incr c_fires;
-  Pipeline.fire t.pipeline ~hook ~ctxt ~now:t.clock
+  let b = t.single in
+  b.Batch.ctxts.(0) <- ctxt;
+  if not (Pipeline.fire_batch t.pipeline ~hook b ~now:t.clock) then None
+  else
+    match b.Batch.traps.(0) with
+    | Some trap when Pipeline.breaker t.pipeline ~hook = None -> raise (Interp.Trap trap)
+    | Some _ | None -> Some b.Batch.results.(0)
 
-let fire_batch t ~hook b =
-  Obs.Counter.add c_fires b.Batch.n;
-  Pipeline.fire_batch t.pipeline ~hook b ~now:t.clock
+let fire_batch t ~hook b = Pipeline.fire_batch t.pipeline ~hook b ~now:t.clock
+
 let program_names t = t.program_order
 let table_names t = t.table_order
 

@@ -175,12 +175,21 @@ val bind_tail_call : t -> caller:string -> slot:int -> callee:string -> (unit, s
 val create_table : t -> name:string -> match_keys:int array -> default:Table.action -> Table.t
 val find_table : t -> string -> Table.t option
 val attach : t -> hook:string -> Table.t -> unit
-val fire : t -> hook:string -> ctxt:Ctxt.t -> int option
-
 val fire_batch : t -> hook:string -> Batch.t -> bool
-(** Batched {!fire} through {!Pipeline.fire_batch}: run every table at
-    [hook] over the whole batch, leaving per-slot results in the batch
+(** {!Pipeline.fire_batch} on the control plane's clock: run every table
+    at [hook] over the whole batch, leaving per-slot results in the batch
     columns.  [false] when nothing is attached. *)
+
+val fire : t -> hook:string -> ctxt:Ctxt.t -> int option
+(** One event through {!fire_batch}, as a batch of one over a slot the
+    control plane owns; [ctxt] is the slot's context, so the programs
+    read and write it in place.  [None] when nothing is attached,
+    otherwise the hook's decision (the fallback's on a protected hook
+    whose breaker is open or whose program trapped).
+
+    @raise Interp.Trap when a program traps on an unprotected hook.
+    Not re-entrant: an action or fallback must not fire a hook of the
+    same control plane. *)
 
 val protect :
   t ->

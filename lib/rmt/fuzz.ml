@@ -454,9 +454,9 @@ let run ?(seed = 0x50FA) ~trials () =
       if ref_steps > report.Verifier.worst_case_steps then
         fail_prog prog "steps %d exceed verifier worst case %d (trial %d)" ref_steps
           report.Verifier.worst_case_steps trial;
-      (* Lane 4: the batch path.  A batch of 1 must reproduce scalar
-         semantics for every program (non-batchable programs take the
-         per-slot fallback); SoA-eligible programs additionally run a
+      (* Lane 4: the batch path.  A batch of 1 — the per-slot path
+         every single event takes — must reproduce the reference for
+         every program; SoA-eligible programs additionally run a
          batch of 3 identical slots, each of which must reproduce the
          reference bit-for-bit — including the shared broadcast step
          count. *)

@@ -9,8 +9,8 @@
     + {!Jit} on an instance carrying the proofs {e and} the per-pc
       interval facts, so compilation is proof-specialized (constant
       folding, strength reduction, dead-arm elimination, fast [Rep]);
-    + {!Vm.invoke_batch}: a batch of 1 for every program (exercising the
-      per-slot fallback on non-batchable programs), plus a batch of 3
+    + {!Vm.invoke_batch}: a batch of 1 for every program (the per-slot
+      path every single event takes), plus a batch of 3
       identical slots on SoA-eligible programs, each slot checked
       independently;
     + an independent reference interpreter defined here, with every

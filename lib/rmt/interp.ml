@@ -1,11 +1,11 @@
 exception Fuel_exhausted
 
-(* Runtime traps, normalized at the Vm.invoke boundary (DESIGN.md section
-   12): every exception an engine can raise at runtime — fuel exhaustion,
-   an out-of-bounds access in an unverified hand-linked program, a
-   division trap, an injected fault, or a foreign failure out of a
-   helper/model — is converted to [Trap] so callers above Vm see exactly
-   one exception type (or a [result], via [Vm.invoke_checked]). *)
+(* Runtime traps, normalized at the Vm boundary (DESIGN.md section 12):
+   every exception an engine can raise at runtime — fuel exhaustion, an
+   out-of-bounds access in an unverified hand-linked program, a division
+   trap, an injected fault, or a foreign failure out of a helper/model —
+   is converted to a [trap] and contained in the batch slot that raised
+   it, so callers above Vm see one trap type in [Batch.traps]. *)
 type trap =
   | Trap_fuel
   | Trap_bounds of string

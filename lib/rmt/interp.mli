@@ -12,8 +12,9 @@ exception Fuel_exhausted
 
 (** Runtime trap classes (DESIGN.md section 12).  Engines raise
     [Trap Trap_injected] directly under fault injection; everything else
-    is normalized from raw exceptions at the {!Vm.invoke} boundary, so
-    code above Vm never sees an engine exception other than [Trap]. *)
+    is normalized from raw exceptions at the Vm boundary, which contains
+    each trap in its batch slot ({!Vm.invoke_batch}), so code above Vm
+    never sees an engine exception. *)
 type trap =
   | Trap_fuel            (** step budget exhausted (defence-in-depth) *)
   | Trap_bounds of string  (** OOB vmem/array access in an unverified program *)
@@ -29,8 +30,8 @@ val trap_of_exn : exn -> trap option
 (** Normalize any exception an engine can raise at runtime to its trap
     class; [None] for exceptions that are programming errors
     (Out_of_memory, Assert_failure, ...) — callers must re-raise those.
-    {!Vm.invoke} and the per-slot containment in {!Vm.invoke_batch} are
-    the intended users. *)
+    The per-slot containment in {!Vm.invoke_batch} is the intended
+    user. *)
 
 type outcome = {
   result : int;          (** r0 at [Exit], post-guardrail *)

@@ -75,7 +75,7 @@ val specialized_sites : compiled -> int
     cross-slot mutable state ([Map_*]/[Ring_push]/[Vec_ld_map]/[Call]/
     [Tail_call]), and every operand statically in bounds — so the kernel
     is also statically trap-free.  {!Vm.invoke_batch} transparently falls
-    back to the per-slot scalar path for everything else. *)
+    back to the per-slot path for everything else. *)
 
 val batch_eligible : compiled -> bool
 (** Whether the root program admits the SoA kernel (checked statically;

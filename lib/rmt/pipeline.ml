@@ -99,11 +99,6 @@ let fallback_served t ~hook =
   | Some { protection = Some p; _ } -> p.fallback_served
   | Some { protection = None; _ } | None -> 0
 
-let serve_fallback p ~ctxt =
-  p.fallback_served <- p.fallback_served + 1;
-  Obs.Counter.incr c_fallback;
-  [ p.fallback ctxt ]
-
 let sum_throttled vms =
   Array.fold_left (fun acc vm -> acc + Vm.throttled_units vm) 0 vms
 
@@ -129,34 +124,6 @@ let observe_health p ~now_ns =
     Breaker.record_failure p.breaker ~now:now_ns
   else Breaker.record_success p.breaker ~now:now_ns
 
-let dispatch s ~ctxt ~now =
-  if Obs.enabled () then Obs.Trace.set_current_hook s.hook_id;
-  let results = List.map (fun table -> Table.lookup table ~ctxt ~now) s.tables in
-  if Obs.enabled () then Obs.Trace.set_current_hook (-1);
-  results
-
-let fire_protected s p ~ctxt ~now =
-  let now_ns = now () in
-  if not (Breaker.allow p.breaker ~now:now_ns) then serve_fallback p ~ctxt
-  else
-    match dispatch s ~ctxt ~now with
-    | results ->
-      observe_health p ~now_ns;
-      results
-    | exception Interp.Trap _ ->
-      (* Contained engine fault: fail the breaker, roll any program still
-         in a canary grace window back to its incumbent, and serve the
-         stock heuristic for this event. *)
-      if Obs.enabled () then Obs.Trace.set_current_hook (-1);
-      Obs.Counter.incr c_trap_fallback;
-      Breaker.record_failure p.breaker ~now:now_ns;
-      Array.iter (fun vm -> ignore (Vm.rollback vm)) p.guard_vms;
-      serve_fallback p ~ctxt
-
-(* ------------------------------------------------------------------ *)
-(* Batched firing (DESIGN.md section 13)                               *)
-(* ------------------------------------------------------------------ *)
-
 (* Top level (not a closure over [b]/[now]) so batched dispatch allocates
    nothing beyond what the tables themselves do. *)
 let rec lookup_batch_tables tables b ~now =
@@ -166,8 +133,12 @@ let rec lookup_batch_tables tables b ~now =
     Table.lookup_batch table b ~now;
     lookup_batch_tables rest b ~now
 
-let dispatch_batch s b ~now =
+(* Trap markers start clear: a slot that traps in one table is then
+   skipped by the hook's later tables (Table.lookup_batch), as the event
+   stops at the first trap. *)
+let dispatch_batch s (b : Batch.t) ~now =
   if Obs.enabled () then Obs.Trace.set_current_hook s.hook_id;
+  Array.fill b.Batch.traps 0 b.Batch.n None;
   lookup_batch_tables s.tables b ~now;
   if Obs.enabled () then Obs.Trace.set_current_hook (-1)
 
@@ -186,8 +157,7 @@ let rec any_trap (b : Batch.t) s n =
    is per slot — a slot whose program trapped is served the stock
    heuristic and marked in [traps], the other slots keep their learned
    results, and the breaker records a single failure for the batch (plus
-   a grace-window rollback of the hook's programs, as in the scalar
-   path). *)
+   a grace-window rollback of the hook's programs). *)
 let fire_protected_batch s p b ~now =
   let now_ns = now () in
   if not (Breaker.allow p.breaker ~now:now_ns) then
@@ -228,23 +198,6 @@ let fire_batch t ~hook b ~now =
       end;
       true
     end
-
-let fire_all t ~hook ~ctxt ~now =
-  match Hashtbl.find_opt t.hooks hook with
-  | None -> []
-  | Some s ->
-    if s.tables <> [] then begin
-      s.firings <- s.firings + 1;
-      Obs.Counter.incr c_firings
-    end;
-    (match s.protection with
-     | Some p when s.tables <> [] -> fire_protected s p ~ctxt ~now
-     | Some _ | None -> dispatch s ~ctxt ~now)
-
-let fire t ~hook ~ctxt ~now =
-  match List.rev (fire_all t ~hook ~ctxt ~now) with
-  | [] -> None
-  | last :: _ -> Some last
 
 let firings t ~hook =
   match Hashtbl.find_opt t.hooks hook with Some s -> s.firings | None -> 0

@@ -31,31 +31,23 @@ val tables_at : t -> hook:string -> Table.t list
 val hooks : t -> string list
 (** All hooks with at least one table, in first-attach order. *)
 
-val fire : t -> hook:string -> ctxt:Ctxt.t -> now:(unit -> int) -> int option
-(** Run the hook's tables; [None] when nothing is attached.  The result is
-    the last table's action result.  On a protected hook, the fallback's
-    result is returned instead whenever the breaker is open or the
-    dispatch traps — {!fire} on a protected hook never raises for a
-    contained engine fault. *)
-
-val fire_all : t -> hook:string -> ctxt:Ctxt.t -> now:(unit -> int) -> int list
-(** All action results, in table order.  On a protected hook serving its
-    fallback, the single-element list [[fallback ctxt]]. *)
-
 val fire_batch : t -> hook:string -> Batch.t -> now:(unit -> int) -> bool
-(** Batched {!fire}: run every attached table over the whole batch (in
-    attach order, via {!Table.lookup_batch}); the last table's results
-    stay in the batch columns, exactly as scalar [fire] returns the last
-    table's action result.  [false] when nothing is attached (columns
-    untouched).  [firings] advances by [b.n] — each slot is one event.
+(** Run every attached table over the whole batch, in attach order, via
+    {!Table.lookup_batch}; this is how a hook runs its programs, and a
+    single event is a batch of one.  The last table's results stay in the
+    batch columns: it is the hook's decision.  A slot that traps in one
+    table is skipped by the later ones.  [false] when nothing is attached
+    (columns untouched).  [firings] advances by [b.n] — each slot is one
+    event.
 
-    On a protected hook the breaker grants one admission decision per
-    batch; failure containment is then per slot: a slot whose program
-    trapped keeps its [traps] marker and is served the stock fallback,
-    the remaining slots keep their learned results, and the breaker
-    records one failure for the batch (rolling back any [vms] still in a
-    canary grace window).  While the breaker is open every slot gets the
-    fallback.  Never raises for a contained engine fault. *)
+    On an unprotected hook a trapped slot keeps its [traps] marker and
+    zeroed columns.  On a protected hook the breaker grants one admission
+    decision per batch; failure containment is then per slot: a slot
+    whose program trapped keeps its [traps] marker and is served the
+    stock fallback, the remaining slots keep their learned results, and
+    the breaker records one failure for the batch (rolling back any [vms]
+    still in a canary grace window).  While the breaker is open every
+    slot gets the fallback.  Never raises for a contained engine fault. *)
 
 (** {2 Failsafe protection} *)
 
@@ -70,8 +62,8 @@ val protect :
   Breaker.t
 (** Arm [hook] with a circuit breaker and a stock-heuristic [fallback].
 
-    While the breaker is open, {!fire} returns [fallback ctxt] without
-    touching the tables; half-open probes let real traffic through again
+    While the breaker is open, {!fire_batch} answers every slot with
+    [fallback ctxt] without touching the tables; half-open probes let real traffic through again
     after the backoff.  Failures recorded against the breaker: a
     contained engine trap during dispatch (which also rolls back any
     [vms] still inside a canary grace window), a guardrail-violation

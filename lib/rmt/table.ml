@@ -224,33 +224,8 @@ let rec best_indexed t fields i best =
 let find_entry t fields =
   better (best_indexed t fields 0 no_entry) (first_match fields t.scan_entries)
 
-let run_action action ~ctxt ~now =
-  match action with
-  | Run vm -> Vm.invoke_result vm ~ctxt ~now
-  | Const v -> v
-  | Host f -> f ctxt
-
-let lookup t ~ctxt ~now =
-  t.total_hits <- t.total_hits + 1;
-  Obs.Counter.incr c_lookups;
-  (* Fault seam: a forced miss sends the lookup to the default action
-     (table-miss storm, DESIGN.md section 12). *)
-  let e =
-    if Fault.active () && Fault.fire Fault.Table_miss then no_entry
-    else find_entry t (read_fields t ~ctxt)
-  in
-  if e == no_entry then begin
-    t.default_hits <- t.default_hits + 1;
-    Obs.Counter.incr c_default_hits;
-    run_action t.default ~ctxt ~now
-  end
-  else begin
-    e.hits <- e.hits + 1;
-    run_action e.action ~ctxt ~now
-  end
-
 (* ------------------------------------------------------------------ *)
-(* Batched lookup (DESIGN.md section 13)                               *)
+(* Lookup (DESIGN.md section 13)                                       *)
 (* ------------------------------------------------------------------ *)
 
 let entry_scratch t n =
@@ -264,78 +239,62 @@ let slot_action t (entries : entry array) s =
   let e = entries.(s) in
   if e == no_entry then t.default else e.action
 
-let rec uniform_run_from t entries vm s n =
+let rec uniform_run_from t entries (b : Batch.t) vm s n =
   s >= n
-  ||
-  match slot_action t entries s with
-  | Run vm' -> vm' == vm && uniform_run_from t entries vm (s + 1) n
-  | Const _ | Host _ -> false
+  || b.Batch.traps.(s) == None
+     &&
+     match slot_action t entries s with
+     | Run vm' -> vm' == vm && uniform_run_from t entries b vm (s + 1) n
+     | Const _ | Host _ -> false
 
-(* Batched lookup: match resolution stays per slot (field reads + index
-   probes are cheap), and when every slot resolves to the same [Run]
-   action — the common case for learned tables, where one installed
-   program serves a wildcard entry or the default — the whole batch is
-   dispatched through one {!Vm.invoke_batch}, so the program's model
-   inference and instruction dispatch amortize across the events.  Mixed
-   batches fall back to per-slot action dispatch with traps contained
-   into the slot columns; [Host] actions are foreign code and their
-   exceptions propagate, as in scalar [lookup].  Hit accounting (table,
-   entry, default) is identical to [n] scalar lookups. *)
+let set_result (b : Batch.t) s v =
+  b.Batch.results.(s) <- v;
+  b.Batch.steps.(s) <- 0;
+  b.Batch.denied.(s) <- 0
+
+(* Match resolution stays per slot (field reads + index probes are
+   cheap), and when every slot resolves to the same [Run] action — the
+   common case for learned tables, where one installed program serves a
+   wildcard entry or the default — the whole batch is dispatched through
+   one {!Vm.invoke_batch}, so the program's model inference and
+   instruction dispatch amortize across the events.  Mixed batches run
+   each slot's action on its own, through {!Vm.invoke_slot} for [Run];
+   [Host] actions are foreign code and their exceptions propagate.  A
+   slot that already trapped in an earlier table of the same hook is
+   skipped: it is neither matched nor counted nor run, and keeps its trap
+   marker. *)
 let lookup_batch t (b : Batch.t) ~now =
   let n = b.Batch.n in
   if n > 0 then begin
-    t.total_hits <- t.total_hits + n;
-    Obs.Counter.add c_lookups n;
     let entries = entry_scratch t n in
     let faults = Fault.active () in
     for s = 0 to n - 1 do
-      let e =
-        if faults && Fault.fire Fault.Table_miss then no_entry
-        else find_entry t (read_fields t ~ctxt:b.Batch.ctxts.(s))
-      in
-      entries.(s) <- e;
-      if e == no_entry then begin
-        t.default_hits <- t.default_hits + 1;
-        Obs.Counter.incr c_default_hits
+      if b.Batch.traps.(s) == None then begin
+        t.total_hits <- t.total_hits + 1;
+        Obs.Counter.incr c_lookups;
+        (* Fault seam: a forced miss sends the slot to the default action
+           (table-miss storm, DESIGN.md section 12). *)
+        let e =
+          if faults && Fault.fire Fault.Table_miss then no_entry
+          else find_entry t (read_fields t ~ctxt:b.Batch.ctxts.(s))
+        in
+        entries.(s) <- e;
+        if e == no_entry then begin
+          t.default_hits <- t.default_hits + 1;
+          Obs.Counter.incr c_default_hits
+        end
+        else e.hits <- e.hits + 1
       end
-      else e.hits <- e.hits + 1
     done;
-    let uniform =
-      match slot_action t entries 0 with
-      | Run vm -> uniform_run_from t entries vm 1 n
-      | Const _ | Host _ -> false
-    in
-    if uniform then begin
-      match slot_action t entries 0 with
-      | Run vm -> Vm.invoke_batch vm b ~now
-      | Const _ | Host _ -> assert false
-    end
-    else
+    match slot_action t entries 0 with
+    | Run vm when uniform_run_from t entries b vm 0 n -> Vm.invoke_batch vm b ~now
+    | Run _ | Const _ | Host _ ->
       for s = 0 to n - 1 do
-        let ctxt = b.Batch.ctxts.(s) in
-        match slot_action t entries s with
-        | Const v ->
-          b.Batch.results.(s) <- v;
-          b.Batch.steps.(s) <- 0;
-          b.Batch.denied.(s) <- 0;
-          b.Batch.traps.(s) <- None
-        | Host f ->
-          b.Batch.results.(s) <- f ctxt;
-          b.Batch.steps.(s) <- 0;
-          b.Batch.denied.(s) <- 0;
-          b.Batch.traps.(s) <- None
-        | Run vm ->
-          (match Vm.invoke vm ~ctxt ~now with
-           | o ->
-             b.Batch.results.(s) <- o.Interp.result;
-             b.Batch.steps.(s) <- o.Interp.steps;
-             b.Batch.denied.(s) <- o.Interp.privacy_denied;
-             b.Batch.traps.(s) <- None
-           | exception Interp.Trap trap ->
-             b.Batch.results.(s) <- 0;
-             b.Batch.steps.(s) <- 0;
-             b.Batch.denied.(s) <- 0;
-             b.Batch.traps.(s) <- Some trap)
+        if b.Batch.traps.(s) == None then
+          match slot_action t entries s with
+          | Const v -> set_result b s v
+          | Host f -> set_result b s (f b.Batch.ctxts.(s))
+          | Run vm -> Vm.invoke_slot vm b s ~now
       done
   end
 

@@ -13,7 +13,7 @@
     on their matched-field tuple (one hash probe per distinct wildcard
     shape), so exact-match tables dispatch in O(1) regardless of entry
     count; [Mask]/[Between] entries fall back to a priority-ordered scan.
-    Field reads go through a preallocated scratch buffer, so a lookup
+    Field reads go through a preallocated scratch buffer, so matching
     allocates nothing and performs exactly one {!Ctxt.get} per match key. *)
 
 type pattern =
@@ -42,18 +42,20 @@ val insert : t -> ?priority:int -> patterns:pattern array -> action -> entry_id
 val remove : t -> entry_id -> bool
 val set_action : t -> entry_id -> action -> bool
 val entry_count : t -> int
-val lookup : t -> ctxt:Ctxt.t -> now:(unit -> int) -> int
-(** Match and run the action; falls back to the default action. *)
-
 val lookup_batch : t -> Batch.t -> now:(unit -> int) -> unit
-(** Batched {!lookup} over slots [0 .. b.n - 1]: matching is resolved per
+(** Match and run the action for slots [0 .. b.n - 1]; a slot with no
+    matching entry runs the default action.  Matching is resolved per
     slot, then — when every slot lands on the same [Run] action (the
     common case for learned tables) — the whole batch runs through one
     {!Vm.invoke_batch}, amortizing model inference and dispatch.  Mixed
-    batches dispatch per slot; engine traps are contained into the slot's
-    [traps] column either way (exceptions from [Host] actions propagate,
-    as in scalar lookup).  Hit accounting is identical to [n] scalar
-    lookups. *)
+    batches run each slot's action on its own ({!Vm.invoke_slot} for
+    [Run]).  Engine traps are contained into the slot's [traps] column
+    either way; exceptions from [Host] actions propagate.
+
+    A slot whose [traps] marker is already set on entry is skipped — not
+    matched, counted or run — so a trap in an earlier table of the same
+    hook stays visible; {!Pipeline.fire_batch} clears the markers before
+    a hook's first table. *)
 
 val lookup_entry : t -> ctxt:Ctxt.t -> entry_id option
 (** Which entry would fire, without running its action. *)

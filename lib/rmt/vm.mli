@@ -8,9 +8,9 @@
     (§3.3 "Performance interference").
 
     Failure containment (DESIGN.md section 12): every engine runtime error
-    is normalized to {!Interp.trap} and re-raised as [Interp.Trap] — no
-    other exception escapes {!invoke} for a fault in the program itself —
-    and a staged candidate program can shadow the incumbent for a canary
+    is normalized to {!Interp.trap} and contained in the batch slot that
+    raised it — no exception escapes {!invoke_batch} for a fault in the
+    program itself — and a staged candidate program can shadow the incumbent for a canary
     window before being atomically promoted (or rolled back). *)
 
 type engine = Interpreted | Jit_compiled
@@ -26,46 +26,35 @@ val set_engine : t -> engine -> unit
 
 val loaded : t -> Loaded.t
 
-val invoke : t -> ctxt:Ctxt.t -> now:(unit -> int) -> Interp.outcome
-(** Run once.  When the program declares [Rate_limited], the outcome's
-    [result] is the number of granted units (<= the program's request).
-
-    @raise Interp.Trap on any contained engine fault (fuel exhaustion,
-    bad vmem access, division trap, injected fault, helper failure);
-    {!traps} counts these.  A trap during a post-promotion grace window
-    first rolls the promotion back. *)
-
-val invoke_result : t -> ctxt:Ctxt.t -> now:(unit -> int) -> int
-(** Like {!invoke} but returns only the action result; on the JIT engine
-    this performs zero heap allocation in steady state (no outcome record
-    is built).  Table actions use this as their hot dispatch path. *)
-
-val invoke_checked :
-  t -> ctxt:Ctxt.t -> now:(unit -> int) -> (Interp.outcome, Interp.trap) result
-(** {!invoke} with the trap surfaced as a value instead of an exception. *)
-
-val invoke_result_checked :
-  t -> ctxt:Ctxt.t -> now:(unit -> int) -> (int, Interp.trap) result
-(** {!invoke_result} with the trap surfaced as a value. *)
-
 val invoke_batch : t -> Batch.t -> now:(unit -> int) -> unit
 (** Run slots [0 .. b.n - 1] of the batch through the program and fill
-    the result columns.  On the JIT engine, programs without
-    data-dependent control flow or shared mutable state run through one
-    structure-of-arrays kernel ({!Jit.exec_batch}) so instruction
-    dispatch and model weights amortize over the batch; everything else
-    — and every batch under an active fault-injection plan, so per-slot
-    seams fire — falls back to a per-slot loop.  Either way a batch of 1
-    produces exactly {!invoke}'s [result]/[steps]/[privacy_denied].
+    the result columns; the only way to run a loaded program (a single
+    event is a batch of one).  When the program declares [Rate_limited],
+    a slot's [result] is the number of granted units (<= the program's
+    request).
 
-    Unlike {!invoke} this never raises for a program fault: a trap in
-    slot [k] is contained to that slot ([traps.(k)] set, columns zeroed)
-    and the remaining slots still run, with scalar-identical accounting
-    (trap counters, grace-window rollback — after which the rest of the
-    batch runs the rolled-back incumbent).  Rate-limiter grants, trace
-    events and canary/grace staging advance per completed slot in slot
-    order, as a loop of scalar invokes would.  Steady-state
+    On the JIT engine, a batch of more than one slot whose program has no
+    data-dependent control flow or shared mutable state runs through one
+    structure-of-arrays kernel ({!Jit.exec_batch}) so instruction
+    dispatch and model weights amortize over the batch.  Everything else
+    — a batch of one, the interpreter, and every batch under an active
+    fault-injection plan, so per-slot seams fire — runs {!invoke_slot}
+    per slot.
+
+    Never raises for a program fault: a trap in slot [k] (fuel
+    exhaustion, bad vmem access, division trap, injected fault, helper
+    failure) is contained to that slot ([traps.(k)] set, columns zeroed)
+    and counted in {!traps}; a trap during a post-promotion grace window
+    first rolls the promotion back, so the rest of the batch runs the
+    incumbent.  Rate-limiter grants, trace events and canary/grace
+    staging advance per completed slot in slot order.  Steady-state
     allocation-free on both paths, telemetry on. *)
+
+val invoke_slot : t -> Batch.t -> int -> now:(unit -> int) -> unit
+(** Run slot [s] alone: the engine, trap containment into the slot, then
+    the slot's epilogue (limiter grant, trace event, canary/grace step).
+    The per-slot body of {!invoke_batch}; {!Table.lookup_batch} calls it
+    for slots of a batch whose actions differ. *)
 
 (** {2 Transactional install: canary shadowing, promotion, rollback} *)
 

@@ -208,31 +208,6 @@ let create_datapath ?(config = default_config) () =
   in
   (t, dps)
 
-let create_prefetch ?(config = default_config) ?params ?(seed = 42) () =
-  let pfs = Array.make config.shards None in
-  let t =
-    create ~config
-      ~make_sink:(fun ~index ~view_ns ->
-        let pf = Rkd.Prefetch_rmt.create ?params ~seed:(seed + index) ~view_ns () in
-        pfs.(index) <- Some pf;
-        { Shard.run =
-            (fun ~n ~tenants ~pages ~now ->
-              (* The prefetch entry wants exactly-sized arrays (and its
-                 host-side bookkeeping allocates regardless), so this
-                 sink copies; the zero-alloc serving path is the
-                 [Datapath] sink. *)
-              let pids = Array.sub tenants 0 n in
-              let pgs = Array.sub pages 0 n in
-              ignore
-                (Rkd.Prefetch_rmt.on_access_batch pf ~pids ~pages:pgs ~hit:false ~now
-                  : int list array));
-          control = Some (Rkd.Prefetch_rmt.control pf);
-          digest = (fun () -> 0) })
-      ()
-  in
-  let pfs = Array.map (function Some pf -> pf | None -> assert false) pfs in
-  (t, pfs)
-
 (* --- staged rollout over shard datapaths ------------------------------ *)
 
 (* One {!Rkd.Fleet.Rollout.target} per shard: the same poll-driven

@@ -34,13 +34,6 @@ val create :
 val create_datapath : ?config:config -> unit -> t * Shard.Datapath.dp array
 (** A fleet over the standard {!Shard.Datapath} sink, one per shard. *)
 
-val create_prefetch :
-  ?config:config -> ?params:Rkd.Prefetch_rmt.params -> ?seed:int -> unit ->
-  t * Rkd.Prefetch_rmt.t array
-(** A fleet of shard-pinned prefetch case studies ({!Rkd.Prefetch_rmt}),
-    one full instance (own control plane, trainer, breaker) per shard,
-    seeded [seed + index]. *)
-
 val config : t -> config
 val shards : t -> Shard.t array
 val shard : t -> int -> Shard.t

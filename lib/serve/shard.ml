@@ -290,8 +290,7 @@ module Datapath = struct
      instruction-major SoA kernel cannot interleave one context's reads
      and writes across slots — each tenant keeps scalar (sequential)
      semantics, and therefore the same results for any batch boundaries
-     and any shard count.  (Prefetch_rmt.on_access_batch makes the same
-     duplicate-pid exclusion.) *)
+     and any shard count. *)
   let rec run_from d tenants pages n i =
     if i < n then begin
       let chunk = d.chunk_cell.(0) + 1 in

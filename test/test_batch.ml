@@ -1,8 +1,9 @@
 (* Tests for batched invocation and proof-specialized codegen artifacts
-   (DESIGN.md section 13): SoA-kernel vs scalar equivalence, per-slot
-   trap containment under fault injection, batched tables and protected
-   hooks, steady-state allocation, the kml batch kernels, compile-time
-   resource reports/budgets, and the batched prefetch entry point. *)
+   (DESIGN.md section 13): SoA kernel and per-slot path against the
+   reference interpreter, per-slot trap containment under fault
+   injection, batched tables and protected hooks, steady-state
+   allocation, the kml batch kernels, and compile-time resource
+   reports/budgets. *)
 
 open Rmt
 
@@ -78,17 +79,25 @@ let install_exn control ?resource_budget ?model_names prog =
   | Ok vm -> vm
   | Error e -> Alcotest.failf "install %s: %s" prog.Program.name e
 
-(* Two independent installs of the same program text (separate maps and
-   scratch, shared model store), so a scalar reference run cannot leak
-   state into the batched run under test. *)
-let twin_installs ?(program = qmlp_program) ?(model_names = [ "q" ]) () =
+let install_dut ?(program = qmlp_program) ?(model_names = [ "q" ]) () =
   let control = Control.create ~engine:Vm.Jit_compiled () in
   let (_ : Model_store.handle) =
     Control.register_model control ~name:"q" (Model_store.Qmlp (make_qmlp ()))
   in
-  let vma = install_exn control ~model_names (program ~name:"ref") in
-  let vmb = install_exn control ~model_names (program ~name:"dut") in
-  (control, vma, vmb)
+  (control, install_exn control ~model_names (program ~name:"dut"))
+
+(* Reference semantics: the always-guarded interpreter (no verifier
+   proofs) over a fresh link of [vm]'s program — its own maps, the same
+   models — so reference runs cannot leak state into the run under
+   test. *)
+let reference vm =
+  let l = Vm.loaded vm in
+  let loaded =
+    Loaded.link ~store:l.Loaded.store ~helpers:l.Loaded.helpers
+      ~maps:(Array.map Map_store.create l.Loaded.prog.Program.map_specs)
+      ~models:l.Loaded.models l.Loaded.prog
+  in
+  fun ctxt -> Interp.run loaded ~ctxt ~now:now0
 
 let fill_slot ctxt s =
   Ctxt.clear ctxt;
@@ -98,23 +107,24 @@ let fill_slot ctxt s =
 
 let dump ctxt = List.sort compare (Ctxt.fold (fun k v acc -> (k, v) :: acc) ctxt [])
 
-(* ---------------- SoA kernel vs scalar ---------------- *)
+(* ---------------- Batch vs reference ---------------- *)
 
 let test_soa_scalar_equivalence () =
-  let _control, vma, vmb = twin_installs () in
+  let _control, vm = install_dut () in
+  let run_ref = reference vm in
   Alcotest.(check bool)
     "program admits the SoA kernel" true
-    (Jit.batch_eligible (Jit.compile (Vm.loaded vma)));
+    (Jit.batch_eligible (Jit.compile (Vm.loaded vm)));
   let k = 7 (* deliberately not a multiple of the matmul slot tile *) in
   let b = Batch.create ~capacity:k in
   for s = 0 to k - 1 do
     fill_slot b.Batch.ctxts.(s) s
   done;
-  Vm.invoke_batch vmb b ~now:now0;
+  Vm.invoke_batch vm b ~now:now0;
   for s = 0 to k - 1 do
     let ctxt = Ctxt.create () in
     fill_slot ctxt s;
-    let o = Vm.invoke vma ~ctxt ~now:now0 in
+    let o = run_ref ctxt in
     Alcotest.(check int) (Printf.sprintf "slot %d result" s) o.Interp.result b.Batch.results.(s);
     Alcotest.(check int) (Printf.sprintf "slot %d steps" s) o.Interp.steps b.Batch.steps.(s);
     Alcotest.(check int)
@@ -127,15 +137,15 @@ let test_soa_scalar_equivalence () =
   done
 
 let test_batch_of_one_fallback_equivalence () =
-  let _control, vma, vmb = twin_installs ~program:map_program ~model_names:[] () in
+  let _control, vm = install_dut ~program:map_program ~model_names:[] () in
   Alcotest.(check bool)
     "map program is not SoA-batchable" false
-    (Jit.batch_eligible (Jit.compile (Vm.loaded vma)));
+    (Jit.batch_eligible (Jit.compile (Vm.loaded vm)));
   let b = Batch.create ~capacity:1 in
   Ctxt.set b.Batch.ctxts.(0) 3 12;
-  Vm.invoke_batch vmb b ~now:now0;
+  Vm.invoke_batch vm b ~now:now0;
   let ctxt = Ctxt.of_list [ (3, 12) ] in
-  let o = Vm.invoke vma ~ctxt ~now:now0 in
+  let o = reference vm ctxt in
   Alcotest.(check int) "result" o.Interp.result b.Batch.results.(0);
   Alcotest.(check int) "steps" o.Interp.steps b.Batch.steps.(0);
   Alcotest.(check (list (pair int int))) "final context" (dump ctxt) (dump b.Batch.ctxts.(0))
@@ -143,13 +153,9 @@ let test_batch_of_one_fallback_equivalence () =
 (* ---------------- Per-slot trap containment ---------------- *)
 
 let test_trap_isolation_fault_injection () =
-  let _control, vma, vmb = twin_installs () in
+  let _control, vmb = install_dut () in
+  let run_ref = reference vmb in
   let k = 8 in
-  let reference = Batch.create ~capacity:k in
-  for s = 0 to k - 1 do
-    fill_slot reference.Batch.ctxts.(s) s
-  done;
-  Vm.invoke_batch vma reference ~now:now0;
   let b = Batch.create ~capacity:k in
   for s = 0 to k - 1 do
     fill_slot b.Batch.ctxts.(s) s
@@ -168,16 +174,18 @@ let test_trap_isolation_fault_injection () =
       Alcotest.(check int) (Printf.sprintf "slot %d zeroed steps" s) 0 b.Batch.steps.(s)
     | Some t -> Alcotest.failf "slot %d: unexpected trap %s" s (Interp.trap_message t)
     | None ->
+      let ctxt = Ctxt.create () in
+      fill_slot ctxt s;
       Alcotest.(check int)
         (Printf.sprintf "surviving slot %d result" s)
-        reference.Batch.results.(s) b.Batch.results.(s)
+        (run_ref ctxt).Interp.result b.Batch.results.(s)
   done;
   Alcotest.(check bool) "some slots trapped" true (!trapped > 0);
   Alcotest.(check bool) "some slots survived" true (!trapped < k);
   Alcotest.(check int) "vm trap accounting" !trapped (Vm.traps vmb - traps_before)
 
 let test_protected_hook_batch () =
-  let control, _vma, vmb = twin_installs () in
+  let control, vmb = install_dut () in
   let table =
     Control.create_table control ~name:"t" ~match_keys:[| 0 |] ~default:(Table.Run vmb)
   in
@@ -219,7 +227,7 @@ let test_protected_hook_batch () =
    a small measurement-noise allowance; real per-slot allocation would
    cost >= 2 words x 1000 x batch width. *)
 let test_zero_alloc_soa_batch () =
-  let _control, _vma, vmb = twin_installs () in
+  let _control, vmb = install_dut () in
   let b = Batch.create ~capacity:8 in
   for s = 0 to 7 do
     fill_slot b.Batch.ctxts.(s) s
@@ -236,7 +244,7 @@ let test_zero_alloc_soa_batch () =
     Alcotest.failf "SoA batch loop allocated %.0f minor words over 1k batches" delta
 
 let test_zero_alloc_fallback_batch () =
-  let _control, _vma, vmb = twin_installs ~program:map_program ~model_names:[] () in
+  let _control, vmb = install_dut ~program:map_program ~model_names:[] () in
   let b = Batch.create ~capacity:8 in
   for s = 0 to 7 do
     Ctxt.set b.Batch.ctxts.(s) 3 (s * 3)
@@ -292,15 +300,10 @@ let test_tree_predict_batch () =
 (* ---------------- Batched table lookup ---------------- *)
 
 let test_table_lookup_batch () =
-  let _control, vma, vmb = twin_installs () in
-  let make_table vm =
-    let table = Table.create ~name:"t" ~match_keys:[| 0 |] ~default:(Table.Const 5) in
-    let (_ : Table.entry_id) =
-      Table.insert table ~patterns:[| Table.Eq 1 |] (Table.Run vm)
-    in
-    table
-  in
-  let ta = make_table vma and tb = make_table vmb in
+  let _control, vm = install_dut () in
+  let run_ref = reference vm in
+  let tb = Table.create ~name:"t" ~match_keys:[| 0 |] ~default:(Table.Const 5) in
+  let (_ : Table.entry_id) = Table.insert tb ~patterns:[| Table.Eq 1 |] (Table.Run vm) in
   let check_case label keys =
     let k = Array.length keys in
     let b = Batch.create ~capacity:k in
@@ -315,7 +318,7 @@ let test_table_lookup_batch () =
       Ctxt.set ctxt 0 keys.(s);
       Alcotest.(check int)
         (Printf.sprintf "%s slot %d" label s)
-        (Table.lookup ta ~ctxt ~now:now0)
+        (if keys.(s) = 1 then (run_ref ctxt).Interp.result else 5)
         b.Batch.results.(s)
     done
   in
@@ -323,8 +326,8 @@ let test_table_lookup_batch () =
      single-invoke_batch path; mixed batch dispatches per slot. *)
   check_case "uniform" [| 1; 1; 1; 1 |];
   check_case "mixed" [| 1; 9; 1; 2 |];
-  Alcotest.(check int) "hit accounting" (Table.hits ta) (Table.hits tb);
-  Alcotest.(check int) "default accounting" (Table.default_hits ta) (Table.default_hits tb)
+  Alcotest.(check int) "hit accounting" 8 (Table.hits tb);
+  Alcotest.(check int) "default accounting" 2 (Table.default_hits tb)
 
 (* ---------------- Resource reports and budgets ---------------- *)
 
@@ -373,88 +376,14 @@ let test_install_resource_budget () =
   Alcotest.(check bool) "report dropped with the program" true
     (Control.resource_report control "spec" = None)
 
-(* ---------------- Batched prefetch entry ---------------- *)
-
-let test_prefetch_on_access_batch () =
-  (* Exact slot-for-slot equivalence with the scalar loop needs a frozen
-     model: a burst is served from one model snapshot, whereas the scalar
-     loop lets a mid-tick retrain or adaptive depth change affect later
-     slots (the batch-atomic model view documented on
-     [on_access_batch]).  So: adaptivity off, identical scalar warmup on
-     both instances until a model has trained, freeze online training,
-     then the two entries must agree exactly. *)
-  let params = { Rkd.Prefetch_rmt.default_params with Rkd.Prefetch_rmt.adaptive = false } in
-  let make () = Rkd.Prefetch_rmt.create ~params ~seed:42 () in
-  let scalar = make () and batched = make () in
-  let scalar_pf = Rkd.Prefetch_rmt.prefetcher scalar in
-  let batched_pf = Rkd.Prefetch_rmt.prefetcher batched in
-  let pids = [| 1; 2; 3; 4 |] in
-  let pages_at round = Array.map (fun pid -> (pid * 1000) + (round * 2 mod 64)) pids in
-  for round = 0 to 149 do
-    let pages = pages_at round in
-    let hit = round mod 3 = 0 in
-    Array.iteri
-      (fun i pid ->
-        let a = scalar_pf.Ksim.Prefetcher.on_access ~pid ~page:pages.(i) ~hit ~now:round in
-        let b = batched_pf.Ksim.Prefetcher.on_access ~pid ~page:pages.(i) ~hit ~now:round in
-        Alcotest.(check (list int)) (Printf.sprintf "warmup round %d slot %d" round i) a b)
-      pids
-  done;
-  Alcotest.(check bool) "model trained during warmup" true
-    (match Rkd.Prefetch_rmt.tree scalar with Some _ -> true | None -> false);
-  Rkd.Prefetch_rmt.set_online scalar false;
-  Rkd.Prefetch_rmt.set_online batched false;
-  for round = 150 to 249 do
-    let pages = pages_at round in
-    let hit = round mod 3 = 0 in
-    let expected =
-      Array.to_list
-        (Array.mapi
-           (fun i pid -> scalar_pf.Ksim.Prefetcher.on_access ~pid ~page:pages.(i) ~hit ~now:round)
-           pids)
-    in
-    let got =
-      Array.to_list (Rkd.Prefetch_rmt.on_access_batch batched ~pids ~pages ~hit ~now:round)
-    in
-    Alcotest.(check (list (list int)))
-      (Printf.sprintf "round %d prefetch targets" round)
-      expected got
-  done;
-  let s1 = Rkd.Prefetch_rmt.stats scalar and s2 = Rkd.Prefetch_rmt.stats batched in
-  Alcotest.(check int) "accesses" s1.Rkd.Prefetch_rmt.accesses s2.Rkd.Prefetch_rmt.accesses;
-  Alcotest.(check int) "retrains" s1.Rkd.Prefetch_rmt.retrains s2.Rkd.Prefetch_rmt.retrains;
-  Alcotest.(check int) "predictions scored" s1.Rkd.Prefetch_rmt.predictions_checked
-    s2.Rkd.Prefetch_rmt.predictions_checked;
-  Alcotest.(check int) "predictions correct" s1.Rkd.Prefetch_rmt.predictions_correct
-    s2.Rkd.Prefetch_rmt.predictions_correct;
-  Alcotest.(check int) "model invocations" s1.Rkd.Prefetch_rmt.model_invocations
-    s2.Rkd.Prefetch_rmt.model_invocations
-
-let test_prefetch_duplicate_pids_fall_back () =
-  let make () = Rkd.Prefetch_rmt.create ~seed:7 () in
-  let scalar = make () and batched = make () in
-  let scalar_pf = Rkd.Prefetch_rmt.prefetcher scalar in
-  let pids = [| 5; 5; 6 |] in
-  let pages = [| 5001; 5002; 6001 |] in
-  let expected =
-    Array.to_list
-      (Array.mapi
-         (fun i pid ->
-           scalar_pf.Ksim.Prefetcher.on_access ~pid ~page:pages.(i) ~hit:false ~now:1)
-         pids)
-  in
-  let got =
-    Array.to_list (Rkd.Prefetch_rmt.on_access_batch batched ~pids ~pages ~hit:false ~now:1)
-  in
-  Alcotest.(check (list (list int))) "duplicate pids served scalar semantics" expected got
-
 (* ---------------- Mixed-action batched lookup ---------------- *)
 
 (* A batch whose slots resolve to different actions (Const default, Run,
    Host) cannot take the uniform SoA path; every slot must still get
-   exactly its scalar-lookup result. *)
+   exactly its own action's result. *)
 let test_lookup_batch_mixed_actions () =
-  let control, _vma, vmb = twin_installs () in
+  let control, vmb = install_dut () in
+  let run_ref = reference vmb in
   let table =
     Control.create_table control ~name:"mixed" ~match_keys:[| 0 |]
       ~default:(Table.Const 7)
@@ -476,9 +405,13 @@ let test_lookup_batch_mixed_actions () =
     let ctxt = Ctxt.create () in
     fill_slot ctxt s;
     Ctxt.set ctxt 0 (s mod 3);
-    Alcotest.(check int)
-      (Printf.sprintf "slot %d mixed batch = scalar" s)
-      (Table.lookup table ~ctxt ~now:now0)
+    let expected =
+      match s mod 3 with
+      | 0 -> 7
+      | 1 -> (run_ref ctxt).Interp.result
+      | _ -> Ctxt.get ctxt 11 + 1000
+    in
+    Alcotest.(check int) (Printf.sprintf "slot %d mixed batch = per-slot action" s) expected
       b.Batch.results.(s);
     Alcotest.(check bool) (Printf.sprintf "slot %d clean" s) true (b.Batch.traps.(s) = None)
   done
@@ -486,7 +419,7 @@ let test_lookup_batch_mixed_actions () =
 (* ---------------- Open breaker serves whole batches ---------------- *)
 
 let test_fire_batch_breaker_open_fallback () =
-  let control, _vma, vmb = twin_installs () in
+  let control, vmb = install_dut () in
   Control.set_clock control now0;
   let table =
     Control.create_table control ~name:"t" ~match_keys:[| 0 |] ~default:(Table.Run vmb)
@@ -540,10 +473,6 @@ let suite =
       Alcotest.test_case "resource report counts" `Quick test_resource_report;
       Alcotest.test_case "install enforces resource budget" `Quick
         test_install_resource_budget;
-      Alcotest.test_case "prefetch batch entry = scalar loop" `Quick
-        test_prefetch_on_access_batch;
-      Alcotest.test_case "prefetch duplicate pids fall back" `Quick
-        test_prefetch_duplicate_pids_fall_back;
       Alcotest.test_case "mixed-action lookup_batch = scalar" `Quick
         test_lookup_batch_mixed_actions;
       Alcotest.test_case "open breaker serves whole batches" `Quick

@@ -118,19 +118,19 @@ let test_table_priority_and_ties () =
       (Rmt.Table.Const 40) in
   let ctxt = Rmt.Ctxt.of_list [ (0, 5); (1, 7) ] in
   Alcotest.(check int) "mask entry wins on priority" 40
-    (Rmt.Table.lookup table ~ctxt ~now:now0);
+    (Single.lookup table ~ctxt ~now:now0);
   Alcotest.(check bool) "agrees with oracle" true
     (Rmt.Table.lookup_entry table ~ctxt = Rmt.Table.lookup_entry_linear table ~ctxt);
   ignore (Rmt.Table.remove table e_mask);
   Alcotest.(check int) "earlier insertion breaks the tie" 20
-    (Rmt.Table.lookup table ~ctxt ~now:now0);
+    (Single.lookup table ~ctxt ~now:now0);
   ignore (Rmt.Table.remove table e_eq);
   Alcotest.(check int) "other wildcard shape found" 30
-    (Rmt.Table.lookup table ~ctxt ~now:now0);
+    (Single.lookup table ~ctxt ~now:now0);
   ignore (Rmt.Table.remove table e_eq2);
-  Alcotest.(check int) "falls back to any/any" 10 (Rmt.Table.lookup table ~ctxt ~now:now0);
+  Alcotest.(check int) "falls back to any/any" 10 (Single.lookup table ~ctxt ~now:now0);
   ignore (Rmt.Table.remove table e_any);
-  Alcotest.(check int) "default" (-1) (Rmt.Table.lookup table ~ctxt ~now:now0)
+  Alcotest.(check int) "default" (-1) (Single.lookup table ~ctxt ~now:now0)
 
 (* ---------------- Structured interpreter/JIT differential ----------- *)
 
@@ -305,8 +305,8 @@ let prop_structured_differential =
         | Ok vm ->
           let ctxt = Rmt.Ctxt.of_list ctxt_bindings in
           (* run twice: the second run exercises scratch-buffer reuse *)
-          let o1 = Rmt.Vm.invoke vm ~ctxt ~now:now0 in
-          let o2 = Rmt.Vm.invoke vm ~ctxt ~now:now0 in
+          let o1 = Single.run vm ~ctxt ~now:now0 in
+          let o2 = Single.run vm ~ctxt ~now:now0 in
           ( (o1.Rmt.Interp.result, o1.Rmt.Interp.steps, o1.Rmt.Interp.privacy_denied),
             (o2.Rmt.Interp.result, o2.Rmt.Interp.steps, o2.Rmt.Interp.privacy_denied),
             List.sort compare (Rmt.Ctxt.fold (fun k v acc -> (k, v) :: acc) ctxt []) )
@@ -317,8 +317,9 @@ let prop_structured_differential =
 
 (* Gc.minor_words itself returns a boxed float, so the measured delta over
    10_000 invocations carries a few words of measurement noise; any real
-   per-invocation allocation would cost >= 2 words x 10_000. *)
-let test_invoke_result_zero_alloc () =
+   per-invocation allocation would cost >= 2 words x 10_000.  A single
+   event is a batch of one, which skips the SoA kernel. *)
+let test_invoke_zero_alloc () =
   let open Rmt.Insn in
   let program =
     Rmt.Program.make ~name:"hot"
@@ -341,13 +342,13 @@ let test_invoke_result_zero_alloc () =
     | Ok vm -> vm
     | Error e -> Alcotest.failf "install: %s" e
   in
-  let ctxt = Rmt.Ctxt.of_list [ (3, 12) ] in
+  let b = Single.batch (Rmt.Ctxt.of_list [ (3, 12) ]) in
   for _ = 1 to 100 do
-    ignore (Rmt.Vm.invoke_result vm ~ctxt ~now:now0)
+    Rmt.Vm.invoke_batch vm b ~now:now0
   done;
   let before = Gc.minor_words () in
   for _ = 1 to 10_000 do
-    ignore (Rmt.Vm.invoke_result vm ~ctxt ~now:now0)
+    Rmt.Vm.invoke_batch vm b ~now:now0
   done;
   let delta = Gc.minor_words () -. before in
   if delta > 256.0 then
@@ -365,13 +366,13 @@ let test_table_lookup_zero_alloc () =
   ignore
     (Rmt.Table.insert table ~patterns:[| Rmt.Table.Between (100, 200); Rmt.Table.Any |]
        (Rmt.Table.Const 99));
-  let ctxt = Rmt.Ctxt.of_list [ (0, 7); (1, 3) ] in
+  let b = Single.batch (Rmt.Ctxt.of_list [ (0, 7); (1, 3) ]) in
   for _ = 1 to 100 do
-    ignore (Rmt.Table.lookup table ~ctxt ~now:now0)
+    Rmt.Table.lookup_batch table b ~now:now0
   done;
   let before = Gc.minor_words () in
   for _ = 1 to 10_000 do
-    ignore (Rmt.Table.lookup table ~ctxt ~now:now0)
+    Rmt.Table.lookup_batch table b ~now:now0
   done;
   let delta = Gc.minor_words () -. before in
   if delta > 256.0 then
@@ -420,7 +421,7 @@ let test_jit_unit_cache_by_uid () =
     | Error e -> Alcotest.fail e
   in
   bind ();
-  let invoke () = Rmt.Vm.invoke_result caller_vm ~ctxt:(Rmt.Ctxt.create ()) ~now:now0 in
+  let invoke () = Single.result caller_vm ~ctxt:(Rmt.Ctxt.create ()) ~now:now0 in
   Alcotest.(check int) "first callee" 7 (invoke ());
   Alcotest.(check int) "caller + callee units" 2 (Rmt.Vm.jit_units caller_vm);
   (* replace the same-named program and rebind *)
@@ -438,7 +439,7 @@ let suite =
         Alcotest.test_case "table priority and ties" `Quick test_table_priority_and_ties;
         QCheck_alcotest.to_alcotest prop_structured_differential;
         Alcotest.test_case "jit invoke is allocation-free" `Quick
-          test_invoke_result_zero_alloc;
+          test_invoke_zero_alloc;
         Alcotest.test_case "table lookup is allocation-free" `Quick
           test_table_lookup_zero_alloc;
         Alcotest.test_case "tree predict is allocation-free" `Quick

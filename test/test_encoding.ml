@@ -98,7 +98,7 @@ let test_install_bytes () =
    | Ok vm ->
      let ctxt = Rmt.Ctxt.of_list [ (0, 1) ] in
      Alcotest.(check int) "runs decoded program" 3
-       (Rmt.Vm.invoke vm ~ctxt ~now:(fun () -> 0)).Rmt.Interp.result
+       (Single.run vm ~ctxt ~now:(fun () -> 0)).Rmt.Interp.result
    | Error e -> Alcotest.fail e);
   (match Rmt.Control.install_bytes control ~model_names:[ "m" ] (Bytes.of_string "garbage") with
    | Error _ -> ()

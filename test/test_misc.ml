@@ -84,7 +84,7 @@ let test_asm_const_directive () =
   let control = Rmt.Control.create () in
   let vm = Result.get_ok (Rmt.Control.install control program) in
   let ctxt = Rmt.Ctxt.of_list [ (0, 4); (1, 8) ] in
-  let outcome = Rmt.Vm.invoke vm ~ctxt ~now:(fun () -> 0) in
+  let outcome = Single.run vm ~ctxt ~now:(fun () -> 0) in
   Alcotest.(check int) "w.x in Q16.16" (Kml.Fixed.to_raw (Kml.Fixed.of_float 4.0))
     outcome.Rmt.Interp.result
 
@@ -110,7 +110,7 @@ let test_asm_relative_targets () =
      Taken branch lands on 3. *)
   match Rmt.Control.install control program with
   | Ok vm ->
-    let outcome = Rmt.Vm.invoke vm ~ctxt:(Rmt.Ctxt.create ()) ~now:(fun () -> 0) in
+    let outcome = Single.run vm ~ctxt:(Rmt.Ctxt.create ()) ~now:(fun () -> 0) in
     Alcotest.(check int) "relative target" 5 outcome.Rmt.Interp.result
   | Error e ->
     (* exit at pc 2 requires r0 defined on that path; the verifier must
@@ -154,9 +154,9 @@ let test_vm_engine_switch () =
   let control = Rmt.Control.create ~engine:Rmt.Vm.Interpreted () in
   let vm = Result.get_ok (Rmt.Control.install control program) in
   Alcotest.(check bool) "starts interpreted" true (Rmt.Vm.engine vm = Rmt.Vm.Interpreted);
-  let r1 = (Rmt.Vm.invoke vm ~ctxt:(Rmt.Ctxt.create ()) ~now:(fun () -> 0)).Rmt.Interp.result in
+  let r1 = (Single.run vm ~ctxt:(Rmt.Ctxt.create ()) ~now:(fun () -> 0)).Rmt.Interp.result in
   Rmt.Vm.set_engine vm Rmt.Vm.Jit_compiled;
-  let r2 = (Rmt.Vm.invoke vm ~ctxt:(Rmt.Ctxt.create ()) ~now:(fun () -> 0)).Rmt.Interp.result in
+  let r2 = (Single.run vm ~ctxt:(Rmt.Ctxt.create ()) ~now:(fun () -> 0)).Rmt.Interp.result in
   Alcotest.(check int) "same result" r1 r2;
   Alcotest.(check int) "two invocations" 2 (Rmt.Vm.invocations vm)
 

@@ -9,7 +9,7 @@ let run_prog ?(maps = []) ?ctxt prog =
   match Rmt.Control.install control prog with
   | Ok vm ->
     let ctxt = match ctxt with Some c -> c | None -> Rmt.Ctxt.create () in
-    (Rmt.Vm.invoke vm ~ctxt ~now:(fun () -> 0)).Rmt.Interp.result
+    (Single.run vm ~ctxt ~now:(fun () -> 0)).Rmt.Interp.result
   | Error e -> Alcotest.failf "install failed: %s" e
 
 (* ---------------- vector ISA in programs ---------------- *)
@@ -217,7 +217,7 @@ let test_control_remove_and_reinstall () =
   let prog2 = Rmt.Program.make ~name:"p" [ Rmt.Insn.Ld_imm (0, 2); Rmt.Insn.Exit ] in
   let vm = Result.get_ok (Rmt.Control.install control prog2) in
   Alcotest.(check int) "reinstalled version runs" 2
-    (Rmt.Vm.invoke vm ~ctxt:(Rmt.Ctxt.create ()) ~now:(fun () -> 0)).Rmt.Interp.result;
+    (Single.run vm ~ctxt:(Rmt.Ctxt.create ()) ~now:(fun () -> 0)).Rmt.Interp.result;
   Alcotest.(check (list string)) "order deduplicated" [ "p" ]
     (Rmt.Control.program_names control)
 

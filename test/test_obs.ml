@@ -303,7 +303,7 @@ let test_vm_emits_telemetry () =
   let before = Obs.Registry.snapshot () in
   Obs.Trace.set_current_hook hook;
   for _ = 1 to 5 do
-    ignore (Rmt.Vm.invoke_result vm ~ctxt ~now:now0)
+    ignore (Single.result vm ~ctxt ~now:now0)
   done;
   Obs.Trace.set_current_hook (-1);
   let d = Obs.Snapshot.diff ~before ~after:(Obs.Registry.snapshot ()) in
@@ -333,7 +333,7 @@ let test_disabled_vm_is_silent () =
   Obs.set_enabled false;
   let before = Obs.Registry.snapshot () in
   for _ = 1 to 10 do
-    ignore (Rmt.Vm.invoke_result vm ~ctxt ~now:now0)
+    ignore (Single.result vm ~ctxt ~now:now0)
   done;
   let d = Obs.Snapshot.diff ~before ~after:(Obs.Registry.snapshot ()) in
   Obs.set_enabled true;
@@ -341,7 +341,7 @@ let test_disabled_vm_is_silent () =
     (Obs.Snapshot.scalar d "rmt.vm.invocations");
   Alcotest.(check int) "no trace events when disabled" 0 d.Obs.Snapshot.trace_emitted;
   (* The datapath itself still runs. *)
-  Alcotest.(check int) "program still executes" 1 (Rmt.Vm.invoke_result vm ~ctxt ~now:now0)
+  Alcotest.(check int) "program still executes" 1 (Single.result vm ~ctxt ~now:now0)
 
 let suite =
   [ ( "obs",

@@ -12,7 +12,7 @@ let test_table_exact_match () =
   in
   let _e1 = Rmt.Table.insert t ~patterns:[| Rmt.Table.Eq 5 |] (Rmt.Table.Const 50) in
   let _e2 = Rmt.Table.insert t ~patterns:[| Rmt.Table.Eq 7 |] (Rmt.Table.Const 70) in
-  let look v = Rmt.Table.lookup t ~ctxt:(Rmt.Ctxt.of_list [ (0, v) ]) ~now:now0 in
+  let look v = Single.lookup t ~ctxt:(Rmt.Ctxt.of_list [ (0, v) ]) ~now:now0 in
   Alcotest.(check int) "pid 5" 50 (look 5);
   Alcotest.(check int) "pid 7" 70 (look 7);
   Alcotest.(check int) "default" (-1) (look 9);
@@ -33,7 +33,7 @@ let test_table_priority_and_patterns () =
       ~patterns:[| Mask { value = 0b100; mask = 0b100 }; Eq 3 |]
       (Const 3)
   in
-  let look a b = lookup t ~ctxt:(Rmt.Ctxt.of_list [ (0, a); (1, b) ]) ~now:now0 in
+  let look a b = Single.lookup t ~ctxt:(Rmt.Ctxt.of_list [ (0, a); (1, b) ]) ~now:now0 in
   Alcotest.(check int) "mask+eq wins (highest priority)" 3 (look 0b1100 3);
   Alcotest.(check int) "range wins over wildcard" 2 (look 15 99);
   Alcotest.(check int) "wildcard" 1 (look 1 1)
@@ -41,7 +41,7 @@ let test_table_priority_and_patterns () =
 let test_table_runtime_updates () =
   let t = Rmt.Table.create ~name:"t" ~match_keys:[| 0 |] ~default:(Rmt.Table.Const 0) in
   let e = Rmt.Table.insert t ~patterns:[| Rmt.Table.Eq 1 |] (Rmt.Table.Const 10) in
-  let look () = Rmt.Table.lookup t ~ctxt:(Rmt.Ctxt.of_list [ (0, 1) ]) ~now:now0 in
+  let look () = Single.lookup t ~ctxt:(Rmt.Ctxt.of_list [ (0, 1) ]) ~now:now0 in
   Alcotest.(check int) "initial action" 10 (look ());
   Alcotest.(check bool) "set_action" true (Rmt.Table.set_action t e (Rmt.Table.Const 20));
   Alcotest.(check int) "updated action" 20 (look ());
@@ -55,7 +55,7 @@ let test_table_insertion_order_breaks_ties () =
   let _a = Rmt.Table.insert t ~patterns:[| Rmt.Table.Any |] (Rmt.Table.Const 1) in
   let _b = Rmt.Table.insert t ~patterns:[| Rmt.Table.Any |] (Rmt.Table.Const 2) in
   Alcotest.(check int) "first inserted wins" 1
-    (Rmt.Table.lookup t ~ctxt:(Rmt.Ctxt.create ()) ~now:now0)
+    (Single.lookup t ~ctxt:(Rmt.Ctxt.create ()) ~now:now0)
 
 let test_table_arity_check () =
   let t = Rmt.Table.create ~name:"t" ~match_keys:[| 0; 1 |] ~default:(Rmt.Table.Const 0) in
@@ -76,24 +76,65 @@ let prop_pattern_matches =
 
 (* ---------------- Pipeline ---------------- *)
 
+(* Two tables on one hook: the last table's result is the decision, and a
+   slot that traps in the first table is skipped by the second, so the
+   trap stays visible to the hook — kept in the slot (and raised by a
+   single-event fire) on a bare hook, answered by the fallback and charged
+   to the breaker on a protected one. *)
 let test_pipeline_fire_order () =
-  let p = Rmt.Pipeline.create () in
-  let mk name v =
-    Rmt.Table.create ~name ~match_keys:[||] ~default:(Rmt.Table.Const v)
+  let control = Rmt.Control.create () in
+  let vm =
+    Result.get_ok
+      (Rmt.Control.install control
+         (Rmt.Program.make ~name:"p" [ Rmt.Insn.Ld_imm (0, 7); Rmt.Insn.Exit ]))
   in
-  Rmt.Pipeline.attach p ~hook:"h" (mk "a" 1);
-  Rmt.Pipeline.attach p ~hook:"h" (mk "b" 2);
-  let ctxt = Rmt.Ctxt.create () in
-  Alcotest.(check (list int)) "all results in order" [ 1; 2 ]
-    (Rmt.Pipeline.fire_all p ~hook:"h" ~ctxt ~now:now0);
-  Alcotest.(check (option int)) "last wins" (Some 2)
-    (Rmt.Pipeline.fire p ~hook:"h" ~ctxt ~now:now0);
-  Alcotest.(check (option int)) "missing hook" None
-    (Rmt.Pipeline.fire p ~hook:"nope" ~ctxt ~now:now0);
+  let first =
+    Rmt.Control.create_table control ~name:"a" ~match_keys:[| 0 |] ~default:(Rmt.Table.Const 1)
+  in
+  let (_ : Rmt.Table.entry_id) =
+    Rmt.Table.insert first ~patterns:[| Rmt.Table.Eq 1 |] (Rmt.Table.Run vm)
+  in
+  let last =
+    Rmt.Control.create_table control ~name:"b" ~match_keys:[||] ~default:(Rmt.Table.Const 2)
+  in
+  Rmt.Control.attach control ~hook:"h" first;
+  Rmt.Control.attach control ~hook:"h" last;
+  let p = Rmt.Control.pipeline control in
+  (* Slot 0 runs the program in the first table, slot 1 its constant. *)
+  let b = Rmt.Batch.create ~capacity:2 in
+  Rmt.Ctxt.set b.Rmt.Batch.ctxts.(0) 0 1;
+  let fire () = Rmt.Control.fire_batch control ~hook:"h" b in
+  let slot s = (b.Rmt.Batch.traps.(s), b.Rmt.Batch.results.(s)) in
+  let trapping f = Rmt.Fault.with_plan ~seed:5 [ (Rmt.Fault.Engine_trap, 1.0) ] f in
+  Alcotest.(check bool) "fired" true (fire ());
+  Alcotest.(check bool) "last wins" true (slot 0 = (None, 2) && slot 1 = (None, 2));
+  Alcotest.(check bool) "missing hook" false (Rmt.Control.fire_batch control ~hook:"nope" b);
   Alcotest.(check int) "firings" 2 (Rmt.Pipeline.firings p ~hook:"h");
+  let last_hits = Rmt.Table.hits last in
+  Alcotest.(check bool) "bare hook fired under faults" true (trapping fire);
+  Alcotest.(check bool) "trap kept past the last table" true
+    (slot 0 = (Some Rmt.Interp.Trap_injected, 0));
+  Alcotest.(check bool) "other slot decided" true (slot 1 = (None, 2));
+  Alcotest.(check int) "trapped slot skips the last table" (last_hits + 1)
+    (Rmt.Table.hits last);
+  (match trapping (fun () -> Rmt.Control.fire control ~hook:"h" ~ctxt:b.Rmt.Batch.ctxts.(0)) with
+   | exception Rmt.Interp.Trap Rmt.Interp.Trap_injected -> ()
+   | _ -> Alcotest.fail "a single event must raise its trap on a bare hook");
+  let breaker = Rmt.Control.protect control ~hook:"h" ~programs:[ "p" ] ~fallback:(fun _ -> 99) () in
+  Alcotest.(check bool) "protected hook fired under faults" true (trapping fire);
+  Alcotest.(check bool) "trapped slot served the fallback" true
+    (slot 0 = (Some Rmt.Interp.Trap_injected, 99));
+  Alcotest.(check bool) "other slot keeps its decision" true (slot 1 = (None, 2));
+  Alcotest.(check int) "breaker charged" 1 (Rmt.Breaker.consecutive_failures breaker);
+  Alcotest.(check int) "fallback served" 1 (Rmt.Pipeline.fallback_served p ~hook:"h");
+  Alcotest.(check (option int)) "single event gets the fallback" (Some 99)
+    (trapping (fun () -> Rmt.Control.fire control ~hook:"h" ~ctxt:b.Rmt.Batch.ctxts.(0)));
+  Alcotest.(check bool) "fired healthy" true (fire ());
+  Alcotest.(check bool) "marker cleared on the next firing" true (slot 0 = (None, 2));
   Alcotest.(check bool) "detach" true (Rmt.Pipeline.detach p ~hook:"h" ~name:"b");
-  Alcotest.(check (option int)) "after detach" (Some 1)
-    (Rmt.Pipeline.fire p ~hook:"h" ~ctxt ~now:now0)
+  Alcotest.(check bool) "fired after detach" true (fire ());
+  Alcotest.(check bool) "first table decides after detach" true
+    (slot 0 = (None, 7) && slot 1 = (None, 1))
 
 (* ---------------- Control plane ---------------- *)
 
@@ -108,7 +149,7 @@ let test_control_install_and_update_model () =
       [ Rmt.Insn.Vec_ld_ctxt (0, 0, 1); Rmt.Insn.Call_ml (0, 0, 1); Rmt.Insn.Exit ]
   in
   let vm = Result.get_ok (Rmt.Control.install control ~model_names:[ "m" ] program) in
-  let run () = (Rmt.Vm.invoke vm ~ctxt:(Rmt.Ctxt.create ()) ~now:now0).Rmt.Interp.result in
+  let run () = (Single.run vm ~ctxt:(Rmt.Ctxt.create ()) ~now:now0).Rmt.Interp.result in
   Alcotest.(check int) "initial model" 1 (run ());
   (* Hot-swap the model; no reinstall needed. *)
   (match Rmt.Control.update_model control ~name:"m" (constant 2) with
@@ -133,7 +174,7 @@ let test_control_install_asm () =
   match Rmt.Control.install_asm control "  ldimm r0, 9\n  exit\n" with
   | Ok vm ->
     Alcotest.(check int) "runs" 9
-      (Rmt.Vm.invoke vm ~ctxt:(Rmt.Ctxt.create ()) ~now:now0).Rmt.Interp.result
+      (Single.run vm ~ctxt:(Rmt.Ctxt.create ()) ~now:now0).Rmt.Interp.result
   | Error e -> Alcotest.fail e
 
 let test_control_model_cost_budget () =
@@ -200,7 +241,7 @@ let test_privacy_end_to_end_denial () =
   let ctxt = Rmt.Ctxt.of_list [ (0, 10); (1, 10); (2, 10); (3, 10) ] in
   let denied = ref 0 in
   for _ = 1 to 5 do
-    let outcome = Rmt.Vm.invoke vm ~ctxt ~now:now0 in
+    let outcome = Single.run vm ~ctxt ~now:now0 in
     denied := !denied + outcome.Rmt.Interp.privacy_denied
   done;
   Alcotest.(check int) "two of five denied" 2 !denied
@@ -228,12 +269,12 @@ let test_rate_limit_in_vm () =
   in
   let vm = Result.get_ok (Rmt.Control.install control program) in
   let ctxt = Rmt.Ctxt.create () in
-  let r1 = (Rmt.Vm.invoke vm ~ctxt ~now:(fun () -> !clock)).Rmt.Interp.result in
+  let r1 = (Single.run vm ~ctxt ~now:(fun () -> !clock)).Rmt.Interp.result in
   Alcotest.(check int) "burst grant" 4 r1;
-  let r2 = (Rmt.Vm.invoke vm ~ctxt ~now:(fun () -> !clock)).Rmt.Interp.result in
+  let r2 = (Single.run vm ~ctxt ~now:(fun () -> !clock)).Rmt.Interp.result in
   Alcotest.(check int) "exhausted" 0 r2;
   clock := 1_000_000_000;
-  let r3 = (Rmt.Vm.invoke vm ~ctxt ~now:(fun () -> !clock)).Rmt.Interp.result in
+  let r3 = (Single.run vm ~ctxt ~now:(fun () -> !clock)).Rmt.Interp.result in
   Alcotest.(check int) "refilled to burst" 4 r3
 
 let test_guardrail () =
@@ -334,9 +375,9 @@ let test_builder_labels () =
   let control = Control.create () in
   let vm = Result.get_ok (Control.install control program) in
   Alcotest.(check int) "taken" 1
-    (Vm.invoke vm ~ctxt:(Ctxt.of_list [ (0, 9) ]) ~now:now0).Interp.result;
+    (Single.run vm ~ctxt:(Ctxt.of_list [ (0, 9) ]) ~now:now0).Interp.result;
   Alcotest.(check int) "fallthrough" 0
-    (Vm.invoke vm ~ctxt:(Ctxt.of_list [ (0, 3) ]) ~now:now0).Interp.result
+    (Single.run vm ~ctxt:(Ctxt.of_list [ (0, 3) ]) ~now:now0).Interp.result
 
 let test_builder_backward_label_rejected () =
   let open Rmt in

@@ -19,7 +19,7 @@ let run_prog ?ctxt ?engine prog =
   match Rmt.Control.install control prog with
   | Ok vm ->
     let ctxt = match ctxt with Some c -> c | None -> Rmt.Ctxt.create () in
-    (Rmt.Vm.invoke vm ~ctxt ~now:(fun () -> 0)).Rmt.Interp.result
+    (Single.run vm ~ctxt ~now:(fun () -> 0)).Rmt.Interp.result
   | Error e -> Alcotest.failf "install failed: %s" e
 
 let prog name code = Rmt.Program.make ~name code
@@ -284,13 +284,13 @@ let test_interp_tail_call () =
   (match Rmt.Control.bind_tail_call control ~caller:"caller" ~slot:0 ~callee:"callee" with
    | Ok () -> ()
    | Error e -> Alcotest.fail e);
-  let outcome = Rmt.Vm.invoke caller_vm ~ctxt:(Rmt.Ctxt.create ()) ~now:(fun () -> 0) in
+  let outcome = Single.run caller_vm ~ctxt:(Rmt.Ctxt.create ()) ~now:(fun () -> 0) in
   Alcotest.(check int) "tail call result" 7 outcome.Rmt.Interp.result;
   (* unbound slot falls back to 0 *)
   let caller2 = Rmt.Program.make ~name:"caller2" ~n_prog_slots:1 [ Tail_call 0 ] in
   let vm2 = Result.get_ok (Rmt.Control.install control caller2) in
   Alcotest.(check int) "unbound tail call" 0
-    (Rmt.Vm.invoke vm2 ~ctxt:(Rmt.Ctxt.create ()) ~now:(fun () -> 0)).Rmt.Interp.result
+    (Single.run vm2 ~ctxt:(Rmt.Ctxt.create ()) ~now:(fun () -> 0)).Rmt.Interp.result
 
 let test_interp_vector_ml_isa () =
   let open Rmt.Insn in
@@ -332,7 +332,7 @@ let test_interp_call_ml () =
   let _control, vm = install_raw ~models:[ ("m", model) ] ~model_names:[ "m" ] p in
   let ctxt = Rmt.Ctxt.of_list [ (0, 2); (1, 3); (2, 4) ] in
   Alcotest.(check int) "model fires" 1
-    (Rmt.Vm.invoke vm ~ctxt ~now:(fun () -> 0)).Rmt.Interp.result
+    (Single.run vm ~ctxt ~now:(fun () -> 0)).Rmt.Interp.result
 
 (* ---------------- Differential: interpreter = JIT ---------------- *)
 
@@ -389,7 +389,7 @@ let prop_interp_equals_jit =
           match Rmt.Control.install control program with
           | Ok vm ->
             let ctxt = Rmt.Ctxt.of_list ctxt_bindings in
-            let outcome = Rmt.Vm.invoke vm ~ctxt ~now:(fun () -> 0) in
+            let outcome = Single.run vm ~ctxt ~now:(fun () -> 0) in
             (outcome.Rmt.Interp.result, outcome.Rmt.Interp.steps,
              Rmt.Ctxt.get_range ctxt ~base:0 ~len:8)
           | Error e -> Alcotest.failf "install: %s" e
@@ -408,7 +408,7 @@ let prop_verified_programs_terminate =
         let control = Rmt.Control.create ~engine:Rmt.Vm.Interpreted () in
         (match Rmt.Control.install control program with
          | Ok vm ->
-           let outcome = Rmt.Vm.invoke vm ~ctxt:(Rmt.Ctxt.create ()) ~now:(fun () -> 0) in
+           let outcome = Single.run vm ~ctxt:(Rmt.Ctxt.create ()) ~now:(fun () -> 0) in
            outcome.Rmt.Interp.steps <= report.Rmt.Verifier.worst_case_steps
          | Error _ -> false))
 
@@ -442,10 +442,10 @@ let test_asm_parse_and_run () =
   let _control, vm = install_raw ~models:[ ("m", model) ] ~model_names:[ "m" ] program in
   let ctxt = Rmt.Ctxt.of_list [ (0, 9) ] in
   Alcotest.(check int) "big path" 5
-    (Rmt.Vm.invoke vm ~ctxt ~now:(fun () -> 0)).Rmt.Interp.result;
+    (Single.run vm ~ctxt ~now:(fun () -> 0)).Rmt.Interp.result;
   let ctxt = Rmt.Ctxt.of_list [ (0, 1) ] in
   Alcotest.(check int) "small path" 2
-    (Rmt.Vm.invoke vm ~ctxt ~now:(fun () -> 0)).Rmt.Interp.result
+    (Single.run vm ~ctxt ~now:(fun () -> 0)).Rmt.Interp.result
 
 let test_asm_errors () =
   (match Rmt.Asm.parse "bogus r1, r2" with
