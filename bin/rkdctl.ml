@@ -152,8 +152,8 @@ let resources_cmd =
              ~doc:"Also write the reports as JSON lines to FILE (CI artifact).")
   in
   let doc =
-    "print compile-time resource reports (steps, scratch, table slots, specialization \
-     counts) for the example prefetch programs"
+    "print compile-time resource reports (steps, scratch, constants, table slots, elided \
+     guards) for the example prefetch programs"
   in
   Cmd.v (Cmd.info "resources" ~doc) Term.(const run $ json_arg)
 

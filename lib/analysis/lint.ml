@@ -1,11 +1,11 @@
 (* Absint-fact consumer: datapath program lint (DESIGN.md section 15).
 
-   Every rule reads either the verifier report's per-pc facts (the same
-   array the JIT specializes against) or structural properties of the
-   bytecode; none re-runs the abstract interpreter.  The one analysis
-   this module adds itself is a backward register-liveness pass over the
-   verifier-shaped CFG (forward jumps plus [Rep] back-edges), which the
-   verifier does not need but dead-store detection does. *)
+   Every rule reads either the verifier report's per-pc facts or
+   structural properties of the bytecode; none re-runs the abstract
+   interpreter.  The one analysis this module adds itself is a backward
+   register-liveness pass over the verifier-shaped CFG (forward jumps
+   plus [Rep] back-edges), which the verifier does not need but
+   dead-store detection does. *)
 
 module I = Rmt.Insn
 
@@ -156,32 +156,49 @@ let unreachable_code facts (prog : Rmt.Program.t) =
     prog.code;
   List.rev !fs
 
+(* A conditional whose comparison is interval-infeasible never branches;
+   one whose negation is infeasible always does. *)
 let dead_arms facts (prog : Rmt.Program.t) =
-  let plan = Rmt.Specialize.plan ~facts prog in
+  let module Iv = Rmt.Absint.Interval in
+  let verdict c a b =
+    if Iv.refine c a b = None then Some false
+    else if Iv.refine (Iv.negate_cond c) a b = None then Some true
+    else None
+  in
   let fs = ref [] in
   Array.iteri
-    (fun pc verdict ->
-      match verdict with
-      | Rmt.Specialize.B_keep -> ()
-      | Rmt.Specialize.B_always ->
+    (fun pc insn ->
+      let taken =
+        match if pc < Array.length facts then facts.(pc) else None with
+        | None -> None
+        | Some fact ->
+          let regs = fact.Rmt.Absint.regs in
+          (match insn with
+           | I.Jcond (c, ra, rb, _) -> verdict c regs.(ra) regs.(rb)
+           | I.Jcond_imm (c, ra, imm, _) -> verdict c regs.(ra) (Iv.const imm)
+           | _ -> None)
+      in
+      match taken with
+      | None -> ()
+      | Some true ->
         fs :=
           { rule = "branch-always";
             pc;
             severity = Warn;
             message =
               Printf.sprintf "`%s` is always taken: the fall-through arm is dead"
-                (I.to_string prog.code.(pc)) }
+                (I.to_string insn) }
           :: !fs
-      | Rmt.Specialize.B_never ->
+      | Some false ->
         fs :=
           { rule = "branch-never";
             pc;
             severity = Warn;
             message =
               Printf.sprintf "`%s` is never taken: the branch is a constant fall-through"
-                (I.to_string prog.code.(pc)) }
+                (I.to_string insn) }
           :: !fs)
-    plan.Rmt.Specialize.branch;
+    prog.code;
   List.rev !fs
 
 (* A guard branch at [pc] skipping [pc+1 .. pc+off] is redundant when

@@ -12,8 +12,9 @@
     - {b unreachable} — instructions the abstract interpreter proves no
       execution reaches;
     - {b branch-always} / {b branch-never} — conditionals with a
-      statically dead arm ({!Rmt.Specialize.plan} on the same facts the
-      JIT specializes against);
+      statically dead arm: the report's interval facts make the
+      comparison, or its negation, infeasible
+      ({!Rmt.Absint.Interval.refine});
     - {b redundant-guard} — branches re-checking what the runtime
       already re-checks dynamically: a zero guard over [Div]/[Mod] by
       the guarded register ({!Rmt.Insn.eval_alu} is total: division by

@@ -141,8 +141,8 @@ let prepare t ?(budget = Kml.Model_cost.default_budget) ?resource_budget ?(model
                   (Verifier.violation_to_string v))
        | Ok report ->
          (* Compile-time resource report (Homunculus-style): derived from
-            the same verifier report the JIT will specialize against, and
-            checkable against a declared ceiling before the program ever
+            the same verifier report whose proofs the engines elide guards
+            on, and checkable against a declared ceiling before the program ever
             serves traffic. *)
          let resource = Resource.of_report report prog in
          let over_budget =
@@ -158,7 +158,7 @@ let prepare t ?(budget = Kml.Model_cost.default_budget) ?resource_budget ?(model
          end
          else begin
            (* Optional analysis gate: runs on the same verifier report the
-              JIT specializes against, after all mandatory checks pass. *)
+              engines link against, after all mandatory checks pass. *)
            let gate_verdict =
              match t.gate with None -> Gate_ok | Some gate -> gate report prog
            in
@@ -176,8 +176,8 @@ let prepare t ?(budget = Kml.Model_cost.default_budget) ?resource_budget ?(model
              let rng = Kml.Rng.split t.rng t.installs in
              t.installs <- t.installs + 1;
              (match
-                Loaded.link ~rng ~proofs:report.Verifier.proof ~facts:report.Verifier.facts
-                  ~store:t.store ~helpers:t.helpers ~maps ~models:handles prog
+                Loaded.link ~rng ~proofs:report.Verifier.proof ~store:t.store
+                  ~helpers:t.helpers ~maps ~models:handles prog
               with
               | loaded ->
                 Hashtbl.replace t.resources prog.name resource;

@@ -415,18 +415,14 @@ let run ?(seed = 0x50FA) ~trials () =
         ref_run prog ~helpers ~maps:ref_maps ~store ~models ~rng_seed
           ~facts:ai.Absint.facts ~claims ~ctxt:ref_ctxt
       in
-      (* Lane 2: proof-eliding interpreter (proofs, no facts).
-         Lane 3: proof-specialized JIT (proofs + interval facts). *)
+      (* Lanes 2 and 3: the proof-eliding interpreter and JIT. *)
+      let link maps =
+        Loaded.link ~rng:(Kml.Rng.create rng_seed) ~proofs:report.Verifier.proof ~store
+          ~helpers ~maps ~models prog
+      in
       let engine_out use_jit =
         let maps = fresh_maps () in
-        let loaded =
-          if use_jit then
-            Loaded.link ~rng:(Kml.Rng.create rng_seed) ~proofs:report.Verifier.proof
-              ~facts:report.Verifier.facts ~store ~helpers ~maps ~models prog
-          else
-            Loaded.link ~rng:(Kml.Rng.create rng_seed) ~proofs:report.Verifier.proof ~store
-              ~helpers ~maps ~models prog
-        in
+        let loaded = link maps in
         let ctxt = Ctxt.of_list bindings in
         let now () = now_value in
         let o =
@@ -462,11 +458,7 @@ let run ?(seed = 0x50FA) ~trials () =
          count. *)
       let batch_lane k =
         let maps = fresh_maps () in
-        let loaded =
-          Loaded.link ~rng:(Kml.Rng.create rng_seed) ~proofs:report.Verifier.proof
-            ~facts:report.Verifier.facts ~store ~helpers ~maps ~models prog
-        in
-        let vm = Vm.create ~engine:Vm.Jit_compiled loaded in
+        let vm = Vm.create ~engine:Vm.Jit_compiled (link maps) in
         let b = Batch.create ~capacity:k in
         for s = 0 to k - 1 do
           b.Batch.ctxts.(s) <- Ctxt.of_list bindings
@@ -492,14 +484,7 @@ let run ?(seed = 0x50FA) ~trials () =
         if dump_map b1_maps.(slot) <> dump_map ref_maps.(slot) then
           fail_prog prog "batch(1) map %d state diverged (trial %d)" slot trial
       done;
-      let eligible =
-        let maps = fresh_maps () in
-        let loaded =
-          Loaded.link ~rng:(Kml.Rng.create rng_seed) ~proofs:report.Verifier.proof
-            ~facts:report.Verifier.facts ~store ~helpers ~maps ~models prog
-        in
-        Jit.batch_eligible (Jit.compile loaded)
-      in
+      let eligible = Jit.batch_eligible (Jit.compile (link (fresh_maps ()))) in
       if eligible then begin
         (* SoA-eligible programs touch no maps, so only ctxts/columns are
            compared; identical inputs must give identical slots. *)

@@ -6,9 +6,7 @@
 
     + {!Interp} on a {!Loaded} instance carrying the verifier's proof
       array (guards elided where proven);
-    + {!Jit} on an instance carrying the proofs {e and} the per-pc
-      interval facts, so compilation is proof-specialized (constant
-      folding, strength reduction, dead-arm elimination, fast [Rep]);
+    + {!Jit} on an instance carrying the same proofs;
     + {!Vm.invoke_batch}: a batch of 1 for every program (the per-slot
       path every single event takes), plus a batch of 3
       identical slots on SoA-eligible programs, each slot checked

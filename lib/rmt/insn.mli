@@ -59,6 +59,8 @@ val alu_name : alu -> string
 val cond_name : cond -> string
 val eval_alu : alu -> int -> int -> int
 (** Shared ALU semantics (interpreter and JIT must agree); division and
-    modulo by zero return 0, shifts mask their amount to 0..62. *)
+    modulo by zero return 0.  Shifts mask their amount with [land 62],
+    so only even shifts exist: an amount of 1 shifts by 0 and 3 shifts
+    by 2.  A multiply by [2^k] is therefore not [Shl k] for odd [k]. *)
 
 val eval_cond : cond -> int -> int -> bool

@@ -20,7 +20,7 @@ let code_done = 0
 let code_exit = 1
 let code_tail = 2
 
-type unit_code = { entry : st -> int; loaded : Loaded.t; spec : Specialize.t }
+type unit_code = { entry : st -> int; loaded : Loaded.t }
 
 (* --------------------------------------------------------------------- *)
 (* Batch (SoA) kernel state                                              *)
@@ -70,19 +70,7 @@ let fusible (insn : Insn.t) =
   | Insn.Ld_imm _ | Insn.Mov _ | Insn.Alu _ | Insn.Alu_imm _ -> true
   | _ -> false
 
-(* The specialization plan for a loaded instance: interval facts (when the
-   program was linked with them) drive constant folding, strength
-   reduction, dead-arm elimination and Rep fast loops; without facts the
-   plan is the identity and compilation is guard-elision-only. *)
-let plan_for (loaded : Loaded.t) =
-  let prog = loaded.Loaded.prog in
-  if Array.length loaded.Loaded.facts = Array.length prog.Program.code then
-    Specialize.plan ~facts:loaded.Loaded.facts prog
-  else Specialize.identity prog
-
-(* Fill micro-op tables from an instruction array (the specialization
-   plan's [effective] code — rewrites only ever produce register-only
-   instructions, so fused blocks keep fusing). *)
+(* Fill micro-op tables from a program's instruction array. *)
 let fill_uops code uop_kind uop_x uop_y uop_op =
   Array.iteri
     (fun pc insn ->
@@ -109,11 +97,7 @@ let fill_uops code uop_kind uop_x uop_y uop_op =
     code
 
 let compile_unit (loaded : Loaded.t) : unit_code =
-  let spec = plan_for loaded in
-  (* Compile the specialized instruction stream: identical to the
-     program's code except at folded/strength-reduced sites (always
-     register-only rewrites, step-count preserving). *)
-  let code = spec.Specialize.effective in
+  let code = loaded.Loaded.prog.Program.code in
   let vmem = loaded.vmem in
   let n = Array.length code in
   (* Flat micro-op tables, valid at fusible pcs only. *)
@@ -277,70 +261,35 @@ let compile_unit (loaded : Loaded.t) : unit_code =
         | I.Jcond (c, ra, rb, off) ->
           let target = cont_at (pc + 1 + off) in
           let next = cont_at (pc + 1) in
-          (* Dead-arm elimination: an interval-infeasible comparison (or
-             infeasible negation) compiles to an unconditional jump; the
-             step is still counted, so dynamic step counts are unchanged. *)
-          (match spec.Specialize.branch.(pc) with
-           | Specialize.B_always ->
-             fun st ->
-               st.steps <- st.steps + 1;
-               target st
-           | Specialize.B_never ->
-             fun st ->
-               st.steps <- st.steps + 1;
-               next st
-           | Specialize.B_keep ->
-             fun st ->
-               st.steps <- st.steps + 1;
-               if Insn.eval_cond c st.regs.(ra) st.regs.(rb) then target st else next st)
+          fun st ->
+            st.steps <- st.steps + 1;
+            if Insn.eval_cond c st.regs.(ra) st.regs.(rb) then target st else next st
         | I.Jcond_imm (c, ra, imm, off) ->
           let target = cont_at (pc + 1 + off) in
           let next = cont_at (pc + 1) in
-          (match spec.Specialize.branch.(pc) with
-           | Specialize.B_always ->
-             fun st ->
-               st.steps <- st.steps + 1;
-               target st
-           | Specialize.B_never ->
-             fun st ->
-               st.steps <- st.steps + 1;
-               next st
-           | Specialize.B_keep ->
-             fun st ->
-               st.steps <- st.steps + 1;
-               if Insn.eval_cond c st.regs.(ra) imm then target st else next st)
+          fun st ->
+            st.steps <- st.steps + 1;
+            if Insn.eval_cond c st.regs.(ra) imm then target st else next st
         | I.Rep (count, body_len) ->
           let body = compile_range (pc + 1) (pc + body_len) in
           let next = cont_at (pc + 1 + body_len) in
-          if spec.Specialize.fast_rep.(pc) then
-            (* The body is proven to never leave the loop early (no Exit /
-               Tail_call in its range): iterate without the per-iteration
-               early-exit check. *)
-            fun st ->
-              st.steps <- st.steps + 1;
-              for _ = 1 to count do
-                ignore (body st : int)
-              done;
-              next st
-          else begin
-            let rec iterate st k =
-              if k = 0 then next st
-              else begin
-                let c = body st in
-                if c = code_done then iterate st (k - 1) else c
-              end
-            in
-            fun st ->
-              st.steps <- st.steps + 1;
-              iterate st count
-          end
+          let rec iterate st k =
+            if k = 0 then next st
+            else begin
+              let c = body st in
+              if c = code_done then iterate st (k - 1) else c
+            end
+          in
+          fun st ->
+            st.steps <- st.steps + 1;
+            iterate st count
         | I.Call id ->
           let arity = Helper.arity loaded.helpers id in
           let cost = Helper.privacy_cost loaded.helpers id in
           let args = loaded.call_args.(arity) in
           let env = loaded.env in
           let next = cont_at (pc + 1) in
-          (* Specialized on the (static) privacy configuration: the common
+          (* Compiled per (static) privacy configuration: the common
              free-helper case carries no cost test and no account match at
              runtime. *)
           (match cost, loaded.privacy with
@@ -517,7 +466,7 @@ let compile_unit (loaded : Loaded.t) : unit_code =
     conts.(0)
   in
   let entry = if n = 0 then fun (_ : st) -> code_done else compile_range 0 (n - 1) in
-  { entry; loaded; spec }
+  { entry; loaded }
 
 let fresh_st () =
   { regs = Array.make Insn.n_registers 0;
@@ -531,14 +480,11 @@ let fresh_st () =
 (* Engine totals (DESIGN.md section 11), bumped once per invocation /
    compilation — the threaded dispatch itself stays untouched.
    [elided_sites] counts instructions whose runtime guards the compiler
-   specialized away on the strength of a verifier proof;
-   [specialized_sites] counts the interval-fact rewrites on top of that
-   (folds, strength reductions, dead arms, fast Reps). *)
+   specialized away on the strength of a verifier proof. *)
 let c_runs = Obs.Counter.make "rmt.jit.runs"
 let c_steps = Obs.Counter.make "rmt.jit.steps"
 let c_compiles = Obs.Counter.make "rmt.jit.compiles"
 let c_elided_sites = Obs.Counter.make "rmt.jit.elided_guard_sites"
-let c_specialized_sites = Obs.Counter.make "rmt.jit.specialized_sites"
 let c_batch_runs = Obs.Counter.make "rmt.jit.batch_runs"
 let c_batch_slots = Obs.Counter.make "rmt.jit.batch_slots"
 
@@ -557,7 +503,6 @@ let compile loaded =
   Hashtbl.replace cache (Loaded.uid loaded) root;
   Obs.Counter.incr c_compiles;
   Obs.Counter.add c_elided_sites (count_elided_sites loaded);
-  Obs.Counter.add c_specialized_sites (Specialize.specialized_sites root.spec);
   { root; cache; st = fresh_st (); batch = Bk_untried }
 
 (* The unit cache is keyed by the loaded instance's unique id, so distinct
@@ -571,9 +516,6 @@ let get_unit t loaded =
     u
 
 let compiled_units t = Hashtbl.length t.cache
-
-let specialization t = t.root.spec
-let specialized_sites t = Specialize.specialized_sites t.root.spec
 
 let max_tail_depth = 32
 
@@ -691,8 +633,8 @@ let batchable (loaded : Loaded.t) =
     code;
   !ok
 
-let compile_batch_unit (loaded : Loaded.t) (spec : Specialize.t) ~cap : bst -> int =
-  let code = spec.Specialize.effective in
+let compile_batch_unit (loaded : Loaded.t) ~cap : bst -> int =
+  let code = loaded.Loaded.prog.Program.code in
   let n = Array.length code in
   let uop_kind = Array.make (Stdlib.max 1 n) 0 in
   let uop_x = Array.make (Stdlib.max 1 n) 0 in
@@ -833,25 +775,16 @@ let compile_batch_unit (loaded : Loaded.t) (spec : Specialize.t) ~cap : bst -> i
         | I.Rep (count, body_len) ->
           let body = bcompile (pc + 1) (pc + body_len) in
           let next = cont_at (pc + 1 + body_len) in
-          if spec.Specialize.fast_rep.(pc) then
-            fun st ->
-              st.bsteps <- st.bsteps + 1;
-              for _ = 1 to count do
-                ignore (body st : int)
-              done;
-              next st
-          else begin
-            let rec iterate st k =
-              if k = 0 then next st
-              else begin
-                let c = body st in
-                if c = code_done then iterate st (k - 1) else c
-              end
-            in
-            fun st ->
-              st.bsteps <- st.bsteps + 1;
-              iterate st count
-          end
+          let rec iterate st k =
+            if k = 0 then next st
+            else begin
+              let c = body st in
+              if c = code_done then iterate st (k - 1) else c
+            end
+          in
+          fun st ->
+            st.bsteps <- st.bsteps + 1;
+            iterate st count
         | I.Call_ml (slot, off, len) ->
           let handle = loaded.models.(slot) in
           let next = cont_at (pc + 1) in
@@ -1016,7 +949,7 @@ let compile_batch_unit (loaded : Loaded.t) (spec : Specialize.t) ~cap : bst -> i
   in
   bcompile 0 (n - 1)
 
-let make_batch_kernel (loaded : Loaded.t) (spec : Specialize.t) ~cap =
+let make_batch_kernel (loaded : Loaded.t) ~cap =
   let vsz = Array.length loaded.Loaded.vmem in
   let snap_rows = Stdlib.max 1 (Array.length loaded.Loaded.matmul_src) in
   let bstate =
@@ -1029,7 +962,7 @@ let make_batch_kernel (loaded : Loaded.t) (spec : Specialize.t) ~cap =
       bout = Array.make cap 0;
       bsteps = 0 }
   in
-  { bcap = cap; bstate; bentry = compile_batch_unit loaded spec ~cap }
+  { bcap = cap; bstate; bentry = compile_batch_unit loaded ~cap }
 
 (* Kernel for at least [need] slots, compiled lazily and regrown
    geometrically; [None] once the program is known not to be batchable. *)
@@ -1041,7 +974,7 @@ let kernel_for t ~need =
     if batchable t.root.loaded then begin
       let grown = match prev with Bk k -> 2 * k.bcap | Bk_ineligible | Bk_untried -> 0 in
       let cap = Stdlib.max 8 (Stdlib.max need grown) in
-      let k = make_batch_kernel t.root.loaded t.root.spec ~cap in
+      let k = make_batch_kernel t.root.loaded ~cap in
       t.batch <- Bk k;
       Some k
     end

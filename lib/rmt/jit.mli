@@ -10,15 +10,13 @@
     identical to {!Interp} (the test suite checks this differentially on
     random verified programs).
 
-    When the loaded instance carries per-pc interval facts
-    ({!Loaded.link} [?facts], from {!Verifier.check}), compilation is
-    additionally {b proof-specialized} ({!Specialize}): constants are
-    folded, multiplies/divides/mods by powers of two become shifts and
-    masks, interval-infeasible branch arms compile to unconditional
-    jumps, and straight-line [Rep] bodies iterate without the
-    per-iteration early-exit check.  Every rewrite preserves observable
-    semantics {e and} exact dynamic step counts, so the differential
-    tests against {!Interp} still hold bit-for-bit.
+    The compiled code is the program's code as written: every
+    conditional branch and every [Rep] has one compiled form.  The only
+    proof-driven change is guard elision: when the loaded instance
+    carries verifier proofs ({!Loaded.link} [?proofs]), proven-dense
+    context keys, proven-nonnegative keys and in-bounds [Vec_ld_map]
+    windows compile without their runtime checks, exactly as {!Interp}
+    skips them.
 
     Steady-state execution is allocation-free: the run state, helper
     environment, helper/model argument buffers and Mat_mul snapshot scratch
@@ -51,14 +49,6 @@ val compiled_units : compiled -> int
     share or evict each other's units. *)
 
 val loaded : compiled -> Loaded.t
-
-val specialization : compiled -> Specialize.t
-(** The proof-specialization plan the root unit was compiled against
-    (the identity plan when the instance was linked without facts). *)
-
-val specialized_sites : compiled -> int
-(** Total interval-fact rewrites in the root unit's plan (folds +
-    strength reductions + dead arms + fast Reps); [0] without facts. *)
 
 (** {2 Batched invocation}
 

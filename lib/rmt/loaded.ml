@@ -16,16 +16,13 @@ type t = {
   ml_args : int array array;
   matmul_src : int array;
   proofs : Absint.Proof.t array;
-  facts : Absint.fact option array;
-      (* per-pc interval facts for proof-specialized codegen; length 0 when
-         the program was linked without them (guard elision only) *)
   mutable runs : int;
   mutable total_steps : int;
 }
 
 let next_uid = ref 0
 
-let link ?(rng = Kml.Rng.create 0x5eed) ?proofs ?facts ~store ~helpers ~maps ~models
+let link ?(rng = Kml.Rng.create 0x5eed) ?proofs ~store ~helpers ~maps ~models
     (prog : Program.t) =
   if Array.length maps <> Array.length prog.map_specs then
     invalid_arg "Loaded.link: map slot count mismatch";
@@ -60,14 +57,6 @@ let link ?(rng = Kml.Rng.create 0x5eed) ?proofs ?facts ~store ~helpers ~maps ~mo
       p
     | None -> Array.make (Array.length prog.code) Absint.Proof.none
   in
-  let facts =
-    match facts with
-    | Some f ->
-      if Array.length f <> Array.length prog.code then
-        invalid_arg "Loaded.link: fact array length mismatch";
-      f
-    | None -> [||]
-  in
   { prog;
     uid;
     maps;
@@ -88,7 +77,6 @@ let link ?(rng = Kml.Rng.create 0x5eed) ?proofs ?facts ~store ~helpers ~maps ~mo
     ml_args = Array.map (fun arity -> Array.make arity 0) prog.model_arity;
     matmul_src = Array.make max_cols 0;
     proofs;
-    facts;
     runs = 0;
     total_steps = 0 }
 
