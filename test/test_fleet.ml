@@ -30,14 +30,20 @@ let same_report tag (a : Rkd.Fleet.report) (b : Rkd.Fleet.report) =
 let test_width_determinism () =
   let seq = Rkd.Fleet.soak ~seed:0xf1ee7 () in
   let par = with_pool 4 (fun pool -> Rkd.Fleet.soak ~pool ~seed:0xf1ee7 ()) in
-  same_report "clean" seq par
+  same_report "clean" seq par;
+  (* Pins the retrained and distilled candidates: `rkdctl fleet` prints
+     this digest for the default seed with no fault plan. *)
+  Alcotest.(check string) "pinned digest" "1f73b27788423e9c"
+    (Printf.sprintf "%016x" seq.Rkd.Fleet.digest)
 
 let test_width_determinism_faulted () =
   let seq = Rkd.Fleet.soak ~fault_specs:one_pct ~seed:0xf1ee7 () in
   let par =
     with_pool 4 (fun pool -> Rkd.Fleet.soak ~fault_specs:one_pct ~pool ~seed:0xf1ee7 ())
   in
-  same_report "faulted" seq par
+  same_report "faulted" seq par;
+  Alcotest.(check string) "pinned digest" "1a71b55593546f34"
+    (Printf.sprintf "%016x" seq.Rkd.Fleet.digest)
 
 (* ---------------- Drift -> recovery ---------------- *)
 

@@ -275,7 +275,11 @@ let test_table3_learned_beats_worse_baseline () =
     (List.length rows);
   List.iter
     (fun (name, ok) -> Alcotest.(check bool) name true ok)
-    (Rkd.Report.net_checks rows)
+    (Rkd.Report.net_checks rows);
+  (* Pins the learned policy's trained trees: `rkdctl net` prints this
+     digest for seed 42 with no fault plan. *)
+  Alcotest.(check string) "seed-42 digest" "1ef0796bd483aa04"
+    (Printf.sprintf "%016x" (Rkd.Experiment.table3_digest rows))
 
 let suite =
   [ ( "net",

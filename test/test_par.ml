@@ -101,7 +101,23 @@ let test_determinism_table1 () =
   let seq = at_domains 1 (fun () -> Rkd.Experiment.table1 ()) in
   let par = at_domains 4 (fun () -> Rkd.Experiment.table1 ()) in
   Alcotest.(check bool) "table1 rows bit-identical" true (seq = par);
-  Alcotest.(check int) "row count" 6 (List.length par)
+  Alcotest.(check int) "row count" 6 (List.length par);
+  (* The learned rows pin every online-trained tree: a training change
+     that alters any retrain moves at least one of these figures. *)
+  let rmt_ml =
+    List.filter_map
+      (fun (r : Rkd.Experiment.table1_row) ->
+        if r.system = "rmt-ml" then
+          Some
+            (Printf.sprintf "%s %.2f / %.2f / %.3f s" r.benchmark r.accuracy_pct r.coverage_pct
+               r.completion_s)
+        else None)
+      par
+  in
+  Alcotest.(check (list string))
+    "seed-42 rmt-ml rows"
+    [ "video-resize 91.73 / 86.03 / 0.466 s"; "matrix-conv 92.47 / 95.86 / 0.684 s" ]
+    rmt_ml
 
 let test_determinism_table2_fib () =
   let seq = at_domains 1 (fun () -> Rkd.Experiment.table2_benchmark ~seed:42 "fib") in
