@@ -61,6 +61,33 @@ let prefetch_fixture engine =
   done;
   (collect_vm, predict_vm, ctxt, tree)
 
+(* One full online-training window shaped like Prefetch_rmt's: 6144
+   samples of eight deltas clamped to +-4096 (mostly short strides), page
+   mod 64, (page / 64) mod 64 and a horizon of 1..8, labelled with a
+   noisy function of the newest delta and the horizon. *)
+let tree_train_fixture () =
+  let params = Rkd.Prefetch_rmt.default_params in
+  let rng = Kml.Rng.create 11 in
+  let history = params.Rkd.Prefetch_rmt.history in
+  let n_classes = params.Rkd.Prefetch_rmt.n_delta_classes in
+  let ds = Kml.Dataset.create ~n_features:(history + 3) ~n_classes in
+  let delta () =
+    if Kml.Rng.int rng 4 = 0 then Kml.Rng.int rng 8193 - 4096 else Kml.Rng.int rng 17 - 8
+  in
+  for _ = 1 to params.Rkd.Prefetch_rmt.window_capacity do
+    let deltas = Array.init history (fun _ -> delta ()) in
+    let horizon = 1 + Kml.Rng.int rng 8 in
+    let features =
+      Array.append deltas [| Kml.Rng.int rng 64; Kml.Rng.int rng 64; horizon |]
+    in
+    let label =
+      if Kml.Rng.int rng 8 = 0 then Kml.Rng.int rng n_classes
+      else (deltas.(0) + (4 * horizon)) land (n_classes - 1)
+    in
+    Kml.Dataset.add ds { Kml.Dataset.features; label }
+  done;
+  (params.Rkd.Prefetch_rmt.tree_params, ds)
+
 let sched_fixture () =
   (* A trained quantized MLP over the 15 LB features, as in case study 2. *)
   let rng = Kml.Rng.create 3 in
@@ -196,6 +223,7 @@ let micro_tests () =
   let collect_i, predict_i, ctxt_i, _ = prefetch_fixture Rmt.Vm.Interpreted in
   let collect_j, predict_j, ctxt_j, tree = prefetch_fixture Rmt.Vm.Jit_compiled in
   let decider, qmlp, mlp = sched_fixture () in
+  let train_params, train_ds = tree_train_fixture () in
   let ai_elided, ai_guarded, ai_ctxt, ai_prog, ai_helpers = absint_fixture () in
   let now () = 0 in
   let features15 = Array.init 15 (fun i -> i * 17) in
@@ -229,6 +257,10 @@ let micro_tests () =
       (Staged.stage (fun () -> Kml.Decision_tree.predict tree tree_features));
     Test.make ~name:"table1/table-match"
       (Staged.stage (fun () -> Rmt.Table.lookup_batch table table_one ~now));
+    (* One Prefetch_rmt retrain: the "train" layer of a Table 1 run.
+       Report-only: not gated and not in the baseline. *)
+    Test.make ~name:"kml/tree-train"
+      (Staged.stage (fun () -> Kml.Decision_tree.train ~params:train_params train_ds));
     (* Table 2 datapath pieces: quantized vs float MLP and the full RMT
        migration decision. *)
     Test.make ~name:"table2/qmlp-predict"

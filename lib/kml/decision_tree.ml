@@ -61,138 +61,166 @@ let majority counts =
   done;
   !best
 
-(* Best split of [indices] on [feature]: sort by feature value, sweep all cut
-   points between distinct values, track class counts incrementally. *)
-let best_split_on_feature samples indices feature n_classes parent_cost =
-  let n = Array.length indices in
-  let sorted = Array.copy indices in
-  Array.sort
-    (fun a b ->
-      compare samples.(a).Dataset.features.(feature) samples.(b).Dataset.features.(feature))
-    sorted;
-  let left_counts = Array.make n_classes 0 in
-  let right_counts = Array.make n_classes 0 in
-  Array.iter
-    (fun i ->
-      let l = samples.(i).Dataset.label in
-      right_counts.(l) <- right_counts.(l) + 1)
-    sorted;
-  let best_gain = ref 0 and best_threshold = ref 0 and found = ref false in
-  (* Incremental sum of squares so each sweep step is O(1), not O(classes). *)
-  let left_sq = ref 0 and right_sq = ref (Array.fold_left (fun a c -> a + (c * c)) 0 right_counts) in
-  for k = 0 to n - 2 do
-    let i = sorted.(k) in
-    let l = samples.(i).Dataset.label in
-    left_sq := !left_sq + (2 * left_counts.(l)) + 1;
-    right_sq := !right_sq - (2 * right_counts.(l)) + 1;
-    left_counts.(l) <- left_counts.(l) + 1;
-    right_counts.(l) <- right_counts.(l) - 1;
-    let v = samples.(i).Dataset.features.(feature) in
-    let v_next = samples.(sorted.(k + 1)).Dataset.features.(feature) in
-    if v <> v_next then begin
-      let nl = k + 1 and nr = n - k - 1 in
-      let cl = gini_scale * ((nl * nl) - !left_sq) / nl in
-      let cr = gini_scale * ((nr * nr) - !right_sq) / nr in
-      let gain = parent_cost - cl - cr in
-      if gain > !best_gain then begin
-        best_gain := gain;
-        best_threshold := v;
-        found := true
-      end
-    end
+(* Stable LSD radix sort of the sample indices [0, n) by column [f] of the
+   feature-major matrix [x], 8 bits a pass, into [order.(f * n ..)].  The key
+   is [value - min] read as unsigned, so any int range sorts in ascending
+   value order, and a column whose span needs [b] bits takes [b / 8] passes
+   rounded up. *)
+let presort x ~n f order scratch =
+  let base = f * n in
+  let vmin = ref max_int and vmax = ref min_int in
+  for i = base to base + n - 1 do
+    let v = x.(i) in
+    if v < !vmin then vmin := v;
+    if v > !vmax then vmax := v
   done;
-  if !found then Some (!best_gain, !best_threshold) else None
+  let vmin = !vmin and span = !vmax - !vmin in
+  for i = 0 to n - 1 do
+    order.(base + i) <- i
+  done;
+  let starts = Array.make 257 0 in
+  let shift = ref 0 in
+  while n > 0 && !shift < Sys.int_size && span lsr !shift <> 0 do
+    Array.fill starts 0 257 0;
+    for k = base to base + n - 1 do
+      let d = ((x.(base + order.(k)) - vmin) lsr !shift) land 255 in
+      starts.(d + 1) <- starts.(d + 1) + 1
+    done;
+    for d = 1 to 256 do
+      starts.(d) <- starts.(d) + starts.(d - 1)
+    done;
+    for k = base to base + n - 1 do
+      let i = order.(k) in
+      let d = ((x.(base + i) - vmin) lsr !shift) land 255 in
+      scratch.(starts.(d)) <- i;
+      starts.(d) <- starts.(d) + 1
+    done;
+    Array.blit scratch 0 order base n;
+    shift := !shift + 8
+  done
 
-let node_counts samples indices n_classes =
-  let counts = Array.make n_classes 0 in
-  Array.iter
-    (fun i ->
-      let l = samples.(i).Dataset.label in
-      counts.(l) <- counts.(l) + 1)
-    indices;
-  counts
-
-(* Below this node size the per-feature searches are too cheap to farm
-   out; above it each feature's sort dominates and the features are
-   embarrassingly parallel. *)
-let par_min_samples = 512
-
-(* One candidate per feature, evaluated in parallel for large nodes, then
-   reduced sequentially in feature order so the winning (gain, feature)
-   pair — including the earlier-feature-wins tie-break — is bit-identical
-   to the sequential search. *)
-let best_feature_split samples indices n_features n_classes parent_cost =
-  let search f = best_split_on_feature samples indices f n_classes parent_cost in
-  let candidates =
-    if Array.length indices >= par_min_samples && n_features > 1 then
-      Par.parallel_map_array (Par.global ()) search (Array.init n_features Fun.id)
-    else Array.init n_features search
-  in
-  let best = ref None in
-  Array.iteri
-    (fun f candidate ->
-      match candidate with
-      | Some (gain, threshold) ->
-        (match !best with
-         | Some (g, _, _) when g >= gain -> ()
-         | Some _ | None -> best := Some (gain, f, threshold))
-      | None -> ())
-    candidates;
-  !best
-
+(* Presorted CART.  Each feature's samples are sorted once, and a node is a
+   range [lo, hi) of every feature's order, kept in ascending value order:
+   a split stably partitions each range into its left and right parts, so
+   nothing below the root is sorted again. *)
 let train ?(params = default_params) ds =
-  let n_features = Dataset.n_features ds and n_classes = Dataset.n_classes ds in
+  let nf = Dataset.n_features ds and n_classes = Dataset.n_classes ds in
   if params.max_depth < 1 then invalid_arg "Decision_tree.train: max_depth must be >= 1";
-  let samples = Dataset.to_array ds in
-  if Array.length samples = 0 then
-    flatten ~n_features ~n_classes [| Leaf { label = 0; counts = Array.make n_classes 0 } |]
-  else begin
-    let nodes = ref [] and n_nodes = ref 0 in
-    let alloc () =
-      let id = !n_nodes in
-      incr n_nodes;
-      id
-    in
-    let assigned = Hashtbl.create 64 in
-    let rec build indices depth =
-      let id = alloc () in
-      let counts = node_counts samples indices n_classes in
-      let n = Array.length indices in
-      let parent_cost = cost counts n in
-      let make_leaf () = Hashtbl.replace assigned id (Leaf { label = majority counts; counts }) in
-      if depth >= params.max_depth || n < params.min_samples_split || parent_cost = 0 then
-        make_leaf ()
-      else begin
-        match best_feature_split samples indices n_features n_classes parent_cost with
-        | Some (gain, feature, threshold) when gain >= params.min_gain ->
-          let left_idx =
-            Array.of_list
-              (List.filter
-                 (fun i -> samples.(i).Dataset.features.(feature) <= threshold)
-                 (Array.to_list indices))
-          in
-          let right_idx =
-            Array.of_list
-              (List.filter
-                 (fun i -> samples.(i).Dataset.features.(feature) > threshold)
-                 (Array.to_list indices))
-          in
-          if Array.length left_idx = 0 || Array.length right_idx = 0 then make_leaf ()
-          else begin
-            let left = build left_idx (depth + 1) in
-            let right = build right_idx (depth + 1) in
-            Hashtbl.replace assigned id (Split { feature; threshold; left; right })
+  let n = Dataset.length ds in
+  (* Feature-major copy: feature [f] of sample [i] is [x.(f * n + i)]. *)
+  let x = Array.make (nf * n) 0 and y = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let s = Dataset.get ds i in
+    y.(i) <- s.Dataset.label;
+    for f = 0 to nf - 1 do
+      x.((f * n) + i) <- s.Dataset.features.(f)
+    done
+  done;
+  let order = Array.make (nf * n) 0 and scratch = Array.make n 0 in
+  for f = 0 to nf - 1 do
+    presort x ~n f order scratch
+  done;
+  let goes_left = Bytes.create n in
+  let sweep_left = Array.make n_classes 0 and sweep_right = Array.make n_classes 0 in
+  (* Best (gain, feature, threshold, left size) over every feature of the
+     node [lo, hi): one ascending sweep per feature with class counts kept
+     incrementally, a gain evaluated only where the value changes.  Only a
+     strictly greater gain replaces the incumbent, so the lowest threshold
+     wins within a feature and the earlier feature across them. *)
+  let best_split lo hi counts parent_cost =
+    let size = hi - lo in
+    let parent_sq = Array.fold_left (fun a c -> a + (c * c)) 0 counts in
+    let best_gain = ref 0 and best_f = ref (-1) and best_thr = ref 0 and best_nl = ref 0 in
+    for f = 0 to nf - 1 do
+      let base = f * n in
+      Array.fill sweep_left 0 n_classes 0;
+      Array.blit counts 0 sweep_right 0 n_classes;
+      (* Incremental sum of squares so each sweep step is O(1), not O(classes). *)
+      let left_sq = ref 0 and right_sq = ref parent_sq in
+      for k = base + lo to base + hi - 2 do
+        let i = order.(k) in
+        let l = y.(i) in
+        left_sq := !left_sq + (2 * sweep_left.(l)) + 1;
+        right_sq := !right_sq - (2 * sweep_right.(l)) + 1;
+        sweep_left.(l) <- sweep_left.(l) + 1;
+        sweep_right.(l) <- sweep_right.(l) - 1;
+        let v = x.(base + i) in
+        if v <> x.(base + order.(k + 1)) then begin
+          let nl = k - base - lo + 1 in
+          let nr = size - nl in
+          let cl = gini_scale * ((nl * nl) - !left_sq) / nl in
+          let cr = gini_scale * ((nr * nr) - !right_sq) / nr in
+          let gain = parent_cost - cl - cr in
+          if gain > !best_gain then begin
+            best_gain := gain;
+            best_f := f;
+            best_thr := v;
+            best_nl := nl
           end
-        | Some _ | None -> make_leaf ()
-      end;
-      id
-    in
-    let root = build (Array.init (Array.length samples) Fun.id) 0 in
-    assert (root = 0);
-    nodes := [];
-    let arr = Array.init !n_nodes (fun i -> Hashtbl.find assigned i) in
-    flatten ~n_features ~n_classes arr
-  end
+        end
+      done
+    done;
+    if !best_f < 0 then None else Some (!best_gain, !best_f, !best_thr, !best_nl)
+  in
+  (* Stable partition of feature [g]'s range [lo, hi) into the samples
+     marked in [goes_left], then the rest. *)
+  let partition g lo hi =
+    let base = g * n in
+    let w = ref (base + lo) and r = ref 0 in
+    for k = base + lo to base + hi - 1 do
+      let i = order.(k) in
+      if Bytes.get goes_left i = '\001' then begin
+        order.(!w) <- i;
+        incr w
+      end
+      else begin
+        scratch.(!r) <- i;
+        incr r
+      end
+    done;
+    Array.blit scratch 0 order !w !r
+  in
+  let assigned = Hashtbl.create 64 and n_nodes = ref 0 in
+  (* Nodes are numbered in preorder: a node, its left subtree, its right. *)
+  let rec build lo hi counts depth =
+    let id = !n_nodes in
+    incr n_nodes;
+    let size = hi - lo in
+    let parent_cost = cost counts size in
+    let make_leaf () = Hashtbl.replace assigned id (Leaf { label = majority counts; counts }) in
+    if depth >= params.max_depth || size < params.min_samples_split || parent_cost = 0 then
+      make_leaf ()
+    else begin
+      match best_split lo hi counts parent_cost with
+      | Some (gain, feature, threshold, nl) when gain >= params.min_gain ->
+        (* The chosen feature's range is already split: its first [nl]
+           entries hold exactly the values [<= threshold]. *)
+        let mid = lo + nl and base = feature * n in
+        let left_counts = Array.make n_classes 0 in
+        for k = base + lo to base + mid - 1 do
+          let i = order.(k) in
+          Bytes.set goes_left i '\001';
+          left_counts.(y.(i)) <- left_counts.(y.(i)) + 1
+        done;
+        for k = base + mid to base + hi - 1 do
+          Bytes.set goes_left order.(k) '\000'
+        done;
+        for g = 0 to nf - 1 do
+          if g <> feature then partition g lo hi
+        done;
+        let right_counts = Array.mapi (fun c total -> total - left_counts.(c)) counts in
+        let left = build lo mid left_counts (depth + 1) in
+        let right = build mid hi right_counts (depth + 1) in
+        Hashtbl.replace assigned id (Split { feature; threshold; left; right })
+      | Some _ | None -> make_leaf ()
+    end;
+    id
+  in
+  let counts = Array.make n_classes 0 in
+  Array.iter (fun l -> counts.(l) <- counts.(l) + 1) y;
+  let root = build 0 n counts 0 in
+  assert (root = 0);
+  flatten ~n_features:nf ~n_classes (Array.init !n_nodes (Hashtbl.find assigned))
 
 let check_arity t features =
   if Array.length features <> t.n_features then

@@ -19,7 +19,27 @@ val gini_scale : int
 
 val train : ?params:params -> Dataset.t -> t
 (** Trains on the dataset.  An empty dataset yields a tree that always
-    predicts class 0. *)
+    predicts class 0.
+
+    Presorted CART.  The samples are copied once into a flat
+    feature-major int matrix, and each feature's sample indices are
+    sorted once by value (a stable LSD radix sort on [value - min]).  A
+    node is a range of every feature's order.  Its split search sweeps
+    each feature's range in ascending value order, keeps class counts
+    incrementally and evaluates the Gini gain only where the value
+    changes.  The split stably partitions every range into the left part
+    and the right part, so the children stay sorted and nothing is sorted
+    again below the root.  One tree level costs O(n * n_features) for [n]
+    samples, plus one O(n * n_features) presort per call.
+
+    Tie-break contract, which fixes the tree for a given dataset and
+    [params]: a boundary's gain depends only on the set of samples at or
+    below its threshold, so the order of equal values does not matter.
+    Thresholds are scanned in ascending order within a feature, features
+    in index order, and a candidate replaces the best split only if its
+    gain is strictly greater, so the lowest threshold and then the
+    earliest feature win ties.  Nodes are numbered in preorder: a node,
+    then its left subtree, then its right subtree. *)
 
 val predict : t -> int array -> int
 (** Allocation-free inference: walks a structure-of-arrays mirror of the

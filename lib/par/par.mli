@@ -78,8 +78,8 @@ end
 (** {2 Global pool}
 
     The experiment layer shares one process-wide pool so that nested
-    fan-outs (an ablation family calling [Decision_tree.train]) compose
-    without oversubscription.  The pool is created lazily and joined via
+    fan-outs (Table 2 fanning out per benchmark, each benchmark running
+    its two JCT simulations as tasks) compose without oversubscription.  The pool is created lazily and joined via
     [at_exit]. *)
 
 val global : unit -> pool

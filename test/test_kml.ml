@@ -1,4 +1,4 @@
-(* Tests for the kernel ML library: rng, tensor, dataset, metrics, window. *)
+(* Tests for the kernel ML library: rng, tensor, dataset, metrics. *)
 open Kml
 
 (* ---------------- Rng ---------------- *)
@@ -240,39 +240,6 @@ let test_metrics_evaluate () =
   let predict features = if features.(0) > 2 then 1 else 0 in
   Alcotest.(check (float 1e-9)) "perfect separator" 1.0 (Metrics.accuracy_of ~predict ds)
 
-(* ---------------- Window ---------------- *)
-
-let test_window_eviction () =
-  let w = Window.create ~capacity:3 ~retrain_period:10 in
-  for i = 1 to 5 do
-    Window.push w { Dataset.features = [| i |]; label = 0 }
-  done;
-  Alcotest.(check int) "capped" 3 (Window.length w);
-  let ds = Window.to_dataset w ~n_features:1 ~n_classes:1 in
-  Alcotest.(check int) "oldest evicted" 3 (Dataset.get ds 0).Dataset.features.(0);
-  Alcotest.(check int) "newest kept" 5 (Dataset.get ds 2).Dataset.features.(0)
-
-let test_window_due () =
-  let w = Window.create ~capacity:10 ~retrain_period:3 in
-  Alcotest.(check bool) "not due when empty" false (Window.due w);
-  Window.push w { Dataset.features = [| 1 |]; label = 0 };
-  Window.push w { Dataset.features = [| 2 |]; label = 0 };
-  Alcotest.(check bool) "not due yet" false (Window.due w);
-  Window.push w { Dataset.features = [| 3 |]; label = 0 };
-  Alcotest.(check bool) "due after period" true (Window.due w);
-  Window.reset_due w;
-  Alcotest.(check bool) "reset" false (Window.due w);
-  Window.clear w;
-  Alcotest.(check int) "cleared" 0 (Window.length w)
-
-let prop_window_never_exceeds_capacity =
-  QCheck2.Test.make ~name:"window length <= capacity" ~count:200
-    QCheck2.Gen.(pair (int_range 1 20) (list_size (int_range 0 100) small_nat))
-    (fun (cap, pushes) ->
-      let w = Window.create ~capacity:cap ~retrain_period:1 in
-      List.iter (fun v -> Window.push w { Dataset.features = [| v |]; label = 0 }) pushes;
-      Window.length w <= cap && Window.length w = min cap (List.length pushes))
-
 let suite =
   [ ( "rng",
       [ Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
@@ -301,8 +268,4 @@ let suite =
     ( "metrics",
       [ Alcotest.test_case "accuracy/precision/recall" `Quick test_metrics_accuracy;
         Alcotest.test_case "empty" `Quick test_metrics_empty;
-        Alcotest.test_case "evaluate" `Quick test_metrics_evaluate ] );
-    ( "window",
-      [ Alcotest.test_case "eviction" `Quick test_window_eviction;
-        Alcotest.test_case "due/reset" `Quick test_window_due;
-        QCheck_alcotest.to_alcotest prop_window_never_exceeds_capacity ] ) ]
+        Alcotest.test_case "evaluate" `Quick test_metrics_evaluate ] ) ]

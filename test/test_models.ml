@@ -108,6 +108,137 @@ let prop_tree_predict_total =
       let c = Decision_tree.predict tree features in
       c = 0 || c = 1)
 
+(* Reference CART: the sort-per-node split search [Decision_tree.train]
+   used before presorting.  Every node copies and sorts its indices once
+   per feature, sweeps the boundaries between distinct values, and splits
+   the indices by filtering.  [train] must build the same node array. *)
+module Oracle_tree = struct
+  let scale = Decision_tree.gini_scale
+
+  let cost counts n =
+    if n = 0 then 0
+    else scale * ((n * n) - Array.fold_left (fun a c -> a + (c * c)) 0 counts) / n
+
+  let majority counts =
+    let best = ref 0 in
+    for c = 1 to Array.length counts - 1 do
+      if counts.(c) > counts.(!best) then best := c
+    done;
+    !best
+
+  let feat samples i f = samples.(i).Dataset.features.(f)
+
+  let best_split_on_feature samples indices f n_classes parent_cost =
+    let n = Array.length indices in
+    let sorted = Array.copy indices in
+    Array.sort (fun a b -> compare (feat samples a f) (feat samples b f)) sorted;
+    let left = Array.make n_classes 0 and right = Array.make n_classes 0 in
+    Array.iter (fun i -> let l = samples.(i).Dataset.label in right.(l) <- right.(l) + 1) sorted;
+    let best = ref None and best_gain = ref 0 in
+    for k = 0 to n - 2 do
+      let l = samples.(sorted.(k)).Dataset.label in
+      left.(l) <- left.(l) + 1;
+      right.(l) <- right.(l) - 1;
+      let v = feat samples sorted.(k) f in
+      if v <> feat samples sorted.(k + 1) f then begin
+        let gain = parent_cost - cost left (k + 1) - cost right (n - k - 1) in
+        if gain > !best_gain then begin
+          best_gain := gain;
+          best := Some (gain, v)
+        end
+      end
+    done;
+    !best
+
+  let train (params : Decision_tree.params) ds =
+    let n_features = Dataset.n_features ds and n_classes = Dataset.n_classes ds in
+    let samples = Dataset.to_array ds in
+    let assigned = Hashtbl.create 64 and n_nodes = ref 0 in
+    let label i = samples.(i).Dataset.label in
+    let rec build indices depth =
+      let id = !n_nodes in
+      incr n_nodes;
+      let counts = Array.make n_classes 0 in
+      Array.iter (fun i -> counts.(label i) <- counts.(label i) + 1) indices;
+      let n = Array.length indices in
+      let parent_cost = cost counts n in
+      let leaf () =
+        Hashtbl.replace assigned id (Decision_tree.Leaf { label = majority counts; counts })
+      in
+      (if depth >= params.max_depth || n < params.min_samples_split || parent_cost = 0 then leaf ()
+       else begin
+         let best = ref None in
+         for f = 0 to n_features - 1 do
+           match (best_split_on_feature samples indices f n_classes parent_cost, !best) with
+           | Some (gain, thr), Some (g, _, _) when gain > g -> best := Some (gain, f, thr)
+           | Some (gain, thr), None -> best := Some (gain, f, thr)
+           | _ -> ()
+         done;
+         match !best with
+         | Some (gain, feature, threshold) when gain >= params.min_gain ->
+           let side p = Array.of_list (List.filter p (Array.to_list indices)) in
+           let left_idx = side (fun i -> feat samples i feature <= threshold) in
+           let right_idx = side (fun i -> feat samples i feature > threshold) in
+           let left = build left_idx (depth + 1) in
+           let right = build right_idx (depth + 1) in
+           Hashtbl.replace assigned id (Decision_tree.Split { feature; threshold; left; right })
+         | _ -> leaf ()
+       end);
+      id
+    in
+    ignore (build (Array.init (Array.length samples) Fun.id) 0 : int);
+    Array.init !n_nodes (Hashtbl.find assigned)
+end
+
+(* Datasets with heavy ties (values drawn from 1..4 distinct values),
+   wide ones (up to 200 values, negatives included), spans of several
+   radix digits and the int extremes; 0, 1 or up to 400 samples, and
+   random stopping parameters. *)
+let tree_case_gen =
+  let open QCheck2.Gen in
+  let* n_features = int_range 1 6 and* n_classes = int_range 2 6 in
+  let* value =
+    let span max_width =
+      let+ width = int_range 1 max_width and+ low = int_range (-100) 100 in
+      int_range low (low + width - 1)
+    in
+    oneof
+      [ span 4;
+        span 200;
+        return (int_range (-70_000) 70_000);
+        return (oneofl [ min_int; -1; 0; max_int ]) ]
+  in
+  let* n = oneof [ return 0; return 1; int_range 0 400 ] in
+  let* rows =
+    list_repeat n (pair (array_repeat n_features value) (int_range 0 (n_classes - 1)))
+  in
+  let* max_depth = int_range 1 12 and* min_samples_split = int_range 1 5 in
+  let+ min_gain = oneof [ return 0; int_range 0 (Decision_tree.gini_scale / 8) ] in
+  let ds =
+    Dataset.of_samples ~n_features ~n_classes
+      (List.map (fun (features, label) -> { Dataset.features; label }) rows)
+  in
+  ({ Decision_tree.max_depth; min_samples_split; min_gain }, ds)
+
+let print_tree_case ((p : Decision_tree.params), ds) =
+  let rows =
+    Dataset.fold
+      (fun acc s ->
+        Printf.sprintf "%s->%d"
+          (String.concat "," (Array.to_list (Array.map string_of_int s.Dataset.features)))
+          s.Dataset.label
+        :: acc)
+      [] ds
+  in
+  Printf.sprintf "max_depth=%d min_samples_split=%d min_gain=%d classes=%d rows=[%s]"
+    p.max_depth p.min_samples_split p.min_gain (Dataset.n_classes ds)
+    (String.concat "; " (List.rev rows))
+
+let prop_tree_matches_oracle =
+  QCheck2.Test.make ~name:"presorted train = sort-per-node oracle" ~count:1000
+    ~print:print_tree_case tree_case_gen (fun (params, ds) ->
+      Decision_tree.nodes (Decision_tree.train ~params ds) = Oracle_tree.train params ds)
+
 (* ---------------- MLP ---------------- *)
 
 let test_mlp_learns_linear () =
@@ -311,7 +442,8 @@ let suite =
         Alcotest.test_case "nodes roundtrip" `Quick test_tree_nodes_roundtrip;
         Alcotest.test_case "of_nodes rejects cycles" `Quick test_tree_of_nodes_rejects_cycles;
         Alcotest.test_case "importance finds signal" `Quick test_tree_importance_finds_signal;
-        QCheck_alcotest.to_alcotest prop_tree_predict_total ] );
+        QCheck_alcotest.to_alcotest prop_tree_predict_total;
+        QCheck_alcotest.to_alcotest prop_tree_matches_oracle ] );
     ( "mlp",
       [ Alcotest.test_case "learns linear" `Quick test_mlp_learns_linear;
         Alcotest.test_case "learns xor" `Slow test_mlp_learns_xor;
