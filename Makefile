@@ -85,7 +85,8 @@ analyze:
 # Chaos soak (DESIGN.md section 12): 1000 seeded fault scenarios at pool
 # width 1, replayed at width 4 — rkdctl exits non-zero unless there are
 # zero uncaught exceptions, every breaker re-closed, and the digests are
-# bit-identical across the two widths.  Then the serving fleet (DESIGN.md section 14) at 2
+# bit-identical across the two widths.  Every replay below goes through
+# Par.replay (DESIGN.md section 9).  Then the serving fleet (DESIGN.md section 14) at 2
 # and 4 shards under a 1% everything-fault plan: --soak replays the
 # trace twice and exits non-zero unless decision digests are
 # bit-identical and every tripped breaker re-closed.  Then the net
@@ -95,13 +96,14 @@ analyze:
 # (DESIGN.md section 17) under the same plan, staggered and as a
 # simultaneous drift storm: staged rollouts with automatic rollback must
 # stay bit-identical across widths, re-close every breaker and keep the
-# per-episode install bound.
+# per-episode install bound.  The chaos telemetry snapshot and the
+# faulted net and fleet reports are kept as CI artifacts.
 chaos:
-	dune exec bin/rkdctl.exe -- chaos -n 1000 -d 1
+	dune exec bin/rkdctl.exe -- chaos -n 1000 -d 1 --snapshot chaos_obs.json
 	RKD_FAULTS=all:0.01 dune exec bin/rkdctl.exe -- serve --soak --shards 2
 	RKD_FAULTS=all:0.01 dune exec bin/rkdctl.exe -- serve --soak --shards 4
-	RKD_FAULTS=all:0.01 dune exec bin/rkdctl.exe -- net
-	RKD_FAULTS=all:0.01 dune exec bin/rkdctl.exe -- fleet --soak
+	RKD_FAULTS=all:0.01 dune exec bin/rkdctl.exe -- net --json net_report_faulted.json
+	RKD_FAULTS=all:0.01 dune exec bin/rkdctl.exe -- fleet --soak --json fleet_report_faulted.json
 	RKD_FAULTS=all:0.01 dune exec bin/rkdctl.exe -- fleet --soak --storm
 
 # The umbrella CI gate: warning-clean build, absint fuzz smoke, static

@@ -815,6 +815,7 @@ let () =
   | other ->
     Format.eprintf
       "unknown mode %s (expected \
-       micro|json|perf-check|macro|perf-check-macro|table1|table2|ablations|overhead|all)@."
+       micro|json|perf-check|macro|perf-check-macro|throughput|table1|table2|ablations|\
+       overhead|all)@."
       other;
     exit 1

@@ -1,16 +1,5 @@
 (* rkdctl — control-plane CLI for the reconfigurable-kernel-datapaths
-   reproduction.
-
-   Subcommands:
-     verify <file.rmt>    verify an RMT assembly program and print the report
-     disasm <file.rmt>    parse and pretty-print (round-trip) a program
-     run <file.rmt>       verify, install and run a program once
-     stats [file.rmt]     telemetry snapshot (optionally after N runs)
-     trace <file.rmt>     run a program and dump the flight recorder
-     table1 | table2      regenerate the paper's tables
-     ablations            run the ablation suite
-     overhead             Figure 1 family: interpreter vs JIT cost
-     shapes               tables + the qualitative shape checks *)
+   reproduction.  `rkdctl --help` lists the subcommands. *)
 
 open Cmdliner
 
@@ -413,24 +402,75 @@ let decode_fuzz_cmd =
   in
   Cmd.v (Cmd.info "decode-fuzz" ~doc) Term.(const run $ trials_arg $ seed_arg)
 
+(* --------------------------------------------------------------------- *)
+(* Pool width and the determinism harness                                 *)
+(* --------------------------------------------------------------------- *)
+
+let domains_arg =
+  let doc =
+    "Experiment-engine parallelism: number of domains in the shared pool (1 = sequential). \
+     Defaults to $(b,RKD_DOMAINS) or the machine's core count."
+  in
+  Arg.(value & opt (some int) None & info [ "d"; "domains" ] ~docv:"N" ~doc)
+
+(* A subcommand that runs on the domain pool: --domains sets the global
+   width, then [term]'s thunk runs and returns the exit code. *)
+let pooled name doc term =
+  let run domains f =
+    Option.iter Par.set_global_domains domains;
+    f ()
+  in
+  Cmd.v (Cmd.info name ~doc) Term.(const run $ domains_arg $ term)
+
+(* One pass of [f] at the current pool width.  Every "[name] elapsed"
+   line means the same thing: the wall time of one pass at domains=N. *)
+let timed_pass name f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  Format.printf "[%s] elapsed %.2f s (domains=%d)@." name
+    (Unix.gettimeofday () -. t0)
+    (Par.global_domains ());
+  r
+
+(* Timed passes of [f] at the current width first, then at one other
+   width, or at every one of 1/4/8 for a soak. *)
+let replay name ~soak f =
+  let w = Par.global_domains () in
+  let widths =
+    if soak then w :: List.filter (( <> ) w) [ 1; 4; 8 ] else [ w; (if w = 1 then 4 else 1) ]
+  in
+  Par.replay ~widths (fun () -> timed_pass name f)
+
+(* The replay gate: a line per run, then the verdict.  True when every
+   digest equals the first run's. *)
+let same_digests ?(label = "domains") name runs =
+  List.iter (fun (k, d) -> Format.printf "%s digest %016x (%s=%d)@." name d label k) runs;
+  let same = List.for_all (fun (_, d) -> d = snd (List.hd runs)) runs in
+  Format.printf "%s digests %s@." name (if same then "identical" else "DIVERGED");
+  same
+
+let digests_json runs =
+  String.concat ","
+    (List.map (fun (w, d) -> Printf.sprintf "{\"domains\":%d,\"digest\":\"%016x\"}" w d) runs)
+
 let chaos_cmd =
-  let run scenarios events seed domains snapshot =
-    (match domains with Some n -> Par.set_global_domains n | None -> ());
-    let soak () = fst (Rkd.Chaos.run ~seed ~events ~pool:(Par.global ()) ~scenarios ()) in
-    let before = Obs.Registry.snapshot () in
-    let t0 = Unix.gettimeofday () in
-    let summary = soak () in
+  let run scenarios events seed snapshot () =
+    (* Each pass keeps its own telemetry delta and only the first is
+       written: above width 1 the per-hook breaker views read whichever
+       scenario registered its pipeline last. *)
+    let runs =
+      replay "chaos" ~soak:false (fun () ->
+          let before = Obs.Registry.snapshot () in
+          let summary = fst (Rkd.Chaos.run ~seed ~events ~pool:(Par.global ()) ~scenarios ()) in
+          (summary, Obs.Snapshot.diff ~before ~after:(Obs.Registry.snapshot ())))
+    in
+    let summary, delta = snd (List.hd runs) in
     Format.printf "%a@." Rkd.Chaos.pp_summary summary;
-    Format.printf "[chaos] elapsed %.2f s (domains=%d)@."
-      (Unix.gettimeofday () -. t0)
-      (Par.global_domains ());
     (match snapshot with
      | None -> ()
      | Some path ->
-       let after = Obs.Registry.snapshot () in
        let snap =
-         Obs.Snapshot.filter
-           (Obs.Snapshot.diff ~before ~after)
+         Obs.Snapshot.filter delta
            ~prefixes:
              [ "rmt.breaker"; "rmt.fault"; "rmt.canary"; "rmt.vm"; "rmt.pipeline";
                "rmt.control" ]
@@ -440,20 +480,11 @@ let chaos_cmd =
          ~finally:(fun () -> close_out_noerr oc)
          (fun () -> output_string oc (Obs.Snapshot.to_json snap));
        Format.printf "wrote breaker/fault snapshot to %s@." path);
-    (* Determinism witness: replay the soak at a second pool width; the
-       digests must be bit-identical and the replay must contain its
-       faults too. *)
-    let width = Par.global_domains () in
-    let alt_width = if width = 1 then 4 else 1 in
-    Par.set_global_domains alt_width;
-    let alt = soak () in
-    Par.set_global_domains width;
-    let deterministic = alt.Rkd.Chaos.digest = summary.Rkd.Chaos.digest in
-    Format.printf "chaos digest %016x (domains=%d) / %016x (domains=%d): %s@."
-      summary.Rkd.Chaos.digest width alt.Rkd.Chaos.digest alt_width
-      (if deterministic then "identical" else "DIVERGED");
-    let contained (s : Rkd.Chaos.summary) = s.total_uncaught = 0 && s.not_reclosed = 0 in
-    if deterministic && contained summary && contained alt then 0 else 1
+    let deterministic =
+      same_digests "chaos" (List.map (fun (w, (s, _)) -> (w, s.Rkd.Chaos.digest)) runs)
+    in
+    let contained (_, ((s : Rkd.Chaos.summary), _)) = s.total_uncaught = 0 && s.not_reclosed = 0 in
+    if deterministic && List.for_all contained runs then 0 else 1
   in
   let scenarios_arg =
     Arg.(value & opt int 200 & info [ "n"; "scenarios" ] ~docv:"N" ~doc:"Fault scenarios to run.")
@@ -463,10 +494,6 @@ let chaos_cmd =
   in
   let seed_arg =
     Arg.(value & opt int 0xc4a05 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Master seed.")
-  in
-  let domains_arg =
-    Arg.(value & opt (some int) None & info [ "d"; "domains" ] ~docv:"N"
-           ~doc:"Domain-pool width (defaults to \\$(b,RKD_DOMAINS) or the core count).")
   in
   let snapshot_arg =
     Arg.(value & opt (some string) None
@@ -478,39 +505,27 @@ let chaos_cmd =
      second pool width; fails unless every scenario contains its faults, every breaker \
      re-closes and the two digests are bit-identical"
   in
-  Cmd.v (Cmd.info "chaos" ~doc)
-    Term.(const run $ scenarios_arg $ events_arg $ seed_arg $ domains_arg $ snapshot_arg)
+  pooled "chaos" doc Term.(const run $ scenarios_arg $ events_arg $ seed_arg $ snapshot_arg)
 
 let net_cmd =
-  let run json_path domains seed learned baseline =
-    (match domains with Some n -> Par.set_global_domains n | None -> ());
+  let run json_path seed learned baseline () =
     let systems =
       match (learned, baseline) with
       | true, false -> [ "rmt-ml" ]
       | false, true -> [ "cubic"; "bbr" ]
       | _ -> Rkd.Experiment.net_systems
     in
-    let t0 = Unix.gettimeofday () in
-    let rows = Rkd.Experiment.table3 ~seed ~systems () in
-    let digest = Rkd.Experiment.table3_digest rows in
+    (* The replay includes any RKD_FAULTS plan, which table3 re-arms per
+       task. *)
+    let runs = replay "net" ~soak:false (fun () -> Rkd.Experiment.table3 ~seed ~systems ()) in
+    let rows = snd (List.hd runs) in
     Rkd.Report.print_table3 Format.std_formatter rows;
     let checks = Rkd.Report.net_checks rows in
     List.iter
       (fun (name, ok) -> Format.printf "  [%s] %s@." (if ok then "PASS" else "FAIL") name)
       checks;
-    (* Determinism witness: replay the whole experiment at a different
-       pool width; the digests must be bit-identical (including any
-       RKD_FAULTS plan, which table3 re-arms per task). *)
-    let width = Par.global_domains () in
-    let alt_width = if width = 1 then 4 else 1 in
-    Par.set_global_domains alt_width;
-    let alt_digest = Rkd.Experiment.table3_digest (Rkd.Experiment.table3 ~seed ~systems ()) in
-    Par.set_global_domains width;
-    let deterministic = digest = alt_digest in
-    Format.printf "net digest %016x (domains=%d) / %016x (domains=%d): %s@." digest width
-      alt_digest alt_width
-      (if deterministic then "identical" else "DIVERGED");
-    Format.printf "[net] elapsed %.2f s (domains=%d)@." (Unix.gettimeofday () -. t0) width;
+    let digests = List.map (fun (w, rows) -> (w, Rkd.Experiment.table3_digest rows)) runs in
+    let deterministic = same_digests "net" digests in
     (match json_path with
      | None -> ()
      | Some path ->
@@ -531,10 +546,9 @@ let net_cmd =
        in
        let summary =
          Printf.sprintf
-           "{\"schema\":\"rkd-net-summary/1\",\"seed\":%d,\"rows\":%d,\
-            \"digest\":\"%016x\",\"alt_width_digest\":\"%016x\",\"deterministic\":%b,\
-            \"checks_failed\":%d}"
-           seed (List.length rows) digest alt_digest deterministic
+           "{\"schema\":\"rkd-net-summary/2\",\"seed\":%d,\"rows\":%d,\"digests\":[%s],\
+            \"deterministic\":%b,\"checks_failed\":%d}"
+           seed (List.length rows) (digests_json digests) deterministic
            (List.length (List.filter (fun (_, ok) -> not ok) checks))
        in
        write_json_lines path (row_lines @ [ summary ]);
@@ -549,10 +563,6 @@ let net_cmd =
     Arg.(value & opt (some string) None
          & info [ "json" ] ~docv:"FILE" ~doc:"Write rkd-net/1 JSON rows to FILE.")
   in
-  let domains_arg =
-    Arg.(value & opt (some int) None & info [ "d"; "domains" ] ~docv:"N"
-           ~doc:"Domain-pool width (defaults to \\$(b,RKD_DOMAINS) or the core count).")
-  in
   let seed_arg =
     Arg.(value & opt int 42 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Master seed.")
   in
@@ -566,8 +576,7 @@ let net_cmd =
     "Table 3: learned congestion control on the net.cc decision point; replays the \
      experiment at a second pool width and fails on digest divergence"
   in
-  Cmd.v (Cmd.info "net" ~doc)
-    Term.(const run $ json_arg $ domains_arg $ seed_arg $ learned_arg $ baseline_arg)
+  pooled "net" doc Term.(const run $ json_arg $ seed_arg $ learned_arg $ baseline_arg)
 
 let serve_cmd =
   let run tenants events shards producers pinned soak seed =
@@ -671,15 +680,16 @@ let serve_cmd =
     Array.iteri (fun i n -> Format.printf "  shard %d: %d tenants@." i n) per_shard;
     Format.printf "  digest %016x  breakers %s@." digest
       (if reclosed then "re-closed" else "STUCK OPEN");
-    let ok = ref (served >= expected && reclosed) in
-    if soak then begin
+    (* The pool width never reaches inline serving, so the soak's two
+       passes are labelled by pass number. *)
+    let replayed =
+      (not soak)
+      ||
       let served2, digest2, reclosed2, _ = run_once ~pinned:false in
-      let same = digest2 = digest && served2 = served in
-      Format.printf "  soak replay: digest %016x %s@." digest2
-        (if same then "bit-identical" else "MISMATCH");
-      if (not same) || not reclosed2 then ok := false
-    end;
-    if !ok then 0 else 1
+      same_digests ~label:"pass" "serve" [ (1, digest); (2, digest2) ]
+      && served2 = served && reclosed2
+    in
+    if served >= expected && reclosed && replayed then 0 else 1
   in
   let tenants_arg =
     Arg.(value & opt int 32 & info [ "tenants" ] ~docv:"N" ~doc:"Distinct tenants.")
@@ -720,53 +730,32 @@ let serve_cmd =
       $ soak_arg $ seed_arg)
 
 let fleet_cmd =
-  let run json_path soak domains seed ticks storm =
-    (match domains with Some n -> Par.set_global_domains n | None -> ());
+  let run json_path soak seed ticks storm () =
     let faulted = Sys.getenv_opt "RKD_FAULTS" <> None in
-    let t0 = Unix.gettimeofday () in
-    let run_at width =
-      Par.set_global_domains width;
-      Rkd.Experiment.fleet_soak ~seed ~storm ~ticks ()
-    in
-    let width = Par.global_domains () in
-    let r = run_at width in
+    (* The replay includes any RKD_FAULTS plan, which the fleet re-arms
+       per shard task. *)
+    let runs = replay "fleet" ~soak (fun () -> Rkd.Experiment.fleet_soak ~seed ~storm ~ticks ()) in
+    let r = snd (List.hd runs) in
     Rkd.Report.print_fleet Format.std_formatter r;
     let checks = Rkd.Report.fleet_checks ~faulted r in
     List.iter
       (fun (name, ok) -> Format.printf "  [%s] %s@." (if ok then "PASS" else "FAIL") name)
       checks;
-    (* Determinism witness: replay the identical soak at other pool
-       widths; the fleet digest must be bit-identical (including any
-       RKD_FAULTS plan, which the fleet re-arms per shard task). *)
-    let alt_widths =
-      if soak then List.filter (fun w -> w <> width) [ 1; 4; 8 ]
-      else [ (if width = 1 then 4 else 1) ]
-    in
-    let deterministic = ref true in
-    List.iter
-      (fun w ->
-        let rw = run_at w in
-        let same = rw.Rkd.Fleet.digest = r.Rkd.Fleet.digest in
-        if not same then deterministic := false;
-        Format.printf "fleet digest %016x (domains=%d) vs %016x (domains=%d): %s@."
-          r.Rkd.Fleet.digest width rw.Rkd.Fleet.digest w
-          (if same then "identical" else "DIVERGED"))
-      alt_widths;
-    Par.set_global_domains width;
-    Format.printf "[fleet] elapsed %.2f s (domains=%d)@." (Unix.gettimeofday () -. t0) width;
+    let digests = List.map (fun (w, r) -> (w, r.Rkd.Fleet.digest)) runs in
+    let deterministic = same_digests "fleet" digests in
     let checks_failed = List.length (List.filter (fun (_, ok) -> not ok) checks) in
     (match json_path with
      | None -> ()
      | Some path ->
        let summary =
          Printf.sprintf
-           "{\"schema\":\"rkd-fleet-summary/1\",\"seed\":%d,\"storm\":%b,\"faulted\":%b,\
-            \"digest\":\"%016x\",\"deterministic\":%b,\"checks_failed\":%d}"
-           seed storm faulted r.Rkd.Fleet.digest !deterministic checks_failed
+           "{\"schema\":\"rkd-fleet-summary/2\",\"seed\":%d,\"storm\":%b,\"faulted\":%b,\
+            \"digests\":[%s],\"deterministic\":%b,\"checks_failed\":%d}"
+           seed storm faulted (digests_json digests) deterministic checks_failed
        in
        write_json_lines path [ Rkd.Fleet.report_json r; summary ];
        Format.printf "wrote fleet report to %s@." path);
-    if !deterministic && checks_failed = 0 then 0 else 1
+    if deterministic && checks_failed = 0 then 0 else 1
   in
   let json_arg =
     Arg.(value & opt (some string) None
@@ -778,10 +767,6 @@ let fleet_cmd =
              ~doc:"Replay the identical soak at pool widths 1/4/8 and fail unless the fleet \
                    digests are bit-identical. Combine with \\$(b,RKD_FAULTS) for a chaos \
                    soak.")
-  in
-  let domains_arg =
-    Arg.(value & opt (some int) None & info [ "d"; "domains" ] ~docv:"N"
-           ~doc:"Domain-pool width (defaults to \\$(b,RKD_DOMAINS) or the core count).")
   in
   let seed_arg =
     Arg.(value & opt int 0xf1ee7 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Master seed.")
@@ -799,9 +784,7 @@ let fleet_cmd =
      search and staged canary rollout; fails on digest divergence across pool widths, a \
      breaker left open, or install thrash"
   in
-  Cmd.v (Cmd.info "fleet" ~doc)
-    Term.(
-      const run $ json_arg $ soak_arg $ domains_arg $ seed_arg $ ticks_arg $ storm_arg)
+  pooled "fleet" doc Term.(const run $ json_arg $ soak_arg $ seed_arg $ ticks_arg $ storm_arg)
 
 let disasm_cmd =
   let run path =
@@ -986,26 +969,9 @@ let trace_cmd =
 
 let simple name doc f = Cmd.v (Cmd.info name ~doc) Term.(const (fun () -> f (); 0) $ const ())
 
-let domains_arg =
-  let doc =
-    "Experiment-engine parallelism: number of domains in the shared pool (1 = sequential). \
-     Defaults to $(b,RKD_DOMAINS) or the machine's core count."
-  in
-  Arg.(value & opt (some int) None & info [ "d"; "domains" ] ~docv:"N" ~doc)
-
 (* Table/ablation subcommands run on the domain pool and print their
    elapsed wall time so --domains speedups are visible interactively. *)
-let timed name doc f =
-  let run domains =
-    (match domains with Some n -> Par.set_global_domains n | None -> ());
-    let t0 = Unix.gettimeofday () in
-    f ();
-    Format.printf "[%s] elapsed %.2f s (domains=%d)@." name
-      (Unix.gettimeofday () -. t0)
-      (Par.global_domains ());
-    0
-  in
-  Cmd.v (Cmd.info name ~doc) Term.(const run $ domains_arg)
+let timed name doc f = pooled name doc (Term.const (fun () -> timed_pass name f; 0))
 
 let table1_cmd =
   timed "table1" "regenerate Table 1 (page prefetching)" (fun () ->

@@ -338,3 +338,14 @@ let set_global_domains n =
     register_exit_hook ();
     Mutex.unlock global_lock
   end
+
+let replay ~widths f =
+  let saved = global_domains () in
+  Fun.protect
+    ~finally:(fun () -> set_global_domains saved)
+    (fun () ->
+      List.map
+        (fun w ->
+          set_global_domains w;
+          (global_domains (), f ()))
+        widths)

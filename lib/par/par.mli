@@ -90,5 +90,14 @@ val global_domains : unit -> int
 
 val set_global_domains : int -> unit
 (** Resizes the global pool (shutting down the old one).  No-op when the
-    width is unchanged.  Used by [rkdctl --domains] and the macro
-    benchmark harness. *)
+    width is unchanged.  Used by the [--domains] flag of [rkdctl], the
+    macro benchmark's timing and {!replay}; everything else that needs
+    a given width goes through {!replay}. *)
+
+val replay : widths:int list -> (unit -> 'a) -> (int * 'a) list
+(** The determinism harness: [replay ~widths f] runs [f] once per width
+    on the global pool, in order, and pairs each result with the width
+    it ran at (clamped like {!set_global_domains}).  Afterwards the
+    global pool has the width it had before, also when [f] raises.
+    Callers compare the results (or their digests): every experiment
+    must come out bit-identical at every width. *)

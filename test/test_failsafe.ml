@@ -426,13 +426,11 @@ let test_decode_fuzz () =
 
 let test_chaos_width_determinism () =
   let scenarios = 6 and events = 120 and seed = 0x5eed in
-  let seq, _ = Rkd.Chaos.run ~seed ~events ~scenarios () in
-  let pool = Par.create ~domains:4 () in
-  let par, _ =
-    Fun.protect
-      ~finally:(fun () -> Par.shutdown pool)
-      (fun () -> Rkd.Chaos.run ~seed ~events ~pool ~scenarios ())
+  let runs =
+    Par.replay ~widths:[ 1; 4 ] (fun () ->
+        fst (Rkd.Chaos.run ~seed ~events ~pool:(Par.global ()) ~scenarios ()))
   in
+  let seq = List.assoc 1 runs and par = List.assoc 4 runs in
   Alcotest.(check int) "no uncaught (seq)" 0 seq.Rkd.Chaos.total_uncaught;
   Alcotest.(check int) "no uncaught (par)" 0 par.Rkd.Chaos.total_uncaught;
   Alcotest.(check int) "every breaker re-closed (seq)" 0 seq.Rkd.Chaos.not_reclosed;

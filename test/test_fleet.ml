@@ -6,10 +6,6 @@
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-let with_pool domains f =
-  let pool = Par.create ~domains () in
-  Fun.protect ~finally:(fun () -> Par.shutdown pool) (fun () -> f pool)
-
 let one_pct =
   match Rmt.Fault.parse_spec "all:0.01" with
   | Ok specs -> specs
@@ -28,8 +24,10 @@ let same_report tag (a : Rkd.Fleet.report) (b : Rkd.Fleet.report) =
     b.Rkd.Fleet.mean_accuracy_milli
 
 let test_width_determinism () =
-  let seq = Rkd.Fleet.soak ~seed:0xf1ee7 () in
-  let par = with_pool 4 (fun pool -> Rkd.Fleet.soak ~pool ~seed:0xf1ee7 ()) in
+  let runs =
+    Par.replay ~widths:[ 1; 4 ] (fun () -> Rkd.Fleet.soak ~pool:(Par.global ()) ~seed:0xf1ee7 ())
+  in
+  let seq = List.assoc 1 runs and par = List.assoc 4 runs in
   same_report "clean" seq par;
   (* Pins the retrained and distilled candidates: `rkdctl fleet` prints
      this digest for the default seed with no fault plan. *)
@@ -37,10 +35,11 @@ let test_width_determinism () =
     (Printf.sprintf "%016x" seq.Rkd.Fleet.digest)
 
 let test_width_determinism_faulted () =
-  let seq = Rkd.Fleet.soak ~fault_specs:one_pct ~seed:0xf1ee7 () in
-  let par =
-    with_pool 4 (fun pool -> Rkd.Fleet.soak ~fault_specs:one_pct ~pool ~seed:0xf1ee7 ())
+  let runs =
+    Par.replay ~widths:[ 1; 4 ] (fun () ->
+        Rkd.Fleet.soak ~fault_specs:one_pct ~pool:(Par.global ()) ~seed:0xf1ee7 ())
   in
+  let seq = List.assoc 1 runs and par = List.assoc 4 runs in
   same_report "faulted" seq par;
   Alcotest.(check string) "pinned digest" "1a71b55593546f34"
     (Printf.sprintf "%016x" seq.Rkd.Fleet.digest)

@@ -228,25 +228,14 @@ let test_net_rmt_fallback_matches_stock () =
 
 (* ---------------- Table 3 determinism + shape ---------------- *)
 
-let with_widths widths f =
-  let saved = Par.global_domains () in
-  Fun.protect
-    ~finally:(fun () -> Par.set_global_domains saved)
-    (fun () ->
-      List.map
-        (fun w ->
-          Par.set_global_domains w;
-          f w)
-        widths)
-
 let test_table3_width_determinism () =
   let digests =
-    with_widths [ 1; 4; 8 ] (fun _ ->
+    Par.replay ~widths:[ 1; 4; 8 ] (fun () ->
         Rkd.Experiment.table3_digest
           (Rkd.Experiment.table3 ~faults:[] ~mixes:[ "incast" ] ()))
   in
   match digests with
-  | [ d1; d4; d8 ] ->
+  | [ (_, d1); (_, d4); (_, d8) ] ->
     Alcotest.(check int) "width 1 = width 4" d1 d4;
     Alcotest.(check int) "width 1 = width 8" d1 d8
   | _ -> assert false
@@ -256,13 +245,13 @@ let test_table3_faulted_determinism () =
     match Rmt.Fault.parse_spec "all:0.01" with Ok p -> p | Error e -> Alcotest.fail e
   in
   let runs =
-    with_widths [ 1; 4 ] (fun _ ->
+    Par.replay ~widths:[ 1; 4 ] (fun () ->
         let rows = Rkd.Experiment.table3 ~faults:plan ~mixes:[ "incast" ] () in
         (Rkd.Experiment.table3_digest rows,
          List.fold_left (fun a r -> a + r.Rkd.Experiment.net_fallbacks) 0 rows))
   in
   match runs with
-  | [ (d1, f1); (d4, f4) ] ->
+  | [ (_, (d1, f1)); (_, (d4, f4)) ] ->
     Alcotest.(check int) "faulted digests identical across widths" d1 d4;
     Alcotest.(check int) "same fallback count" f1 f4;
     Alcotest.(check bool) "faults actually forced fallbacks" true (f1 > 0)

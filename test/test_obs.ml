@@ -123,37 +123,32 @@ let test_zero_alloc_primitives () =
 (* ---------------- exactness under domain fan-out ---------------- *)
 
 let test_counter_exact_under_par () =
-  let saved = Par.global_domains () in
-  Fun.protect
-    ~finally:(fun () -> Par.set_global_domains saved)
-    (fun () ->
-      List.iter
-        (fun width ->
-          Par.set_global_domains width;
-          let c = Obs.Counter.make (Printf.sprintf "test.obs.par.%d" width) in
-          let h = Obs.Histo.make (Printf.sprintf "test.obs.par_h.%d" width) in
-          let inputs = Array.init 512 (fun i -> i) in
-          let _ =
-            Par.parallel_map_array (Par.global ())
-              (fun i ->
-                Obs.Counter.incr c;
-                Obs.Counter.add c 2;
-                Obs.Histo.observe h (i + 1);
-                i)
-              inputs
-          in
-          (* Striped atomic cells: totals are exact at every width. *)
-          Alcotest.(check int)
-            (Printf.sprintf "counter exact at width %d" width)
-            (512 * 3) (Obs.Counter.value c);
-          Alcotest.(check int)
-            (Printf.sprintf "histo count exact at width %d" width)
-            512 (Obs.Histo.count h);
-          Alcotest.(check int)
-            (Printf.sprintf "histo sum exact at width %d" width)
-            (512 * 513 / 2)
-            (Obs.Histo.sum h))
-        [ 1; 2; 4; 8 ])
+  ignore
+    (Par.replay ~widths:[ 1; 2; 4; 8 ] (fun () ->
+        let width = Par.global_domains () in
+        let c = Obs.Counter.make (Printf.sprintf "test.obs.par.%d" width) in
+        let h = Obs.Histo.make (Printf.sprintf "test.obs.par_h.%d" width) in
+        let inputs = Array.init 512 (fun i -> i) in
+        let _ =
+          Par.parallel_map_array (Par.global ())
+            (fun i ->
+              Obs.Counter.incr c;
+              Obs.Counter.add c 2;
+              Obs.Histo.observe h (i + 1);
+              i)
+            inputs
+        in
+        (* Striped atomic cells: totals are exact at every width. *)
+        Alcotest.(check int)
+          (Printf.sprintf "counter exact at width %d" width)
+          (512 * 3) (Obs.Counter.value c);
+        Alcotest.(check int)
+          (Printf.sprintf "histo count exact at width %d" width)
+          512 (Obs.Histo.count h);
+        Alcotest.(check int)
+          (Printf.sprintf "histo sum exact at width %d" width)
+          (512 * 513 / 2)
+          (Obs.Histo.sum h)))
 
 (* ---------------- flight recorder ---------------- *)
 

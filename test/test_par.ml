@@ -1,8 +1,8 @@
 (* Domain-pool tests: combinator results against sequential oracles,
    chunking/stealing under skewed task sizes, exception propagation,
-   nested batches, shutdown fallback — and the experiment engine's
-   determinism contract: domains=1 and domains=4 must produce
-   bit-identical tables and ablations. *)
+   nested batches, shutdown fallback, the [Par.replay] harness — and the
+   experiment engine's determinism contract: domains=1 and domains=4
+   must produce bit-identical tables and ablations. *)
 
 let with_pool domains f =
   let pool = Par.create ~domains () in
@@ -84,6 +84,21 @@ let test_sequential_pool_and_shutdown () =
   Alcotest.(check (list int)) "after shutdown" [ 0; 2; 4 ]
     (Par.parallel_map pool4 (fun x -> 2 * x) [ 0; 1; 2 ])
 
+(* ---------------- the replay harness ---------------- *)
+
+let test_replay_restores_width () =
+  let before = Par.global_domains () in
+  ignore (Par.replay ~widths:[ 1; 4 ] ignore);
+  Alcotest.(check int) "width restored" before (Par.global_domains ());
+  Alcotest.check_raises "thunk exception reaches the caller" (Failure "boom") (fun () ->
+      ignore (Par.replay ~widths:[ 1; 4 ] (fun () -> failwith "boom")));
+  Alcotest.(check int) "width restored after a raise" before (Par.global_domains ())
+
+let test_replay_catches_width_dependence () =
+  Alcotest.(check (list (pair int int)))
+    "each run sees its own width" [ (1, 1); (4, 4) ]
+    (Par.replay ~widths:[ 1; 4 ] Par.global_domains)
+
 (* ---------------- determinism contract ---------------- *)
 
 (* Run an experiment at domains=1 and domains=4 on the global pool and
@@ -91,16 +106,10 @@ let test_sequential_pool_and_shutdown () =
    fan-outs the macro harness parallelizes; the contract is what lets
    the control plane retrain/re-evaluate on all cores without changing
    any published number. *)
-let at_domains n f =
-  Par.set_global_domains n;
-  let r = f () in
-  Par.set_global_domains 1;
-  r
-
 let test_determinism_table1 () =
-  let seq = at_domains 1 (fun () -> Rkd.Experiment.table1 ()) in
-  let par = at_domains 4 (fun () -> Rkd.Experiment.table1 ()) in
-  Alcotest.(check bool) "table1 rows bit-identical" true (seq = par);
+  let runs = Par.replay ~widths:[ 1; 4 ] (fun () -> Rkd.Experiment.table1 ()) in
+  let par = List.assoc 4 runs in
+  Alcotest.(check bool) "table1 rows bit-identical" true (List.assoc 1 runs = par);
   Alcotest.(check int) "row count" 6 (List.length par);
   (* The learned rows pin every online-trained tree: a training change
      that alters any retrain moves at least one of these figures. *)
@@ -120,21 +129,23 @@ let test_determinism_table1 () =
     rmt_ml
 
 let test_determinism_table2_fib () =
-  let seq = at_domains 1 (fun () -> Rkd.Experiment.table2_benchmark ~seed:42 "fib") in
-  let par = at_domains 4 (fun () -> Rkd.Experiment.table2_benchmark ~seed:42 "fib") in
-  Alcotest.(check bool) "table2 fib rows bit-identical" true (seq = par);
+  let runs =
+    Par.replay ~widths:[ 1; 4 ] (fun () -> Rkd.Experiment.table2_benchmark ~seed:42 "fib")
+  in
+  let par = List.assoc 4 runs in
+  Alcotest.(check bool) "table2 fib rows bit-identical" true (List.assoc 1 runs = par);
   Alcotest.(check int) "row count" 3 (List.length par)
 
 let test_determinism_ablation_window () =
-  let seq = at_domains 1 (fun () -> Rkd.Experiment.ablation_window ()) in
-  let par = at_domains 4 (fun () -> Rkd.Experiment.ablation_window ()) in
-  Alcotest.(check bool) "window ablation bit-identical" true (seq = par);
+  let runs = Par.replay ~widths:[ 1; 4 ] (fun () -> Rkd.Experiment.ablation_window ()) in
+  let par = List.assoc 4 runs in
+  Alcotest.(check bool) "window ablation bit-identical" true (List.assoc 1 runs = par);
   Alcotest.(check int) "row count" 6 (List.length par)
 
 let test_determinism_ablation_model_family () =
-  let seq = at_domains 1 (fun () -> Rkd.Experiment.ablation_model_family ()) in
-  let par = at_domains 4 (fun () -> Rkd.Experiment.ablation_model_family ()) in
-  Alcotest.(check bool) "model-family ablation bit-identical" true (seq = par);
+  let runs = Par.replay ~widths:[ 1; 4 ] (fun () -> Rkd.Experiment.ablation_model_family ()) in
+  let par = List.assoc 4 runs in
+  Alcotest.(check bool) "model-family ablation bit-identical" true (List.assoc 1 runs = par);
   Alcotest.(check int) "row count" 4 (List.length par)
 
 let suite =
@@ -146,7 +157,10 @@ let suite =
         Alcotest.test_case "exception propagation" `Quick test_exception_propagation;
         Alcotest.test_case "nested batches" `Quick test_nested_batches;
         Alcotest.test_case "sequential pool and shutdown" `Quick
-          test_sequential_pool_and_shutdown ] );
+          test_sequential_pool_and_shutdown;
+        Alcotest.test_case "replay restores the width" `Quick test_replay_restores_width;
+        Alcotest.test_case "replay catches width dependence" `Quick
+          test_replay_catches_width_dependence ] );
     ( "par-determinism",
       [ Alcotest.test_case "table1: domains 1 = 4" `Quick test_determinism_table1;
         Alcotest.test_case "table2 fib: domains 1 = 4" `Quick test_determinism_table2_fib;
