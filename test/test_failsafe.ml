@@ -438,6 +438,15 @@ let test_chaos_width_determinism () =
   Alcotest.(check int) "bit-identical digest across pool widths"
     seq.Rkd.Chaos.digest par.Rkd.Chaos.digest
 
+(* The default-seed soak: its prefetch scenarios serve stock fallbacks and
+   reset the learned path's per-process state under faults, so the digest
+   pins that recovery path too. *)
+let test_chaos_pinned_digest () =
+  let summary, _ = Rkd.Chaos.run ~scenarios:200 () in
+  Alcotest.(check int) "no uncaught" 0 summary.Rkd.Chaos.total_uncaught;
+  Alcotest.(check string) "digest" "3c78ab2702c40d2f"
+    (Printf.sprintf "%016x" summary.Rkd.Chaos.digest)
+
 let suite =
   [ ( "fault",
       [ Alcotest.test_case "parse spec" `Quick test_fault_parse_spec;
@@ -468,4 +477,5 @@ let suite =
     ( "decode_fuzz",
       [ Alcotest.test_case "mutations never escape" `Quick test_decode_fuzz ] );
     ( "chaos",
-      [ Alcotest.test_case "width determinism" `Slow test_chaos_width_determinism ] ) ]
+      [ Alcotest.test_case "width determinism" `Slow test_chaos_width_determinism;
+        Alcotest.test_case "pinned digest" `Quick test_chaos_pinned_digest ] ) ]
