@@ -22,19 +22,28 @@ let default_params =
     pages_per_sec_limit = 400_000;
     min_leaf_purity_pct = 70 }
 
-(* Multi-horizon training sample: the feature block observed at time t
+(* The per-access host state lives in int arrays allocated at a pid's
+   first access, so the hook's host side allocates nothing but the list it
+   returns.
+
+   A training sample is multi-horizon: the feature block observed at time t
    (delta history + page-offset features + horizon) labelled with the
    cumulative page delta j accesses later.  Cumulative deltas stay constant
    across periodic patterns even when individual steps drift, which is what
    lets the tree prefetch "through" unpredictable interleaved accesses. *)
-type raw_sample = { features : int array; cum_delta : int }
 
 type pid_state = {
   ctxt : Rmt.Ctxt.t;
-  mutable predicted_next_page : int option;
+  mutable predicted_next_page : int;
+  mutable has_prediction : bool; (* [predicted_next_page] awaits scoring *)
   mutable seen_first : bool;
-  (* recent (features, page) pairs awaiting future labels, newest first *)
-  mutable pending : (int array * int) list;
+  (* Feature snapshots awaiting future labels: a [depth] x [n_features]
+     ring of rows, each with the page it was taken at.  The newest row is
+     the one before [pending_head]. *)
+  pending : int array;
+  pending_page : int array;
+  mutable pending_head : int;
+  mutable pending_len : int;
 }
 
 type t = {
@@ -48,9 +57,16 @@ type t = {
   stock : Ksim.Prefetcher.t; (* kernel readahead, served while the breaker is open *)
   mutable fallback_accesses : int;
   pids : (int, pid_state) Hashtbl.t;
-  ring : raw_sample option array;
-  mutable ring_head : int;
-  mutable ring_len : int;
+  (* The training window: a [window_capacity] x [n_features] ring of
+     feature rows (horizon in the last column) and their cumulative
+     deltas.  Both are allocated with the first pid's state, so [create]
+     stays cheap and a prefetcher that never sees an access holds no
+     window. *)
+  mutable window : int array;
+  mutable window_delta : int array;
+  mutable window_head : int;
+  mutable window_len : int;
+  predictions : int array; (* [depth] deduplicated prefetch targets *)
   mutable class_deltas : int array;
   mutable model_ready : bool;
   mutable tree : Kml.Decision_tree.t option;
@@ -151,6 +167,8 @@ let create ?(params = default_params) ?(engine = Rmt.Vm.Jit_compiled) ?(seed = 4
   if params.n_delta_classes < 2 then
     invalid_arg "Prefetch_rmt.create: need at least two delta classes";
   if params.depth < 1 then invalid_arg "Prefetch_rmt.create: depth must be positive";
+  if params.window_capacity < 1 then
+    invalid_arg "Prefetch_rmt.create: window_capacity must be positive";
   let control = Rmt.Control.create ~engine ~seed ?view_ns () in
   let model = Rmt.Model_store.Tree (empty_tree params) in
   let (_ : Rmt.Model_store.handle) = Rmt.Control.register_model control ~name:"pf_tree" model in
@@ -202,9 +220,11 @@ let create ?(params = default_params) ?(engine = Rmt.Vm.Jit_compiled) ?(seed = 4
       stock = Ksim.Readahead.create ();
       fallback_accesses = 0;
       pids = Hashtbl.create 8;
-      ring = Array.make params.window_capacity None;
-      ring_head = 0;
-      ring_len = 0;
+      window = [||];
+      window_delta = [||];
+      window_head = 0;
+      window_len = 0;
+      predictions = Array.make params.depth 0;
       class_deltas = Array.make params.n_delta_classes 0;
       model_ready = false;
       tree = None;
@@ -228,14 +248,23 @@ let create ?(params = default_params) ?(engine = Rmt.Vm.Jit_compiled) ?(seed = 4
 let control t = t.control
 
 let pid_state t pid =
-  match Hashtbl.find_opt t.pids pid with
-  | Some st -> st
-  | None ->
+  match Hashtbl.find t.pids pid with
+  | st -> st
+  | exception Not_found ->
+    let depth = t.params.depth and nf = n_features t.params in
+    if Array.length t.window = 0 then begin
+      t.window <- Array.make (t.params.window_capacity * nf) 0;
+      t.window_delta <- Array.make t.params.window_capacity 0
+    end;
     let st =
       { ctxt = Rmt.Ctxt.create ();
-        predicted_next_page = None;
+        predicted_next_page = 0;
+        has_prediction = false;
         seen_first = false;
-        pending = [] }
+        pending = Array.make (depth * nf) 0;
+        pending_page = Array.make depth 0;
+        pending_head = 0;
+        pending_len = 0 }
     in
     Hashtbl.replace t.pids pid st;
     (* Control-plane entry insertion for a newly seen process (§3.1: "new
@@ -249,19 +278,25 @@ let pid_state t pid =
     in
     st
 
-let ring_push t sample =
-  t.ring.(t.ring_head) <- Some sample;
-  t.ring_head <- (t.ring_head + 1) mod t.params.window_capacity;
-  if t.ring_len < t.params.window_capacity then t.ring_len <- t.ring_len + 1;
+(* Labels pending row [row] of [st] with [horizon] and [cum_delta] and
+   pushes it into the training window, overwriting the oldest sample when
+   full. *)
+let window_push t st row ~horizon ~cum_delta =
+  let nf = n_features t.params in
+  let dst = t.window_head * nf in
+  Array.blit st.pending (row * nf) t.window dst (nf - 1);
+  t.window.(dst + nf - 1) <- horizon;
+  t.window_delta.(t.window_head) <- cum_delta;
+  t.window_head <- (t.window_head + 1) mod t.params.window_capacity;
+  if t.window_len < t.params.window_capacity then t.window_len <- t.window_len + 1;
   t.training_samples <- t.training_samples + 1
 
-let ring_iter t fn =
+(* Calls [fn] on each window row, oldest first. *)
+let window_iter t fn =
   let cap = t.params.window_capacity in
-  let start = (t.ring_head - t.ring_len + cap) mod cap in
-  for i = 0 to t.ring_len - 1 do
-    match t.ring.((start + i) mod cap) with
-    | Some s -> fn s
-    | None -> assert false
+  let start = (t.window_head - t.window_len + cap) mod cap in
+  for i = 0 to t.window_len - 1 do
+    fn ((start + i) mod cap)
   done
 
 (* Rebuild the delta-class table from the window (most frequent cumulative
@@ -269,10 +304,11 @@ let ring_iter t fn =
    prefetch), then retrain the tree and swap it into the model store. *)
 let retrain t =
   let freq = Hashtbl.create 64 in
-  ring_iter t (fun s ->
-      if s.cum_delta <> 0 then begin
-        let count = match Hashtbl.find_opt freq s.cum_delta with Some c -> c | None -> 0 in
-        Hashtbl.replace freq s.cum_delta (count + 1)
+  window_iter t (fun r ->
+      let cum_delta = t.window_delta.(r) in
+      if cum_delta <> 0 then begin
+        let count = match Hashtbl.find_opt freq cum_delta with Some c -> c | None -> 0 in
+        Hashtbl.replace freq cum_delta (count + 1)
       end);
   let by_freq =
     List.sort
@@ -289,10 +325,13 @@ let retrain t =
         Hashtbl.replace class_of delta (i + 1)
       end)
     by_freq;
-  let ds = Kml.Dataset.create ~n_features:(n_features t.params) ~n_classes in
-  ring_iter t (fun s ->
-      let label = match Hashtbl.find_opt class_of s.cum_delta with Some c -> c | None -> 0 in
-      Kml.Dataset.add ds { Kml.Dataset.features = s.features; label });
+  let nf = n_features t.params in
+  let ds = Kml.Dataset.create ~n_features:nf ~n_classes in
+  window_iter t (fun r ->
+      let label =
+        match Hashtbl.find_opt class_of t.window_delta.(r) with Some c -> c | None -> 0
+      in
+      Kml.Dataset.add ds { Kml.Dataset.features = Array.sub t.window (r * nf) nf; label });
   let tree = Kml.Decision_tree.train ~params:t.params.tree_params ds in
   (* Conservative prefetching: leaves whose majority class is not dominant
      enough are demoted to class 0 (no prefetch), trading a little coverage
@@ -335,37 +374,44 @@ let adaptive_update t =
     t.recent_correct <- 0
   end
 
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
+(* Whether [x] is among [buf.(i)..buf.(n - 1)]. *)
+let rec mem_from buf n x i = i < n && (buf.(i) = x || mem_from buf n x (i + 1))
 
-(* Decode the predicted delta classes into prefetch targets. *)
+(* [buf.(0)..buf.(i)] as a list. *)
+let rec list_upto buf i acc = if i < 0 then acc else list_upto buf (i - 1) (buf.(i) :: acc)
+
+(* Decode the predicted delta classes into prefetch targets: distinct, in
+   horizon order, as many as the rate limiter grants. *)
 let decode_predictions t st ~page ~now =
-  let classes = Rmt.Ctxt.get_range st.ctxt ~base:result_key_base ~len:t.current_depth in
-  let pages = ref [] in
-  Array.iteri
-    (fun j cls ->
-      if cls > 0 && cls < Array.length t.class_deltas then begin
-        let delta = t.class_deltas.(cls) in
-        if delta <> 0 then begin
-          let target = page + delta in
-          if j = 0 then st.predicted_next_page <- Some target;
-          if not (List.mem target !pages) then pages := target :: !pages
+  let buf = t.predictions in
+  let n = ref 0 in
+  for j = 0 to t.current_depth - 1 do
+    let cls = Rmt.Ctxt.get st.ctxt (result_key_base + j) in
+    if cls > 0 && cls < Array.length t.class_deltas then begin
+      let delta = t.class_deltas.(cls) in
+      if delta <> 0 then begin
+        let target = page + delta in
+        if j = 0 then begin
+          st.predicted_next_page <- target;
+          st.has_prediction <- true
+        end;
+        if not (mem_from buf !n target 0) then begin
+          buf.(!n) <- target;
+          incr n
         end
-      end)
-    classes;
-  let pages = List.rev !pages in
-  let granted = Rmt.Rate_limit.grant t.limiter ~now ~request:(List.length pages) in
-  take granted pages
+      end
+    end
+  done;
+  let granted = Rmt.Rate_limit.grant t.limiter ~now ~request:!n in
+  list_upto buf (min granted !n - 1) []
 
 (* One access served by the stock heuristic instead of the learned path;
    the learning state the learned path could not maintain is dropped so it
    restarts cleanly when the breaker re-closes. *)
 let stock_delegate t st ~pid ~page ~hit ~now =
   t.fallback_accesses <- t.fallback_accesses + 1;
-  st.predicted_next_page <- None;
-  st.pending <- [];
+  st.has_prediction <- false;
+  st.pending_len <- 0;
   st.seen_first <- false;
   t.stock.Ksim.Prefetcher.on_access ~pid ~page ~hit ~now
 
@@ -380,27 +426,23 @@ let on_access t ~pid ~page ~hit ~now =
     Rmt.Ctxt.set st.ctxt Hooks.key_last_page page
   end;
   (* Score the previous one-step-ahead prediction (accuracy monitor). *)
-  (match st.predicted_next_page with
-   | Some predicted ->
-     t.predictions_checked <- t.predictions_checked + 1;
-     t.recent_checked <- t.recent_checked + 1;
-     if predicted = page then begin
-       t.predictions_correct <- t.predictions_correct + 1;
-       t.recent_correct <- t.recent_correct + 1
-     end;
-     st.predicted_next_page <- None
-   | None -> ());
+  if st.has_prediction then begin
+    t.predictions_checked <- t.predictions_checked + 1;
+    t.recent_checked <- t.recent_checked + 1;
+    if st.predicted_next_page = page then begin
+      t.predictions_correct <- t.predictions_correct + 1;
+      t.recent_correct <- t.recent_correct + 1
+    end;
+    st.has_prediction <- false
+  end;
   adaptive_update t;
-  (* Label pending feature snapshots with this access's cumulative deltas. *)
-  List.iteri
-    (fun age (features, base_page) ->
-      let horizon = age + 1 in
-      if horizon <= t.params.depth then begin
-        let f = Array.copy features in
-        f.(Array.length f - 1) <- horizon;
-        ring_push t { features = f; cum_delta = page - base_page }
-      end)
-    st.pending;
+  (* Label pending feature snapshots, newest first, with this access's
+     cumulative deltas. *)
+  let depth = t.params.depth in
+  for age = 0 to st.pending_len - 1 do
+    let row = (st.pending_head - 1 - age + depth) mod depth in
+    window_push t st row ~horizon:(age + 1) ~cum_delta:(page - st.pending_page.(row))
+  done;
   (* Data collection through the RMT pipeline. *)
   match Rmt.Control.fire t.control ~hook:Hooks.lookup_swap_cache ~ctxt:st.ctxt with
   | Some r when r = collect_fallback_marker ->
@@ -410,12 +452,19 @@ let on_access t ~pid ~page ~hit ~now =
        forces a clean delta-history restart on recovery. *)
     stock_delegate t st ~pid ~page ~hit ~now
   | Some _ | None ->
-  let features =
-    Rmt.Ctxt.get_range st.ctxt ~base:Hooks.key_feature_base ~len:(n_features t.params)
-  in
-  st.pending <- take t.params.depth ((features, page) :: st.pending);
+  (* Snapshot the feature block into the pending ring, over its oldest
+     row when full.  Every key is read, the horizon slot too: the
+     lean-monitoring ablation counts these reads. *)
+  let nf = n_features t.params in
+  let row = st.pending_head in
+  for i = 0 to nf - 1 do
+    st.pending.((row * nf) + i) <- Rmt.Ctxt.get st.ctxt (Hooks.key_feature_base + i)
+  done;
+  st.pending_page.(row) <- page;
+  st.pending_head <- (row + 1) mod depth;
+  if st.pending_len < depth then st.pending_len <- st.pending_len + 1;
   t.since_retrain <- t.since_retrain + 1;
-  if t.online && t.since_retrain >= t.params.retrain_period && t.ring_len >= 256 then begin
+  if t.online && t.since_retrain >= t.params.retrain_period && t.window_len >= 256 then begin
     t.since_retrain <- 0;
     retrain t
   end;
@@ -435,9 +484,8 @@ let reset t =
   Rmt.Rate_limit.reset t.limiter ~now:0;
   Rmt.Table.clear t.collect_table;
   Rmt.Table.clear t.predict_table;
-  Array.fill t.ring 0 t.params.window_capacity None;
-  t.ring_head <- 0;
-  t.ring_len <- 0;
+  t.window_head <- 0;
+  t.window_len <- 0;
   t.class_deltas <- Array.make t.params.n_delta_classes 0;
   t.model_ready <- false;
   t.tree <- None;

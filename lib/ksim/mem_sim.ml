@@ -27,69 +27,85 @@ type result = {
   device_reads : int;
 }
 
-let rec take n = function
-  | [] -> []
-  | _ when n <= 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
+(* Per-run simulation state. *)
+type state = {
+  cache : Page_cache.t;
+  device : Swap_device.t;
+  mutable now : int;
+  mutable n : int;
+  mutable faults : int;
+  mutable partial : int;
+  mutable issued : int;
+  mutable used : int;
+  mutable stall_ns : int;
+}
+
+(* Issues the wanted pages among the first [budget] that are valid and not
+   resident, asynchronously. *)
+let rec issue st budget = function
+  | p :: rest when budget > 0 ->
+    if p >= 0 && not (Page_cache.contains st.cache ~page:p) then begin
+      let ready = Swap_device.read st.device ~now:st.now in
+      Page_cache.insert st.cache ~page:p ~origin:Page_cache.Prefetch ~ready_time:ready;
+      st.issued <- st.issued + 1
+    end;
+    issue st (budget - 1) rest
+  | _ -> ()
+
+let access config prefetcher st { pid; page } =
+  st.n <- st.n + 1;
+  st.now <- st.now + config.cpu_ns_per_access;
+  let hit = Page_cache.lookup st.cache ~page in
+  if hit then begin
+    if Page_cache.hit_first_use st.cache then st.used <- st.used + 1;
+    let ready_time = Page_cache.hit_ready_time st.cache in
+    if ready_time > st.now then begin
+      (* Prefetch in flight: stall only for the remainder. *)
+      st.partial <- st.partial + 1;
+      st.stall_ns <- st.stall_ns + (ready_time - st.now);
+      st.now <- ready_time
+    end
+  end
+  else begin
+    st.faults <- st.faults + 1;
+    let done_at = Swap_device.read st.device ~now:st.now in
+    st.stall_ns <- st.stall_ns + (done_at - st.now);
+    st.now <- done_at;
+    Page_cache.insert st.cache ~page ~origin:Page_cache.Demand ~ready_time:done_at
+  end;
+  issue st config.max_prefetch_per_access
+    (prefetcher.Prefetcher.on_access ~pid ~page ~hit ~now:st.now)
 
 let run ?(config = default_config) ?(reset = true) ~prefetcher trace =
   if reset then prefetcher.Prefetcher.reset ();
-  let cache = Page_cache.create ~capacity:config.cache_pages in
-  let device = Swap_device.create ~service_time_ns:config.swap_service_ns () in
-  let now = ref 0 in
-  let faults = ref 0 and partial = ref 0 in
-  let issued = ref 0 and used = ref 0 in
-  let stall_ns = ref 0 in
-  let n = ref 0 in
-  List.iter
-    (fun { pid; page } ->
-      incr n;
-      now := !now + config.cpu_ns_per_access;
-      let hit =
-        match Page_cache.lookup cache ~page with
-        | Page_cache.Hit { ready_time; first_use_of_prefetch } ->
-          if first_use_of_prefetch then incr used;
-          if ready_time > !now then begin
-            (* Prefetch in flight: stall only for the remainder. *)
-            incr partial;
-            stall_ns := !stall_ns + (ready_time - !now);
-            now := ready_time
-          end;
-          true
-        | Page_cache.Miss ->
-          incr faults;
-          let done_at = Swap_device.read device ~now:!now in
-          stall_ns := !stall_ns + (done_at - !now);
-          now := done_at;
-          Page_cache.insert cache ~page ~origin:Page_cache.Demand ~ready_time:done_at;
-          false
-      in
-      let wanted = prefetcher.Prefetcher.on_access ~pid ~page ~hit ~now:!now in
-      let wanted = take config.max_prefetch_per_access wanted in
-      List.iter
-        (fun p ->
-          if p >= 0 && not (Page_cache.contains cache ~page:p) then begin
-            let ready = Swap_device.read device ~now:!now in
-            Page_cache.insert cache ~page:p ~origin:Page_cache.Prefetch ~ready_time:ready;
-            incr issued
-          end)
-        wanted)
-    trace;
-  let accuracy = if !issued = 0 then 0.0 else float_of_int !used /. float_of_int !issued in
+  let st =
+    { cache = Page_cache.create ~capacity:config.cache_pages;
+      device = Swap_device.create ~service_time_ns:config.swap_service_ns ();
+      now = 0;
+      n = 0;
+      faults = 0;
+      partial = 0;
+      issued = 0;
+      used = 0;
+      stall_ns = 0 }
+  in
+  List.iter (access config prefetcher st) trace;
+  let accuracy = if st.issued = 0 then 0.0 else float_of_int st.used /. float_of_int st.issued in
   let coverage =
-    if !used + !faults = 0 then 0.0 else float_of_int !used /. float_of_int (!used + !faults)
+    if st.used + st.faults = 0 then 0.0
+    else float_of_int st.used /. float_of_int (st.used + st.faults)
   in
   { prefetcher = prefetcher.Prefetcher.name;
-    accesses = !n;
-    faults = !faults;
-    partial_stalls = !partial;
-    prefetches_issued = !issued;
-    prefetches_used = !used;
+    accesses = st.n;
+    faults = st.faults;
+    partial_stalls = st.partial;
+    prefetches_issued = st.issued;
+    prefetches_used = st.used;
     accuracy;
     coverage;
-    completion_ns = !now;
-    stall_ns = !stall_ns;
-    device_reads = Swap_device.reads_issued device }
+    completion_ns = st.now;
+    stall_ns = st.stall_ns;
+    device_reads = Swap_device.reads_issued st.device }
 
 let pp_result fmt r =
   Format.fprintf fmt

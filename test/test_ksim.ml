@@ -71,15 +71,11 @@ let test_page_cache_lru () =
 let test_page_cache_prefetch_tracking () =
   let c = Ksim.Page_cache.create ~capacity:4 in
   Ksim.Page_cache.insert c ~page:1 ~origin:Ksim.Page_cache.Prefetch ~ready_time:500;
-  (match Ksim.Page_cache.lookup c ~page:1 with
-   | Ksim.Page_cache.Hit { ready_time; first_use_of_prefetch } ->
-     Alcotest.(check int) "ready time" 500 ready_time;
-     Alcotest.(check bool) "first use" true first_use_of_prefetch
-   | Ksim.Page_cache.Miss -> Alcotest.fail "should hit");
-  (match Ksim.Page_cache.lookup c ~page:1 with
-   | Ksim.Page_cache.Hit { first_use_of_prefetch; _ } ->
-     Alcotest.(check bool) "second use is plain hit" false first_use_of_prefetch
-   | Ksim.Page_cache.Miss -> Alcotest.fail "should hit");
+  if not (Ksim.Page_cache.lookup c ~page:1) then Alcotest.fail "should hit";
+  Alcotest.(check int) "ready time" 500 (Ksim.Page_cache.hit_ready_time c);
+  Alcotest.(check bool) "first use" true (Ksim.Page_cache.hit_first_use c);
+  if not (Ksim.Page_cache.lookup c ~page:1) then Alcotest.fail "should hit";
+  Alcotest.(check bool) "second use is plain hit" false (Ksim.Page_cache.hit_first_use c);
   (* unused prefetch evicted -> counted *)
   Ksim.Page_cache.insert c ~page:10 ~origin:Ksim.Page_cache.Prefetch ~ready_time:0;
   Ksim.Page_cache.insert c ~page:11 ~origin:Ksim.Page_cache.Demand ~ready_time:0;
@@ -88,6 +84,59 @@ let test_page_cache_prefetch_tracking () =
   Ksim.Page_cache.insert c ~page:14 ~origin:Ksim.Page_cache.Demand ~ready_time:0;
   Alcotest.(check int) "wasted prefetch counted" 1
     (Ksim.Page_cache.evicted_unused_prefetches c)
+
+(* Random insert/lookup/contains sequences against an assoc-list LRU
+   (most recent first).  Pages come from a small range, some scaled far
+   apart, so the cache both evicts and probes past colliding index
+   entries. *)
+type oracle_page = { o_page : int; o_ready : int; mutable o_unused : bool }
+
+let prop_page_cache_matches_oracle =
+  QCheck2.Test.make ~name:"page cache = assoc-list LRU oracle" ~count:300
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Kml.Rng.create seed in
+      let ri n = Kml.Rng.int rng n in
+      let capacity = 1 + ri 8 in
+      let c = Ksim.Page_cache.create ~capacity in
+      let lru = ref [] and evicted = ref 0 in
+      let ok = ref true and steps = ref 0 in
+      let expect b = if not b then ok := false in
+      (* Stop at the first disagreement: a corrupt index may never let a
+         later probe end. *)
+      while !ok && !steps < 300 do
+        incr steps;
+        let page = ri 20 * if ri 4 = 0 then 4096 else 1 in
+        let resident = List.find_opt (fun o -> o.o_page = page) !lru in
+        (match ri 4 with
+         | 0 | 1 ->
+           let prefetch = ri 2 = 0 and ready = ri 1000 in
+           Ksim.Page_cache.insert c ~page ~ready_time:ready
+             ~origin:(if prefetch then Ksim.Page_cache.Prefetch else Ksim.Page_cache.Demand);
+           if resident = None then begin
+             if List.length !lru >= capacity then begin
+               let victim = List.nth !lru (capacity - 1) in
+               if victim.o_unused then incr evicted;
+               lru := List.filter (fun o -> o != victim) !lru
+             end;
+             lru := { o_page = page; o_ready = ready; o_unused = prefetch } :: !lru
+           end
+         | 2 ->
+           let hit = Ksim.Page_cache.lookup c ~page in
+           (match resident with
+            | None -> expect (not hit)
+            | Some o ->
+              expect hit;
+              expect (Ksim.Page_cache.hit_ready_time c = o.o_ready);
+              expect (Ksim.Page_cache.hit_first_use c = o.o_unused);
+              o.o_unused <- false;
+              lru := o :: List.filter (fun o' -> o' != o) !lru)
+         | _ -> expect (Ksim.Page_cache.contains c ~page = (resident <> None)));
+        expect (Ksim.Page_cache.resident c = List.length !lru);
+        expect (Ksim.Page_cache.evicted_unused_prefetches c = !evicted)
+      done;
+      List.iter (fun o -> expect (Ksim.Page_cache.contains c ~page:o.o_page)) !lru;
+      !ok)
 
 (* ---------------- Readahead baseline ---------------- *)
 
@@ -221,7 +270,8 @@ let suite =
       [ Alcotest.test_case "queueing" `Quick test_swap_device_queueing ] );
     ( "page_cache",
       [ Alcotest.test_case "lru" `Quick test_page_cache_lru;
-        Alcotest.test_case "prefetch tracking" `Quick test_page_cache_prefetch_tracking ] );
+        Alcotest.test_case "prefetch tracking" `Quick test_page_cache_prefetch_tracking;
+        QCheck_alcotest.to_alcotest prop_page_cache_matches_oracle ] );
     ( "readahead",
       [ Alcotest.test_case "sequential detection" `Quick test_readahead_sequential_detection;
         Alcotest.test_case "resets on jump" `Quick test_readahead_resets_on_jump;

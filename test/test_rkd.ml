@@ -85,6 +85,47 @@ let test_prefetch_per_pid_entries () =
   let table = Option.get (Rmt.Control.find_table control "page_access_tab") in
   Alcotest.(check int) "one entry per process" 2 (Rmt.Table.entry_count table)
 
+let test_prefetch_rejects_empty_window () =
+  Alcotest.check_raises "window_capacity 0"
+    (Invalid_argument "Prefetch_rmt.create: window_capacity must be positive") (fun () ->
+      ignore
+        (Rkd.Prefetch_rmt.create
+           ~params:{ Rkd.Prefetch_rmt.default_params with window_capacity = 0 }
+           ()))
+
+(* A frozen model's hook allocates only its result: the two [Some]
+   results of [Rmt.Control.fire] (4 words) and one cons cell (3 words)
+   per returned page.  The slack covers the boxed float of
+   [Gc.minor_words]. *)
+let test_prefetch_hook_allocation () =
+  let t = Rkd.Prefetch_rmt.create () in
+  let prefetcher = Rkd.Prefetch_rmt.prefetcher t in
+  let trace = Ksim.Workload_mem.video_resize ~rng:(Kml.Rng.create 42) ~pid:1 () in
+  let r = Ksim.Mem_sim.run ~config:Rkd.Experiment.mem_config ~prefetcher trace in
+  Alcotest.(check bool) "trained" true ((Rkd.Prefetch_rmt.stats t).Rkd.Prefetch_rmt.retrains > 0);
+  Rkd.Prefetch_rmt.set_online t false;
+  let pages = Array.of_list (List.map (fun a -> a.Ksim.Mem_sim.page) trace) in
+  let now = ref r.Ksim.Mem_sim.completion_ns in
+  let call i =
+    now := !now + 10_000;
+    List.length
+      (prefetcher.Ksim.Prefetcher.on_access ~pid:1 ~page:pages.(i mod Array.length pages) ~hit:false
+         ~now:!now)
+  in
+  for i = 0 to 99 do
+    ignore (call i)
+  done;
+  let accesses = 4_000 and returned = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 100 to 100 + accesses - 1 do
+    returned := !returned + call i
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "prefetched" true (!returned > 0);
+  let bound = (4 * accesses) + (3 * !returned) + 256 in
+  if words > float_of_int bound then
+    Alcotest.failf "%d frozen accesses allocated %.0f minor words (bound %d)" accesses words bound
+
 (* ---------------- Sched_rmt ---------------- *)
 
 let linear_model weights threshold =
@@ -276,7 +317,10 @@ let suite =
         Alcotest.test_case "beats baselines on conv" `Slow test_prefetch_beats_baselines_on_conv;
         Alcotest.test_case "reset is complete" `Quick test_prefetch_reset_is_complete;
         Alcotest.test_case "interp/jit agree end-to-end" `Slow test_prefetch_interp_jit_agree;
-        Alcotest.test_case "per-pid entries" `Quick test_prefetch_per_pid_entries ] );
+        Alcotest.test_case "per-pid entries" `Quick test_prefetch_per_pid_entries;
+        Alcotest.test_case "rejects an empty window" `Quick test_prefetch_rejects_empty_window;
+        Alcotest.test_case "frozen hook allocates only its result" `Quick
+          test_prefetch_hook_allocation ] );
     ( "sched_rmt",
       [ Alcotest.test_case "decider" `Quick test_sched_rmt_decider;
         Alcotest.test_case "lean reads less" `Quick test_sched_rmt_lean_reads_less;
