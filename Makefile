@@ -61,10 +61,11 @@ bench-throughput:
 	dune exec bench/main.exe -- throughput
 
 # Fast static-analysis smoke (~2s): a 20000-trial differential-fuzz run
-# of the abstract interpreter — proof-eliding engines vs an
-# always-guarded reference.  At the default seed it reaches programs
-# (e.g. trial 6605, a multiply by 2) that a 1500-trial run never did.
-# The 5000-program run in the test suite covers a different seed.
+# of the abstract interpreter and the engines — interp, JIT and batch
+# lanes vs an independent reference that checks every interval claim.
+# At the default seed it reaches programs (e.g. trial 6605, a multiply
+# by 2) that a 1500-trial run never did.  The 5000-program run in the
+# test suite covers a different seed.
 lint:
 	dune exec bin/rkdctl.exe -- absint-fuzz --trials 20000
 

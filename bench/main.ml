@@ -102,10 +102,8 @@ let sched_fixture () =
   let sched = Rkd.Sched_rmt.create ~model:(Rmt.Model_store.Qmlp q) () in
   (Rkd.Sched_rmt.decider sched, q, mlp)
 
-(* A context-streaming loop whose keys are all provably dense: the same
-   program JIT-compiled with the verifier's proof array (guards elided)
-   and without it (all runtime guards kept).  The absint/* rows quantify
-   what the static proofs buy on the datapath. *)
+(* A context-streaming loop: the absint/analyze row times the verifier's
+   abstract interpretation of it, the load-time cost of the analysis. *)
 let absint_fixture () =
   let open Rmt.Insn in
   let prog =
@@ -116,23 +114,7 @@ let absint_fixture () =
         Alu_imm (Add, 1, 1);
         Exit ]
   in
-  let helpers = Rmt.Helper.with_defaults () in
-  let report =
-    match Rmt.Verifier.check ~helpers ~model_costs:[||] prog with
-    | Ok r -> r
-    | Error v -> failwith (Rmt.Verifier.violation_to_string v)
-  in
-  let store = Rmt.Model_store.create () in
-  let link ?proofs () =
-    Rmt.Loaded.link ?proofs ~store ~helpers ~maps:[||] ~models:[||] prog
-  in
-  let elided = Rmt.Jit.compile (link ~proofs:report.Rmt.Verifier.proof ()) in
-  let guarded = Rmt.Jit.compile (link ()) in
-  let ctxt = Rmt.Ctxt.create () in
-  for k = 0 to 63 do
-    Rmt.Ctxt.set ctxt k (k * 3)
-  done;
-  (elided, guarded, ctxt, prog, helpers)
+  (prog, Rmt.Helper.with_defaults ())
 
 (* A one-slot batch over [ctxt]: how a single event enters the datapath. *)
 let single ctxt =
@@ -224,7 +206,7 @@ let micro_tests () =
   let collect_j, predict_j, ctxt_j, tree = prefetch_fixture Rmt.Vm.Jit_compiled in
   let decider, qmlp, mlp = sched_fixture () in
   let train_params, train_ds = tree_train_fixture () in
-  let ai_elided, ai_guarded, ai_ctxt, ai_prog, ai_helpers = absint_fixture () in
+  let ai_prog, ai_helpers = absint_fixture () in
   let now () = 0 in
   let features15 = Array.init 15 (fun i -> i * 17) in
   let tree_features =
@@ -269,12 +251,7 @@ let micro_tests () =
       (Staged.stage (fun () -> Kml.Mlp.predict mlp features15));
     Test.make ~name:"table2/migration-decision"
       (Staged.stage (fun () -> decider ~features:features15 ~heuristic:false));
-    (* Abstract-interpretation rows: proof-elided vs fully guarded context
-       streaming, and the cost of the analysis itself at load time. *)
-    Test.make ~name:"absint/ctxt-stream/elided"
-      (Staged.stage (fun () -> Rmt.Jit.run ai_elided ~ctxt:ai_ctxt ~now));
-    Test.make ~name:"absint/ctxt-stream/guarded"
-      (Staged.stage (fun () -> Rmt.Jit.run ai_guarded ~ctxt:ai_ctxt ~now));
+    (* The verifier's abstract interpretation, paid once at load time. *)
     Test.make ~name:"absint/analyze"
       (Staged.stage (fun () -> Rmt.Absint.analyze ~helpers:ai_helpers ai_prog));
     (* Observability rows (DESIGN.md section 11): the telemetry primitives
@@ -288,7 +265,7 @@ let micro_tests () =
       (Staged.stage (fun () -> Obs.Histo.observe obs_histo 777));
     Test.make ~name:"obs/trace-emit"
       (Staged.stage (fun () ->
-           Obs.Trace.emit ~hook:0 ~uid:1 ~engine:1 ~steps:12 ~elided:3 ~result:1 ~flags:0));
+           Obs.Trace.emit ~hook:0 ~uid:1 ~engine:1 ~steps:12 ~result:1 ~flags:0));
     Test.make_with_resource ~name:"obs/counter-incr-off" Test.uniq
       ~allocate:(fun () -> Obs.set_enabled false)
       ~free:(fun () -> Obs.set_enabled true)

@@ -141,8 +141,8 @@ let resources_cmd =
              ~doc:"Also write the reports as JSON lines to FILE (CI artifact).")
   in
   let doc =
-    "print compile-time resource reports (steps, scratch, constants, table slots, elided \
-     guards) for the example prefetch programs"
+    "print compile-time resource reports (steps, scratch, constants, table slots) for the \
+     example prefetch programs"
   in
   Cmd.v (Cmd.info "resources" ~doc) Term.(const run $ json_arg)
 
@@ -375,8 +375,8 @@ let absint_fuzz_cmd =
     Arg.(value & opt int 0x50FA & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Generator seed.")
   in
   let doc =
-    "differentially fuzz the abstract interpreter (proof-eliding engines vs an \
-     always-guarded reference)"
+    "differentially fuzz the abstract interpreter and the engines (interp, JIT and batch \
+     lanes vs an independent reference)"
   in
   Cmd.v (Cmd.info "absint-fuzz" ~doc) Term.(const run $ trials_arg $ seed_arg)
 
@@ -942,8 +942,8 @@ let trace_cmd =
       Obs.Trace.unfreeze ();
       Format.printf "flight recorder: capacity=%d emitted=%d dropped=%d@."
         (Obs.Trace.capacity ()) (Obs.Trace.emitted ()) (Obs.Trace.dropped ());
-      Format.printf "  %6s %-14s %5s %-7s %6s %6s %10s %s@." "seq" "hook" "uid" "engine"
-        "steps" "elided" "result" "flags";
+      Format.printf "  %6s %-14s %5s %-7s %6s %10s %s@." "seq" "hook" "uid" "engine" "steps"
+        "result" "flags";
       List.iter
         (fun (e : Obs.Trace.event) ->
           let flags =
@@ -954,11 +954,11 @@ let trace_cmd =
                    (Obs.Trace.flag_guardrail, "guardrail");
                    (Obs.Trace.flag_privacy_denied, "privacy-denied") ])
           in
-          Format.printf "  %6d %-14s %5d %-7s %6d %6d %10d %s@." e.Obs.Trace.seq
+          Format.printf "  %6d %-14s %5d %-7s %6d %10d %s@." e.Obs.Trace.seq
             (if e.Obs.Trace.hook < 0 then "-" else Obs.intern_name e.Obs.Trace.hook)
             e.Obs.Trace.uid
             (if e.Obs.Trace.engine = 1 then "jit" else "interp")
-            e.Obs.Trace.steps e.Obs.Trace.elided e.Obs.Trace.result
+            e.Obs.Trace.steps e.Obs.Trace.result
             (if flags = "" then "-" else flags))
         events;
       0

@@ -19,7 +19,7 @@
       already re-checks dynamically: a zero guard over [Div]/[Mod] by
       the guarded register ({!Rmt.Insn.eval_alu} is total: division by
       zero yields 0) and a negative-key guard over a dynamic context
-      access (the engines' own key guard, elided only under proof);
+      access (the engines' own key guard, which is always on);
     - {b unclean-map-read} (deny severity) — a map slot is read back
       after a possibly context-tainted value is written into it: the
       taint analysis treats map contents as already-exported (clean), so

@@ -228,9 +228,7 @@ module Qmat = struct
 
        The stride/length checks above prove every index below in bounds
        for the whole batch, so the loops run unchecked — one validation
-       amortized over [n * rows * cols] accesses, the same
-       prove-once-elide-per-access structure as the verifier's guard
-       elision. *)
+       amortized over [n * rows * cols] accesses. *)
     let data = m.data and cols = m.cols in
     let fb = Fixed.frac_bits in
     let i = ref 0 in

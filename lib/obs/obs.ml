@@ -249,7 +249,6 @@ module Trace = struct
     uid : int;
     engine : int;
     steps : int;
-    elided : int;
     result : int;
     flags : int;
   }
@@ -258,12 +257,12 @@ module Trace = struct
   let flag_guardrail = 2
   let flag_privacy_denied = 4
 
-  (* Event slots are 8 ints wide (one cache line) in one flat array:
-     claiming a slot is a single fetch-and-add on [head], writing it is
-     eight plain stores.  The slot count is a power of two so the mask
-     can be derived from the array length, keeping the data pointer and
-     the mask consistent even across [configure]. *)
-  let slot_words = 8
+  (* Event slots are 7 ints wide in one flat array: claiming a slot is a
+     single fetch-and-add on [head], writing it is seven plain stores.
+     The slot count is a power of two so the mask can be derived from
+     the array length, keeping the data pointer and the mask consistent
+     even across [configure]. *)
+  let slot_words = 7
   let min_capacity = 8
   let max_capacity = 1 lsl 20
 
@@ -294,14 +293,14 @@ module Trace = struct
 
   let capacity () = Array.length !ring.data / slot_words
 
-  let emit ~hook ~uid ~engine ~steps ~elided ~result ~flags =
+  let emit ~hook ~uid ~engine ~steps ~result ~flags =
     if !enabled_flag then begin
       let r = !ring in
       if r.frozen then ignore (Atomic.fetch_and_add r.drops 1)
       else begin
         let seq = Atomic.fetch_and_add r.head 1 in
         let d = r.data in
-        let mask = (Array.length d lsr 3) - 1 in
+        let mask = (Array.length d / slot_words) - 1 in
         let base = (seq land mask) * slot_words in
         (* Write the seq word last: [last] uses it to detect slots torn
            by a concurrent wrap and skips them. *)
@@ -309,9 +308,8 @@ module Trace = struct
         Array.unsafe_set d (base + 2) uid;
         Array.unsafe_set d (base + 3) engine;
         Array.unsafe_set d (base + 4) steps;
-        Array.unsafe_set d (base + 5) elided;
-        Array.unsafe_set d (base + 6) result;
-        Array.unsafe_set d (base + 7) flags;
+        Array.unsafe_set d (base + 5) result;
+        Array.unsafe_set d (base + 6) flags;
         Array.unsafe_set d base seq
       end
     end
@@ -340,9 +338,8 @@ module Trace = struct
               uid = d.(base + 2);
               engine = d.(base + 3);
               steps = d.(base + 4);
-              elided = d.(base + 5);
-              result = d.(base + 6);
-              flags = d.(base + 7) }
+              result = d.(base + 5);
+              flags = d.(base + 6) }
             :: acc
         in
         collect (seq - 1) acc

@@ -137,7 +137,6 @@ module Trace : sig
     uid : int;  (** Loaded-program uid, -1 when not program-scoped *)
     engine : int;  (** 0 = interpreter, 1 = JIT *)
     steps : int;  (** dynamic instructions of this invocation *)
-    elided : int;  (** proof-elided guard sites of the program (static) *)
     result : int;  (** action result after guardrail/rate-limit *)
     flags : int;  (** or of [flag_*] below *)
   }
@@ -164,13 +163,12 @@ module Trace : sig
     uid:int ->
     engine:int ->
     steps:int ->
-    elided:int ->
     result:int ->
     flags:int ->
     unit
   (** Claims the next slot with one atomic fetch-and-add and writes the
-      seven event words.  Steady state allocates nothing and never blocks:
-      under wrap the oldest event is overwritten; while the ring is
+      event's seven words, seq included.  Steady state allocates nothing
+      and never blocks: under wrap the oldest event is overwritten; while the ring is
       {!freeze}-d the event is dropped and counted instead.  Concurrent
       emitters that wrap the ring while another writer is mid-slot can
       tear that slot; [last] detects the torn slot by its seq word and

@@ -227,22 +227,6 @@ module Interval = struct
     else Format.fprintf fmt "[%a, %a]" endpoint t.lo endpoint t.hi
 end
 
-module Proof = struct
-  type t = int
-
-  let none = 0
-  let b_reachable = 1
-  let b_key_nonneg = 2
-  let b_key_dense = 4
-  let b_sink_clean = 8
-  let b_window = 16
-  let reachable p = p land b_reachable <> 0
-  let key_nonneg p = p land b_key_nonneg <> 0
-  let key_dense p = p land b_key_dense <> 0
-  let sink_clean p = p land b_sink_clean <> 0
-  let window_in_bounds p = p land b_window <> 0
-end
-
 type fact = {
   regs : Interval.t array;
   taint : int;
@@ -256,7 +240,6 @@ type issue =
 
 type t = {
   facts : fact option array;
-  proofs : Proof.t array;
   issues : issue list;
 }
 
@@ -488,35 +471,17 @@ let analyze ~helpers (prog : Program.t) =
     { regs = Array.make Insn.n_registers (Interval.const 0); taint = 0; vmem_taint = false }
   in
   ignore (exec_range 0 (n - 1) (Some entry));
-  (* ---- proof extraction + issues ---- *)
+  (* ---- issues ---- *)
   let has_budget = Program.privacy_budget prog <> None in
-  let proofs = Array.make n Proof.none in
   let issues = ref [] in
   let issue i = issues := i :: !issues in
-  let dense_ok (iv : Interval.t) =
-    iv.Interval.lo >= 0 && iv.Interval.hi < Ctxt.dense_bound
-  in
   for pc = 0 to n - 1 do
     match facts.(pc) with
-    | None -> () (* unreachable: proofs.(pc) stays none *)
+    | None -> () (* unreachable: nothing to report *)
     | Some f ->
-      let p = ref Proof.b_reachable in
       (match code.(pc) with
        | Insn.Ld_ctxt (_, rk) | St_ctxt_r (rk, _) ->
-         let iv = f.regs.(rk) in
-         if iv.Interval.lo >= 0 then p := !p lor Proof.b_key_nonneg
-         else issue (Unproven_ctxt_key { pc; reg = rk });
-         if dense_ok iv then p := !p lor Proof.b_key_dense
-       | Ld_ctxt_k (_, key) ->
-         p := !p lor Proof.b_key_nonneg;
-         if key < Ctxt.dense_bound then p := !p lor Proof.b_key_dense
-       | St_ctxt (key, _) ->
-         p := !p lor Proof.b_key_nonneg;
-         if key < Ctxt.dense_bound then p := !p lor Proof.b_key_dense
-       | Vec_ld_ctxt (_, key, len) ->
-         p := !p lor Proof.b_key_nonneg;
-         if len <= Ctxt.dense_bound && key <= Ctxt.dense_bound - len then
-           p := !p lor Proof.b_key_dense
+         if f.regs.(rk).Interval.lo < 0 then issue (Unproven_ctxt_key { pc; reg = rk })
        | Vec_ld_map (_, slot, rk, len) ->
          let iv = f.regs.(rk) in
          let proven =
@@ -529,15 +494,12 @@ let analyze ~helpers (prog : Program.t) =
            && len <= spec.capacity
            && iv.Interval.hi <= spec.capacity - len
          in
-         if proven then p := !p lor Proof.b_window
-         else issue (Unproven_map_window { pc })
+         if not proven then issue (Unproven_map_window { pc })
        | Map_update (_, _, rv) | Ring_push (_, rv) ->
-         if not (tainted f rv) then p := !p lor Proof.b_sink_clean
-         else if not has_budget then issue (Tainted_sink { pc; reg = rv })
-       | _ -> ());
-      proofs.(pc) <- !p
+         if tainted f rv && not has_budget then issue (Tainted_sink { pc; reg = rv })
+       | _ -> ())
   done;
-  { facts; proofs; issues = List.rev !issues }
+  { facts; issues = List.rev !issues }
 
 (* ------------------------------------------------------------------ *)
 (* Pretty printing (rkdctl verify).                                    *)
@@ -572,15 +534,7 @@ let pp_fact fmt f =
 let pp fmt t (prog : Program.t) =
   Array.iteri
     (fun pc insn ->
-      let p = t.proofs.(pc) in
-      let flags =
-        String.concat ""
-          [ (if Proof.reachable p then "" else "U");
-            (if Proof.key_dense p then "D" else if Proof.key_nonneg p then "N" else "");
-            (if Proof.sink_clean p then "C" else "");
-            (if Proof.window_in_bounds p then "W" else "") ]
-      in
-      Format.fprintf fmt "%4d: %-40s %-4s" pc (Insn.to_string insn) flags;
+      Format.fprintf fmt "%4d: %-40s" pc (Insn.to_string insn);
       (match t.facts.(pc) with
        | None -> Format.fprintf fmt " unreachable"
        | Some f -> Format.fprintf fmt " %a" pp_fact f);

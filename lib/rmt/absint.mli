@@ -22,11 +22,12 @@
     structural and control-flow checks (forward jumps, well-nested [Rep]
     bodies, operands in range); run it only on such programs.
 
-    Results are exposed three ways: per-pc {!fact}s (the joined abstract
+    Results are exposed two ways: per-pc {!fact}s (the joined abstract
     state flowing into each instruction — [None] means the instruction is
-    unreachable), a packed per-pc {!Proof.t} word consumed by {!Interp}
-    and {!Jit} to elide runtime guards, and a list of {!issue}s that
-    {!Verifier.check} maps to violations. *)
+    unreachable) and a list of {!issue}s that {!Verifier.check} maps to
+    violations.  The verifier and the datapath lint are the only
+    consumers: the engines never drop a runtime guard on the strength of
+    a fact. *)
 
 module Interval : sig
   type t = private { lo : int; hi : int }
@@ -67,30 +68,6 @@ module Interval : sig
   val pp : Format.formatter -> t -> unit
 end
 
-module Proof : sig
-  type t = int
-  (** Bit-packed per-instruction facts, cheap enough to consult on the
-      interpreter datapath and to specialize JIT closures against. *)
-
-  val none : t
-  val reachable : t -> bool
-  val key_nonneg : t -> bool
-  (** Dynamic context key ([Ld_ctxt]/[St_ctxt_r]) proven [>= 0]:
-      the engines' negative-key guard is dead. *)
-
-  val key_dense : t -> bool
-  (** Context key (static or dynamic) proven within [Ctxt.dense_bound]:
-      the dense-array fast path needs no bounds check.  Implies
-      [key_nonneg].  On [Vec_ld_ctxt], covers the whole window. *)
-
-  val sink_clean : t -> bool
-  (** [Map_update]/[Ring_push] value operand proven untainted. *)
-
-  val window_in_bounds : t -> bool
-  (** [Vec_ld_map] window proven inside an [Array_map]'s capacity:
-      per-element bounds checks collapse to one blit. *)
-end
-
 type fact = {
   regs : Interval.t array;  (** per-register interval flowing into the pc *)
   taint : int;              (** bit [r] set: register [r] may be tainted *)
@@ -108,7 +85,6 @@ type issue =
 
 type t = {
   facts : fact option array;  (** joined in-state per pc; [None] = unreachable *)
-  proofs : Proof.t array;
   issues : issue list;        (** in ascending pc order *)
 }
 
@@ -120,4 +96,4 @@ val pp_fact : Format.formatter -> fact -> unit
 (** Non-top register intervals and the taint set, one line. *)
 
 val pp : Format.formatter -> t -> Program.t -> unit
-(** Per-pc listing: instruction, in-facts, proof flags. *)
+(** Per-pc listing: instruction and in-facts ([unreachable] when dead). *)

@@ -141,9 +141,8 @@ let prepare t ?(budget = Kml.Model_cost.default_budget) ?resource_budget ?(model
                   (Verifier.violation_to_string v))
        | Ok report ->
          (* Compile-time resource report (Homunculus-style): derived from
-            the same verifier report whose proofs the engines elide guards
-            on, and checkable against a declared ceiling before the program ever
-            serves traffic. *)
+            the verifier report and checkable against a declared ceiling
+            before the program ever serves traffic. *)
          let resource = Resource.of_report report prog in
          let over_budget =
            match resource_budget with
@@ -157,8 +156,8 @@ let prepare t ?(budget = Kml.Model_cost.default_budget) ?resource_budget ?(model
                 (String.concat "; " over_budget))
          end
          else begin
-           (* Optional analysis gate: runs on the same verifier report the
-              engines link against, after all mandatory checks pass. *)
+           (* Optional analysis gate: runs on the verifier report after all
+              mandatory checks pass. *)
            let gate_verdict =
              match t.gate with None -> Gate_ok | Some gate -> gate report prog
            in
@@ -176,8 +175,7 @@ let prepare t ?(budget = Kml.Model_cost.default_budget) ?resource_budget ?(model
              let rng = Kml.Rng.split t.rng t.installs in
              t.installs <- t.installs + 1;
              (match
-                Loaded.link ~rng ~proofs:report.Verifier.proof ~store:t.store
-                  ~helpers:t.helpers ~maps ~models:handles prog
+                Loaded.link ~rng ~store:t.store ~helpers:t.helpers ~maps ~models:handles prog
               with
               | loaded ->
                 Hashtbl.replace t.resources prog.name resource;

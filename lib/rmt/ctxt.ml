@@ -84,47 +84,40 @@ let resize t cap =
       end)
     old_keys
 
-let set t key value =
+(* Negative and sparse keys, out of line: [get]/[set] then reach them
+   only by a tail call, so their dense fast path is a frameless leaf. *)
+let set_sparse t key value =
   if key < 0 then invalid_arg "Ctxt.set: negative key";
-  if key < dense_size then begin
+  if 4 * (t.used + 1) > 3 * Array.length t.keys then
+    resize t (2 * Array.length t.keys);
+  let slot = find_slot t.keys key in
+  (match t.keys.(slot) with
+   | k when k = key -> ()
+   | k ->
+     if k = slot_empty then t.used <- t.used + 1;
+     t.keys.(slot) <- key;
+     t.live <- t.live + 1);
+  t.vals.(slot) <- value
+
+let set t key value =
+  if key >= 0 && key < dense_size then begin
     Array.unsafe_set t.dense key value;
     Bytes.unsafe_set t.dense_present key '\001'
   end
-  else begin
-    if 4 * (t.used + 1) > 3 * Array.length t.keys then
-      resize t (2 * Array.length t.keys);
-    let slot = find_slot t.keys key in
-    (match t.keys.(slot) with
-     | k when k = key -> ()
-     | k ->
-       if k = slot_empty then t.used <- t.used + 1;
-       t.keys.(slot) <- key;
-       t.live <- t.live + 1);
-    t.vals.(slot) <- value
-  end
+  else set_sparse t key value
+
+let get_sparse t key =
+  if key < 0 then 0
+  else
+    let slot = find_existing t.keys key in
+    if slot < 0 then 0 else Array.unsafe_get t.vals slot
 
 let get t key =
   t.reads <- t.reads + 1;
   if key >= 0 && key < dense_size then Array.unsafe_get t.dense key
-  else if key < 0 then 0
-  else begin
-    let slot = find_existing t.keys key in
-    if slot < 0 then 0 else Array.unsafe_get t.vals slot
-  end
+  else get_sparse t key
 
 let dense_bound = dense_size
-
-(* Unchecked dense accessors for engine fast paths.  Callers hold a static
-   in-bounds proof from the verifier's abstract interpreter; observable
-   behavior (values, presence map, read counter) must match [get]/[set]
-   exactly so elision never changes program results. *)
-let unsafe_get_dense t key =
-  t.reads <- t.reads + 1;
-  Array.unsafe_get t.dense key
-
-let unsafe_set_dense t key value =
-  Array.unsafe_set t.dense key value;
-  Bytes.unsafe_set t.dense_present key '\001'
 
 let mem t key =
   if key >= 0 && key < dense_size then Bytes.unsafe_get t.dense_present key <> '\000'

@@ -25,18 +25,8 @@ val get : t -> int -> int
 (** 0 when absent. *)
 
 val dense_bound : int
-(** Keys in [0, dense_bound) live on the dense fast path.  Exposed so the
-    verifier's abstract interpreter can prove accesses dense and let the
-    engines call the unchecked accessors below. *)
-
-val unsafe_get_dense : t -> int -> int
-(** [get] without the range check.  Precondition: [0 <= key < dense_bound]
-    — the caller must hold a static proof (see {!Absint}).  Still counts
-    toward {!reads}. *)
-
-val unsafe_set_dense : t -> int -> int -> unit
-(** [set] without the range check; same precondition as
-    {!unsafe_get_dense}.  Keeps the presence map up to date. *)
+(** Keys in [0, dense_bound) live on the dense fast path.  Hooks that
+    pick their own context keys assert they stay below it. *)
 
 val mem : t -> int -> bool
 val remove : t -> int -> unit

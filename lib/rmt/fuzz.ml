@@ -2,10 +2,10 @@
    DESIGN.md §10 for how these relate to the verifier's safety argument.
 
    The reference interpreter here deliberately duplicates Interp's
-   semantics instead of reusing it: it keeps every runtime guard on and is
-   written independently, so a proof-elision bug in any engine (or an
-   unsound interval) shows up as a four-way disagreement rather than two
-   copies of the same mistake agreeing with each other. *)
+   semantics instead of reusing it: it is written independently, so a
+   guard bug in any engine shows up as a disagreement rather than two
+   copies of the same mistake agreeing with each other, and it checks
+   every interval claim the verifier's worst-case bound relies on. *)
 
 type stats = {
   trials : int;
@@ -72,14 +72,14 @@ let gen_program rng =
     match ri 8 with
     | 0 -> [ Ld_ctxt_k (dreg (), ri 200) ]
     | 1 -> [ St_ctxt (ri 200, sreg ()) ]
-    (* masked dense: provable *)
+    (* masked dense: key proven in range *)
     | 2 ->
       let rk = dreg () in
       [ Alu_imm (And, rk, 63); Ld_ctxt (dreg (), rk) ]
     | 3 ->
       let rk = dreg () in
       [ Alu_imm (And, rk, 63); St_ctxt_r (rk, sreg ()) ]
-    (* masked non-negative but sparse-range: nonneg proof only *)
+    (* masked non-negative but sparse-range *)
     | 4 ->
       let rk = dreg () in
       [ Alu_imm (And, rk, 1023); St_ctxt_r (rk, sreg ()) ]
@@ -399,26 +399,23 @@ let run ?(seed = 0x50FA) ~trials () =
     | Error _ -> incr rejected
     | Ok report ->
       incr accepted;
-      let ai = Absint.analyze ~helpers prog in
       let bindings =
         List.init (Kml.Rng.int rng 16) (fun _ ->
             (Kml.Rng.int rng 200, Kml.Rng.int rng 400 - 100))
       in
       let rng_seed = Kml.Rng.int rng 1_000_000 in
-      (* Reference first: it validates the interval claims that justify the
-         engines' unchecked accesses, so an unsound proof fails here before
-         an elided engine ever acts on it. *)
+      (* Reference first: it validates the interval claims of the
+         verifier's own analysis at every executed step. *)
       let fresh_maps () = Array.of_list (List.map Map_store.create map_specs) in
       let ref_maps = fresh_maps () in
       let ref_ctxt = Ctxt.of_list bindings in
       let ref_out =
         ref_run prog ~helpers ~maps:ref_maps ~store ~models ~rng_seed
-          ~facts:ai.Absint.facts ~claims ~ctxt:ref_ctxt
+          ~facts:report.Verifier.facts ~claims ~ctxt:ref_ctxt
       in
-      (* Lanes 2 and 3: the proof-eliding interpreter and JIT. *)
+      (* Lanes 2 and 3: the interpreter and the JIT. *)
       let link maps =
-        Loaded.link ~rng:(Kml.Rng.create rng_seed) ~proofs:report.Verifier.proof ~store
-          ~helpers ~maps ~models prog
+        Loaded.link ~rng:(Kml.Rng.create rng_seed) ~store ~helpers ~maps ~models prog
       in
       let engine_out use_jit =
         let maps = fresh_maps () in

@@ -1,26 +1,26 @@
-(** Soundness fuzzer for {!Absint}, the proof-eliding engines and the
-    batch path.
+(** Soundness fuzzer for {!Absint}, the engines and the batch path.
 
     Generates random (mostly verifier-acceptable) programs and, for each
-    accepted one, runs four executions on identical inputs:
+    accepted one, compares three execution lanes against a reference on
+    identical inputs:
 
-    + {!Interp} on a {!Loaded} instance carrying the verifier's proof
-      array (guards elided where proven);
-    + {!Jit} on an instance carrying the same proofs;
+    + {!Interp};
+    + {!Jit};
     + {!Vm.invoke_batch}: a batch of 1 for every program (the per-slot
       path every single event takes), plus a batch of 3
       identical slots on SoA-eligible programs, each slot checked
       independently;
-    + an independent reference interpreter defined here, with every
-      runtime guard forced on, which additionally asserts at each
-      executed instruction that (a) {!Absint} claimed the pc reachable
-      and (b) every concrete register value lies in its claimed
-      interval.
+    + the reference: an independent interpreter defined here, with the
+      same runtime guards as the engines, which additionally asserts at
+      each executed instruction that (a) {!Absint} claimed the pc
+      reachable and (b) every concrete register value lies in its
+      claimed interval.  The verifier's worst-case step bound rests on
+      these claims.
 
-    All lanes must agree on result, step count, privacy denials, final
-    context contents and (where touched) final map contents, and the
-    concrete step count must stay within the report's
-    [worst_case_steps].  Any discrepancy raises {!Unsound} with the
+    Every lane must agree with the reference on result, step count,
+    privacy denials, final context contents and (where touched) final
+    map contents, and the concrete step count must stay within the
+    report's [worst_case_steps].  Any discrepancy raises {!Unsound} with the
     offending program disassembled into the message.
 
     Driven by [test/test_absint.ml] (5000 programs) and the [make lint]

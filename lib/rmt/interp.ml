@@ -129,30 +129,17 @@ let run ?fuel (loaded : Loaded.t) ~ctxt ~now =
           st.regs.(rd) <- Insn.eval_alu op st.regs.(rd) imm;
           exec_range (pc + 1) pc_hi
         | I.Ld_ctxt (rd, rk) ->
-          (* Verifier-proven dense keys skip Ctxt.get's range dispatch. *)
-          st.regs.(rd) <-
-            (if Absint.Proof.key_dense loaded.proofs.(pc) then
-               Ctxt.unsafe_get_dense ctxt st.regs.(rk)
-             else Ctxt.get ctxt st.regs.(rk));
+          st.regs.(rd) <- Ctxt.get ctxt st.regs.(rk);
           exec_range (pc + 1) pc_hi
         | I.Ld_ctxt_k (rd, key) ->
-          st.regs.(rd) <-
-            (if Absint.Proof.key_dense loaded.proofs.(pc) then Ctxt.unsafe_get_dense ctxt key
-             else Ctxt.get ctxt key);
+          st.regs.(rd) <- Ctxt.get ctxt key;
           exec_range (pc + 1) pc_hi
         | I.St_ctxt (key, rs) ->
-          if Absint.Proof.key_dense loaded.proofs.(pc) then
-            Ctxt.unsafe_set_dense ctxt key st.regs.(rs)
-          else Ctxt.set ctxt key st.regs.(rs);
+          Ctxt.set ctxt key st.regs.(rs);
           exec_range (pc + 1) pc_hi
         | I.St_ctxt_r (rk, rs) ->
-          let p = loaded.proofs.(pc) in
-          if Absint.Proof.key_dense p then Ctxt.unsafe_set_dense ctxt st.regs.(rk) st.regs.(rs)
-          else if Absint.Proof.key_nonneg p then Ctxt.set ctxt st.regs.(rk) st.regs.(rs)
-          else begin
-            let key = st.regs.(rk) in
-            if key >= 0 then Ctxt.set ctxt key st.regs.(rs)
-          end;
+          let key = st.regs.(rk) in
+          if key >= 0 then Ctxt.set ctxt key st.regs.(rs);
           exec_range (pc + 1) pc_hi
         | I.Map_lookup (rd, slot, rk) ->
           st.regs.(rd) <- Map_store.lookup loaded.maps.(slot) st.regs.(rk);
@@ -190,23 +177,15 @@ let run ?fuel (loaded : Loaded.t) ~ctxt ~now =
           done;
           exec_range (pc + 1) pc_hi
         | I.Vec_ld_ctxt (dst, key, len) ->
-          if Absint.Proof.key_dense loaded.proofs.(pc) then
-            for i = 0 to len - 1 do
-              vmem.(dst + i) <- Ctxt.unsafe_get_dense ctxt (key + i)
-            done
-          else
-            for i = 0 to len - 1 do
-              vmem.(dst + i) <- Ctxt.get ctxt (key + i)
-            done;
+          for i = 0 to len - 1 do
+            vmem.(dst + i) <- Ctxt.get ctxt (key + i)
+          done;
           exec_range (pc + 1) pc_hi
         | I.Vec_ld_map (dst, slot, rk, len) ->
           let base = st.regs.(rk) in
-          if Absint.Proof.window_in_bounds loaded.proofs.(pc) then
-            Map_store.unsafe_read_window loaded.maps.(slot) ~base ~dst:vmem ~dst_off:dst ~len
-          else
-            for i = 0 to len - 1 do
-              vmem.(dst + i) <- Map_store.lookup loaded.maps.(slot) (base + i)
-            done;
+          for i = 0 to len - 1 do
+            vmem.(dst + i) <- Map_store.lookup loaded.maps.(slot) (base + i)
+          done;
           exec_range (pc + 1) pc_hi
         | I.Vec_st_reg (off, rs) ->
           vmem.(off) <- st.regs.(rs);

@@ -168,63 +168,30 @@ let compile_unit (loaded : Loaded.t) : unit_code =
               next st
           end
         | I.Ld_ctxt (rd, rk) ->
-          (* Proof-specialized at compile time: a proven-dense key costs no
-             range dispatch at runtime — the elided check is free, not just
-             predictable. *)
           let next = cont_at (pc + 1) in
-          if Absint.Proof.key_dense loaded.proofs.(pc) then
-            fun st ->
-              st.regs.(rd) <- Ctxt.unsafe_get_dense st.ctxt st.regs.(rk);
-              st.steps <- st.steps + 1;
-              next st
-          else
-            fun st ->
-              st.regs.(rd) <- Ctxt.get st.ctxt st.regs.(rk);
-              st.steps <- st.steps + 1;
-              next st
+          fun st ->
+            st.regs.(rd) <- Ctxt.get st.ctxt st.regs.(rk);
+            st.steps <- st.steps + 1;
+            next st
         | I.Ld_ctxt_k (rd, key) ->
           let next = cont_at (pc + 1) in
-          if Absint.Proof.key_dense loaded.proofs.(pc) then
-            fun st ->
-              st.regs.(rd) <- Ctxt.unsafe_get_dense st.ctxt key;
-              st.steps <- st.steps + 1;
-              next st
-          else
-            fun st ->
-              st.regs.(rd) <- Ctxt.get st.ctxt key;
-              st.steps <- st.steps + 1;
-              next st
+          fun st ->
+            st.regs.(rd) <- Ctxt.get st.ctxt key;
+            st.steps <- st.steps + 1;
+            next st
         | I.St_ctxt (key, rs) ->
           let next = cont_at (pc + 1) in
-          if Absint.Proof.key_dense loaded.proofs.(pc) then
-            fun st ->
-              Ctxt.unsafe_set_dense st.ctxt key st.regs.(rs);
-              st.steps <- st.steps + 1;
-              next st
-          else
-            fun st ->
-              Ctxt.set st.ctxt key st.regs.(rs);
-              st.steps <- st.steps + 1;
-              next st
+          fun st ->
+            Ctxt.set st.ctxt key st.regs.(rs);
+            st.steps <- st.steps + 1;
+            next st
         | I.St_ctxt_r (rk, rs) ->
           let next = cont_at (pc + 1) in
-          let p = loaded.proofs.(pc) in
-          if Absint.Proof.key_dense p then
-            fun st ->
-              Ctxt.unsafe_set_dense st.ctxt st.regs.(rk) st.regs.(rs);
-              st.steps <- st.steps + 1;
-              next st
-          else if Absint.Proof.key_nonneg p then
-            fun st ->
-              Ctxt.set st.ctxt st.regs.(rk) st.regs.(rs);
-              st.steps <- st.steps + 1;
-              next st
-          else
-            fun st ->
-              let key = st.regs.(rk) in
-              if key >= 0 then Ctxt.set st.ctxt key st.regs.(rs);
-              st.steps <- st.steps + 1;
-              next st
+          fun st ->
+            let key = st.regs.(rk) in
+            if key >= 0 then Ctxt.set st.ctxt key st.regs.(rs);
+            st.steps <- st.steps + 1;
+            next st
         | I.Map_lookup (rd, slot, rk) ->
           let map = loaded.maps.(slot) in
           let next = cont_at (pc + 1) in
@@ -353,36 +320,22 @@ let compile_unit (loaded : Loaded.t) : unit_code =
             next st
         | I.Vec_ld_ctxt (dst, key, len) ->
           let next = cont_at (pc + 1) in
-          if Absint.Proof.key_dense loaded.proofs.(pc) then
-            fun st ->
-              for i = 0 to len - 1 do
-                vmem.(dst + i) <- Ctxt.unsafe_get_dense st.ctxt (key + i)
-              done;
-              st.steps <- st.steps + 1;
-              next st
-          else
-            fun st ->
-              for i = 0 to len - 1 do
-                vmem.(dst + i) <- Ctxt.get st.ctxt (key + i)
-              done;
-              st.steps <- st.steps + 1;
-              next st
+          fun st ->
+            for i = 0 to len - 1 do
+              vmem.(dst + i) <- Ctxt.get st.ctxt (key + i)
+            done;
+            st.steps <- st.steps + 1;
+            next st
         | I.Vec_ld_map (dst, slot, rk, len) ->
           let map = loaded.maps.(slot) in
           let next = cont_at (pc + 1) in
-          if Absint.Proof.window_in_bounds loaded.proofs.(pc) then
-            fun st ->
-              Map_store.unsafe_read_window map ~base:st.regs.(rk) ~dst:vmem ~dst_off:dst ~len;
-              st.steps <- st.steps + 1;
-              next st
-          else
-            fun st ->
-              let base = st.regs.(rk) in
-              for i = 0 to len - 1 do
-                vmem.(dst + i) <- Map_store.lookup map (base + i)
-              done;
-              st.steps <- st.steps + 1;
-              next st
+          fun st ->
+            let base = st.regs.(rk) in
+            for i = 0 to len - 1 do
+              vmem.(dst + i) <- Map_store.lookup map (base + i)
+            done;
+            st.steps <- st.steps + 1;
+            next st
         | I.Vec_st_reg (off, rs) ->
           let next = cont_at (pc + 1) in
           fun st ->
@@ -478,31 +431,18 @@ let fresh_st () =
     result = 0 }
 
 (* Engine totals (DESIGN.md section 11), bumped once per invocation /
-   compilation — the threaded dispatch itself stays untouched.
-   [elided_sites] counts instructions whose runtime guards the compiler
-   specialized away on the strength of a verifier proof. *)
+   compilation — the threaded dispatch itself stays untouched. *)
 let c_runs = Obs.Counter.make "rmt.jit.runs"
 let c_steps = Obs.Counter.make "rmt.jit.steps"
 let c_compiles = Obs.Counter.make "rmt.jit.compiles"
-let c_elided_sites = Obs.Counter.make "rmt.jit.elided_guard_sites"
 let c_batch_runs = Obs.Counter.make "rmt.jit.batch_runs"
 let c_batch_slots = Obs.Counter.make "rmt.jit.batch_slots"
-
-let count_elided_sites (loaded : Loaded.t) =
-  Array.fold_left
-    (fun acc p ->
-      if Absint.Proof.key_dense p || Absint.Proof.key_nonneg p
-         || Absint.Proof.window_in_bounds p
-      then acc + 1
-      else acc)
-    0 loaded.Loaded.proofs
 
 let compile loaded =
   let root = compile_unit loaded in
   let cache = Hashtbl.create 4 in
   Hashtbl.replace cache (Loaded.uid loaded) root;
   Obs.Counter.incr c_compiles;
-  Obs.Counter.add c_elided_sites (count_elided_sites loaded);
   { root; cache; st = fresh_st (); batch = Bk_untried }
 
 (* The unit cache is keyed by the loaded instance's unique id, so distinct
@@ -689,89 +629,44 @@ let compile_batch_unit (loaded : Loaded.t) ~cap : bst -> int =
         | I.Ld_ctxt (rd, rk) ->
           let next = cont_at (pc + 1) in
           let rdb = rd * cap and rkb = rk * cap in
-          if Absint.Proof.key_dense loaded.proofs.(pc) then
-            fun st ->
-              let regs = st.bregs and ctxts = st.bctxts in
-              for s = 0 to st.bn - 1 do
-                regs.(rdb + s) <- Ctxt.unsafe_get_dense ctxts.(s) regs.(rkb + s)
-              done;
-              st.bsteps <- st.bsteps + 1;
-              next st
-          else
-            fun st ->
-              let regs = st.bregs and ctxts = st.bctxts in
-              for s = 0 to st.bn - 1 do
-                regs.(rdb + s) <- Ctxt.get ctxts.(s) regs.(rkb + s)
-              done;
-              st.bsteps <- st.bsteps + 1;
-              next st
+          fun st ->
+            let regs = st.bregs and ctxts = st.bctxts in
+            for s = 0 to st.bn - 1 do
+              regs.(rdb + s) <- Ctxt.get ctxts.(s) regs.(rkb + s)
+            done;
+            st.bsteps <- st.bsteps + 1;
+            next st
         | I.Ld_ctxt_k (rd, key) ->
           let next = cont_at (pc + 1) in
           let rdb = rd * cap in
-          if Absint.Proof.key_dense loaded.proofs.(pc) then
-            fun st ->
-              let regs = st.bregs and ctxts = st.bctxts in
-              for s = 0 to st.bn - 1 do
-                regs.(rdb + s) <- Ctxt.unsafe_get_dense ctxts.(s) key
-              done;
-              st.bsteps <- st.bsteps + 1;
-              next st
-          else
-            fun st ->
-              let regs = st.bregs and ctxts = st.bctxts in
-              for s = 0 to st.bn - 1 do
-                regs.(rdb + s) <- Ctxt.get ctxts.(s) key
-              done;
-              st.bsteps <- st.bsteps + 1;
-              next st
+          fun st ->
+            let regs = st.bregs and ctxts = st.bctxts in
+            for s = 0 to st.bn - 1 do
+              regs.(rdb + s) <- Ctxt.get ctxts.(s) key
+            done;
+            st.bsteps <- st.bsteps + 1;
+            next st
         | I.St_ctxt (key, rs) ->
           let next = cont_at (pc + 1) in
           let rsb = rs * cap in
-          if Absint.Proof.key_dense loaded.proofs.(pc) then
-            fun st ->
-              let regs = st.bregs and ctxts = st.bctxts in
-              for s = 0 to st.bn - 1 do
-                Ctxt.unsafe_set_dense ctxts.(s) key regs.(rsb + s)
-              done;
-              st.bsteps <- st.bsteps + 1;
-              next st
-          else
-            fun st ->
-              let regs = st.bregs and ctxts = st.bctxts in
-              for s = 0 to st.bn - 1 do
-                Ctxt.set ctxts.(s) key regs.(rsb + s)
-              done;
-              st.bsteps <- st.bsteps + 1;
-              next st
+          fun st ->
+            let regs = st.bregs and ctxts = st.bctxts in
+            for s = 0 to st.bn - 1 do
+              Ctxt.set ctxts.(s) key regs.(rsb + s)
+            done;
+            st.bsteps <- st.bsteps + 1;
+            next st
         | I.St_ctxt_r (rk, rs) ->
           let next = cont_at (pc + 1) in
-          let p = loaded.proofs.(pc) in
           let rkb = rk * cap and rsb = rs * cap in
-          if Absint.Proof.key_dense p then
-            fun st ->
-              let regs = st.bregs and ctxts = st.bctxts in
-              for s = 0 to st.bn - 1 do
-                Ctxt.unsafe_set_dense ctxts.(s) regs.(rkb + s) regs.(rsb + s)
-              done;
-              st.bsteps <- st.bsteps + 1;
-              next st
-          else if Absint.Proof.key_nonneg p then
-            fun st ->
-              let regs = st.bregs and ctxts = st.bctxts in
-              for s = 0 to st.bn - 1 do
-                Ctxt.set ctxts.(s) regs.(rkb + s) regs.(rsb + s)
-              done;
-              st.bsteps <- st.bsteps + 1;
-              next st
-          else
-            fun st ->
-              let regs = st.bregs and ctxts = st.bctxts in
-              for s = 0 to st.bn - 1 do
-                let key = regs.(rkb + s) in
-                if key >= 0 then Ctxt.set ctxts.(s) key regs.(rsb + s)
-              done;
-              st.bsteps <- st.bsteps + 1;
-              next st
+          fun st ->
+            let regs = st.bregs and ctxts = st.bctxts in
+            for s = 0 to st.bn - 1 do
+              let key = regs.(rkb + s) in
+              if key >= 0 then Ctxt.set ctxts.(s) key regs.(rsb + s)
+            done;
+            st.bsteps <- st.bsteps + 1;
+            next st
         | I.Rep (count, body_len) ->
           let body = bcompile (pc + 1) (pc + body_len) in
           let next = cont_at (pc + 1 + body_len) in
@@ -809,28 +704,16 @@ let compile_batch_unit (loaded : Loaded.t) ~cap : bst -> int =
             next st
         | I.Vec_ld_ctxt (dst, key, len) ->
           let next = cont_at (pc + 1) in
-          if Absint.Proof.key_dense loaded.proofs.(pc) then
-            fun st ->
-              let vm = st.bvmem and ctxts = st.bctxts and bn = st.bn in
-              for i = 0 to len - 1 do
-                let wb = (dst + i) * cap and k = key + i in
-                for s = 0 to bn - 1 do
-                  vm.(wb + s) <- Ctxt.unsafe_get_dense ctxts.(s) k
-                done
-              done;
-              st.bsteps <- st.bsteps + 1;
-              next st
-            else
-              fun st ->
-                let vm = st.bvmem and ctxts = st.bctxts and bn = st.bn in
-                for i = 0 to len - 1 do
-                  let wb = (dst + i) * cap and k = key + i in
-                  for s = 0 to bn - 1 do
-                    vm.(wb + s) <- Ctxt.get ctxts.(s) k
-                  done
-                done;
-                st.bsteps <- st.bsteps + 1;
-                next st
+          fun st ->
+            let vm = st.bvmem and ctxts = st.bctxts and bn = st.bn in
+            for i = 0 to len - 1 do
+              let wb = (dst + i) * cap and k = key + i in
+              for s = 0 to bn - 1 do
+                vm.(wb + s) <- Ctxt.get ctxts.(s) k
+              done
+            done;
+            st.bsteps <- st.bsteps + 1;
+            next st
         | I.Vec_st_reg (off, rs) ->
           let next = cont_at (pc + 1) in
           let wb = off * cap and rsb = rs * cap in

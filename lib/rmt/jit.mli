@@ -11,12 +11,10 @@
     random verified programs).
 
     The compiled code is the program's code as written: every
-    conditional branch and every [Rep] has one compiled form.  The only
-    proof-driven change is guard elision: when the loaded instance
-    carries verifier proofs ({!Loaded.link} [?proofs]), proven-dense
-    context keys, proven-nonnegative keys and in-bounds [Vec_ld_map]
-    windows compile without their runtime checks, exactly as {!Interp}
-    skips them.
+    instruction has one compiled form, with the same runtime guards as
+    {!Interp} (context keys go through {!Ctxt.get}/{!Ctxt.set}, a
+    negative [St_ctxt_r] key is a no-op, [Vec_ld_map] looks up each
+    element).  Verifier facts are never used to drop a check.
 
     Steady-state execution is allocation-free: the run state, helper
     environment, helper/model argument buffers and Mat_mul snapshot scratch

@@ -43,12 +43,8 @@ type report = {
   uses_privacy : bool;
   model_slots_used : int list;
   helper_ids_used : int list;
-  proof : Absint.Proof.t array;
-      (** per-pc facts from {!Absint.analyze} — {!Interp} and {!Jit}
-          consult these to elide runtime bounds/taint guards on proven
-          instructions (see {!Loaded.link}) *)
   facts : Absint.fact option array;
-      (** per-pc interval facts from the same analysis; the datapath
+      (** per-pc interval facts from {!Absint.analyze}; the datapath
           lint reads these (dead stores, unreachable code, dead branch
           arms, redundant guards) *)
 }

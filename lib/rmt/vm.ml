@@ -43,20 +43,10 @@ type t = {
      first invocation; hence the deferred initialization below. *)
   mutable limiter_state : Rate_limit.t option;
   mutable limiter_initialized : bool;
-  mutable elided_sites : int; (* static count of proof-elided guard sites *)
   mutable traps : int;
   mutable canary : canary option;
   mutable grace : grace option;
 }
-
-let count_elided_sites (loaded : Loaded.t) =
-  Array.fold_left
-    (fun acc p ->
-      if Absint.Proof.key_dense p || Absint.Proof.key_nonneg p
-         || Absint.Proof.window_in_bounds p
-      then acc + 1
-      else acc)
-    0 loaded.Loaded.proofs
 
 let create ?(engine = Jit_compiled) loaded =
   { loaded;
@@ -64,7 +54,6 @@ let create ?(engine = Jit_compiled) loaded =
     compiled = (match engine with Jit_compiled -> Some (Jit.compile loaded) | Interpreted -> None);
     limiter_state = None;
     limiter_initialized = false;
-    elided_sites = count_elided_sites loaded;
     traps = 0;
     canary = None;
     grace = None }
@@ -78,7 +67,6 @@ let set_engine t e =
   | Interpreted -> ()
 
 let loaded t = t.loaded
-let elided_guard_sites t = t.elided_sites
 let traps t = t.traps
 
 let limiter_for t ~now =
@@ -112,8 +100,7 @@ let adopt t ?compiled loaded =
      | Jit_compiled ->
        (match compiled with Some _ as c -> c | None -> Some (Jit.compile loaded)));
   t.limiter_state <- None;
-  t.limiter_initialized <- false;
-  t.elided_sites <- count_elided_sites loaded
+  t.limiter_initialized <- false
 
 let swap t loaded =
   t.canary <- None;
@@ -151,7 +138,7 @@ let record t ~violations_before ~steps ~result ~throttled ~denied =
     ~hook:(Obs.Trace.current_hook ())
     ~uid:t.loaded.Loaded.uid
     ~engine:(engine_code t.engine)
-    ~steps ~elided:t.elided_sites ~result ~flags
+    ~steps ~result ~flags
 
 let guardrail_violations_now t =
   match t.loaded.Loaded.guardrail with Some g -> Guardrail.violations g | None -> 0

@@ -90,11 +90,6 @@ val jit_units : t -> int
 (** Program units the JIT has compiled for this VM (root plus tail-call
     targets reached); 0 when never compiled. *)
 
-val elided_guard_sites : t -> int
-(** Static count of instructions whose runtime guards the engines elide
-    on the strength of a verifier proof (DESIGN.md section 10); reported
-    in telemetry snapshots and trace events. *)
-
 val invocations : t -> int
 val total_steps : t -> int
 val throttled_units : t -> int

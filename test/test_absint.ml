@@ -4,9 +4,9 @@
    - interval transfer functions cross-checked exhaustively against
      [Insn.eval_alu]/[eval_cond] on corner intervals (min_int/max_int
      endpoints, the [land 62] shift mask, division/modulo by zero);
-   - hand-built programs exercising the proof extraction, the strict-mode
-     and privacy-flow verifier violations, and guard-elision
-     observability (the dense fast path must still count reads);
+   - hand-built programs exercising the per-pc facts, the strict-mode
+     and privacy-flow verifier violations, and engine agreement on a
+     context-streaming program (every engine counts the same reads);
    - the 5000-program differential fuzzer from [Rmt.Fuzz]. *)
 
 open Rmt
@@ -203,6 +203,14 @@ let expect_ok name = function
 
 let array_map cap = { Map_store.kind = Map_store.Array_map; capacity = cap }
 
+(* The verifier's interval for [reg] flowing into [pc] lies in [lo, hi]. *)
+let reg_within (r : Verifier.report) ~pc ~reg ~lo ~hi =
+  match r.Verifier.facts.(pc) with
+  | Some f ->
+    let iv = f.Absint.regs.(reg) in
+    iv.Absint.Interval.lo >= lo && iv.Absint.Interval.hi <= hi
+  | None -> false
+
 let test_strict_mode () =
   let open Insn in
   (* dynamic key from the context: interval is top, guard must stay *)
@@ -214,13 +222,14 @@ let test_strict_mode () =
    | Error (Verifier.Ctxt_key_unproven { pc = 3; reg = 1 }) -> ()
    | Error v -> Alcotest.failf "wrong violation: %s" (Verifier.violation_to_string v)
    | Ok _ -> Alcotest.fail "strict mode admitted unproven dynamic key");
-  (* masking the key makes strict mode pass and earns the dense proof *)
+  (* masking the key makes strict mode pass: the key is in the dense range *)
   let masked =
     [ Ld_imm (0, 0); Ld_ctxt_k (1, 0); Alu_imm (And, 1, 63); Ld_imm (2, 5); St_ctxt_r (1, 2);
       Exit ]
   in
   let r = expect_ok "strict admits masked key" (check ~strict:true masked) in
-  Alcotest.(check bool) "dense proof at store" true (Absint.Proof.key_dense r.Verifier.proof.(4));
+  Alcotest.(check bool) "masked key dense at store" true
+    (reg_within r ~pc:4 ~reg:1 ~lo:0 ~hi:(Ctxt.dense_bound - 1));
   (* unproven vector window *)
   let unproven_window =
     [ Ld_imm (0, 0); Ld_ctxt_k (1, 0); Vec_ld_map (0, 0, 1, 4); Exit ]
@@ -239,8 +248,8 @@ let test_strict_mode () =
     expect_ok "strict admits masked window"
       (check ~strict:true ~map_specs:[ array_map 16 ] ~vmem_size:4 masked_window)
   in
-  Alcotest.(check bool) "window proof" true
-    (Absint.Proof.window_in_bounds r.Verifier.proof.(3))
+  (* base in [0, 7], so base + 4 stays inside the 16-slot map *)
+  Alcotest.(check bool) "masked window in bounds" true (reg_within r ~pc:3 ~reg:1 ~lo:0 ~hi:12)
 
 let test_privacy_flow () =
   let open Insn in
@@ -282,55 +291,56 @@ let test_dead_code_tightens_worst_case () =
       (check [ Ld_imm (0, 1); Jmp 2; Ld_imm (0, 2); Ld_imm (0, 3); Exit ])
   in
   Alcotest.(check int) "only reachable pcs counted" 3 r.Verifier.worst_case_steps;
-  Alcotest.(check bool) "dead pc unproven-reachable" false
-    (Absint.Proof.reachable r.Verifier.proof.(2));
+  Alcotest.(check bool) "dead pc has no fact" true (r.Verifier.facts.(2) = None);
   (* infeasible conditional: r1 = 4 so the Lt 0 branch cannot be taken *)
   let r =
     expect_ok "infeasible branch"
       (check
          [ Ld_imm (0, 1); Ld_imm (1, 4); Jcond_imm (Lt, 1, 0, 1); Jmp 1; Ld_imm (0, 9); Exit ])
   in
-  Alcotest.(check bool) "infeasible target dead" false
-    (Absint.Proof.reachable r.Verifier.proof.(4))
+  Alcotest.(check bool) "infeasible target dead" true (r.Verifier.facts.(4) = None);
+  Alcotest.(check bool) "fallthrough reachable" true (r.Verifier.facts.(3) <> None)
 
-(* Guard elision must be unobservable: same results and the same context
-   read count whether or not the engines hold proofs. *)
-let test_elision_unobservable () =
+(* One guarded semantics: the interpreter, the JIT and the SoA batch
+   kernel agree on a context-streaming program, and each counts the same
+   context reads. *)
+let test_engines_agree () =
   let open Insn in
   let prog =
     Program.make ~name:"dense" ~vmem_size:4
       [ Ld_imm (1, 70); Alu_imm (And, 1, 63); Ld_ctxt (0, 1); Vec_ld_ctxt (0, 4, 3);
         Vec_ld_reg (2, 1); Alu (Add, 0, 2); St_ctxt (9, 0); Exit ]
   in
-  let report = expect_ok "dense prog" (Verifier.check ~helpers ~model_costs:[||] prog) in
-  Alcotest.(check bool) "Ld_ctxt dense" true (Absint.Proof.key_dense report.Verifier.proof.(2));
-  Alcotest.(check bool) "Vec_ld_ctxt dense" true
-    (Absint.Proof.key_dense report.Verifier.proof.(3));
-  Alcotest.(check bool) "St_ctxt dense" true (Absint.Proof.key_dense report.Verifier.proof.(6));
-  let store = Model_store.create () in
-  let run ~proofs =
-    let loaded =
-      match proofs with
-      | Some p -> Loaded.link ~proofs:p ~store ~helpers ~maps:[||] ~models:[||] prog
-      | None -> Loaded.link ~store ~helpers ~maps:[||] ~models:[||] prog
-    in
-    let ctxt = Ctxt.of_list [ (6, 42); (5, 7) ] in
-    let o = Interp.run loaded ~ctxt ~now:(fun () -> 0) in
-    let oj =
-      Jit.run (Jit.compile loaded) ~ctxt:(Ctxt.of_list [ (6, 42); (5, 7) ]) ~now:(fun () -> 0)
-    in
-    Alcotest.(check int) "interp = jit" o.Interp.result oj.Interp.result;
-    let reads = Ctxt.reads ctxt in
-    let stored = Ctxt.get ctxt 9 in
-    (o.Interp.result, reads, stored)
+  ignore
+    (expect_ok "strict admits dense prog"
+       (Verifier.check ~strict:true ~helpers ~model_costs:[||] prog));
+  let link () =
+    Loaded.link ~store:(Model_store.create ()) ~helpers ~maps:[||] ~models:[||] prog
   in
-  let elided = run ~proofs:(Some report.Verifier.proof) in
-  let guarded = run ~proofs:None in
-  Alcotest.(check (triple int int int)) "elided == guarded (result, reads, stored)" guarded
-    elided;
-  let _, reads, _ = elided in
-  (* 1 Ld_ctxt + 3 Vec_ld_ctxt: the dense fast path still counts reads *)
-  Alcotest.(check int) "read counter maintained" 4 reads
+  let bindings = [ (6, 42); (5, 7) ] in
+  let now () = 0 in
+  (* r0 = ctxt[6] + vmem[1] = 42 + ctxt[5] = 49, also stored at key 9;
+     1 Ld_ctxt + 3 Vec_ld_ctxt = 4 reads *)
+  let expect name result ctxt =
+    Alcotest.(check int) (name ^ " result") 49 result;
+    Alcotest.(check int) (name ^ " reads") 4 (Ctxt.reads ctxt);
+    Alcotest.(check int) (name ^ " stored key 9") 49 (Ctxt.get ctxt 9)
+  in
+  let ctxt = Ctxt.of_list bindings in
+  expect "interp" (Interp.run (link ()) ~ctxt ~now).Interp.result ctxt;
+  let ctxt = Ctxt.of_list bindings in
+  let compiled = Jit.compile (link ()) in
+  Alcotest.(check bool) "SoA-eligible" true (Jit.batch_eligible compiled);
+  expect "jit" (Jit.run compiled ~ctxt ~now).Interp.result ctxt;
+  let vm = Vm.create ~engine:Vm.Jit_compiled (link ()) in
+  let b = Batch.create ~capacity:3 in
+  for s = 0 to 2 do
+    b.Batch.ctxts.(s) <- Ctxt.of_list bindings
+  done;
+  Vm.invoke_batch vm b ~now;
+  for s = 0 to 2 do
+    expect (Printf.sprintf "batch slot %d" s) b.Batch.results.(s) b.Batch.ctxts.(s)
+  done
 
 let test_analyze_facts () =
   let open Insn in
@@ -379,6 +389,6 @@ let suite =
         Alcotest.test_case "privacy flow" `Quick test_privacy_flow;
         Alcotest.test_case "dead code tightens worst case" `Quick
           test_dead_code_tightens_worst_case;
-        Alcotest.test_case "elision unobservable" `Quick test_elision_unobservable;
+        Alcotest.test_case "engines agree on ctxt" `Quick test_engines_agree;
         Alcotest.test_case "analyze facts" `Quick test_analyze_facts;
         Alcotest.test_case "differential fuzz (5000 programs)" `Quick test_fuzz ] ) ]

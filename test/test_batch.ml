@@ -85,10 +85,9 @@ let install_dut ?(program = qmlp_program) ?(model_names = [ "q" ]) () =
   in
   (control, install_exn control ~model_names (program ~name:"dut"))
 
-(* Reference semantics: the always-guarded interpreter (no verifier
-   proofs) over a fresh link of [vm]'s program — its own maps, the same
-   models — so reference runs cannot leak state into the run under
-   test. *)
+(* Reference semantics: the guarded interpreter over a fresh link of
+   [vm]'s program — its own maps, the same models — so reference runs
+   cannot leak state into the run under test. *)
 let reference vm =
   let l = Vm.loaded vm in
   let loaded =

@@ -177,8 +177,7 @@ let gen_program rng =
   in
   (* Guard-path probes: unmasked dynamic ctxt keys (exercises the negative-
      key guard) and Vec_ld_map windows both unproven (short reads past the
-     array end read 0) and masked-in-bounds (the verifier proves the window
-     and both engines take the elided blit path). *)
+     array end read 0) and masked-in-bounds. *)
   let guard_block () =
     if not with_maps then [ St_ctxt_r (sreg (), sreg ()) ]
     else
