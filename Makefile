@@ -1,5 +1,5 @@
 .PHONY: all build test bench table1 table2 net fleet ablations micro bench-json perf-check \
-        bench-macro perf-check-macro bench-throughput check lint analyze chaos \
+        bench-macro perf-check-macro check lint analyze chaos \
         examples clean
 
 all: build
@@ -11,16 +11,16 @@ test:
 	dune runtest --force --no-buffer
 
 bench:
-	dune exec bench/main.exe
+	dune exec bench/main.exe micro
 
 table1:
-	dune exec bench/main.exe table1
+	dune exec bin/rkdctl.exe -- table1
 
 table2:
-	dune exec bench/main.exe table2
+	dune exec bin/rkdctl.exe -- table2
 
 ablations:
-	dune exec bench/main.exe ablations
+	dune exec bin/rkdctl.exe -- ablations
 
 # Table 3 (DESIGN.md section 16): learned congestion control on the
 # net.cc decision point; replays the experiment at a second pool width
@@ -53,12 +53,6 @@ bench-macro:
 # (tolerance scales down on single-core machines; see bench/main.ml).
 perf-check-macro:
 	dune exec bench/main.exe perf-check-macro
-
-# Serving-layer throughput (DESIGN.md section 14): events/sec + p99
-# queue latency at 1/4/8 shard domains, gated on cross-width digest
-# equality.  Writes BENCH_throughput.json.
-bench-throughput:
-	dune exec bench/main.exe -- throughput
 
 # Fast static-analysis smoke (~2s): a 20000-trial differential-fuzz run
 # of the abstract interpreter and the engines — interp, JIT and batch

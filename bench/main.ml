@@ -1,12 +1,7 @@
 (* Benchmark harness.
 
    Usage:
-     bench/main.exe             -- everything: tables, ablations, microbenches
-     bench/main.exe table1      -- Table 1 only
-     bench/main.exe table2      -- Table 2 only
-     bench/main.exe ablations   -- ablations A-F
-     bench/main.exe overhead    -- Figure 1 family (wall-clock VM overhead)
-     bench/main.exe micro       -- Bechamel microbenchmarks
+     bench/main.exe [micro]           -- Bechamel microbenchmarks
      bench/main.exe json [path]       -- microbenchmarks, machine readable
                                          (default path: BENCH_micro.json)
      bench/main.exe perf-check [base] -- fail if any fig1/* or batch/*
@@ -22,6 +17,9 @@
                                          (default path: BENCH_macro.json)
      bench/main.exe perf-check-macro  -- fail if the parallel experiment
                                          harness is slower than sequential
+
+   The tables, ablations and Figure 1 overhead rows themselves are
+   printed by [rkdctl table1|table2|ablations|overhead|shapes].
 
    The Bechamel suite carries one Test.make group per paper table (the
    per-invocation datapath cost behind that table's system) plus the
@@ -433,23 +431,13 @@ let run_perf_check baseline_path =
 (* Macro benchmark: the experiment layer at domains=1 vs domains=N     *)
 (* ------------------------------------------------------------------ *)
 
-let quiet_ablations () =
-  ignore (Rkd.Experiment.ablation_lean_monitoring ());
-  ignore (Rkd.Experiment.ablation_window ());
-  ignore (Rkd.Experiment.ablation_quantization ());
-  ignore (Rkd.Experiment.ablation_adaptivity ());
-  ignore (Rkd.Experiment.ablation_distillation ());
-  ignore (Rkd.Experiment.ablation_privacy ());
-  ignore (Rkd.Experiment.ablation_model_family ());
-  ignore (Rkd.Experiment.ablation_nas ());
-  ignore (Rkd.Experiment.ablation_granularity ());
-  ignore (Rkd.Experiment.ablation_cross_app ());
-  ignore (Rkd.Experiment.ablation_online_training ())
+(* Timed runs print nothing: the rows are [rkdctl]'s to show. *)
+let null_formatter = Format.make_formatter (fun _ _ _ -> ()) ignore
 
 let macro_targets =
   [ ("table1", fun () -> ignore (Rkd.Experiment.table1 ()));
     ("table2", fun () -> ignore (Rkd.Experiment.table2 ()));
-    ("ablations", quiet_ablations);
+    ("ablations", fun () -> Rkd.Report.ablations null_formatter);
     ("net", fun () -> ignore (Rkd.Experiment.table3 ~faults:[] ())) ]
 
 (* Timed into the macro artifact but exempt from the speedup gate: the
@@ -533,266 +521,15 @@ let run_perf_check_macro () =
   end
   else Format.printf "perf-check-macro: ok@."
 
-(* ------------------------------------------------------------------ *)
-(* Serving-layer throughput (DESIGN.md section 14)                     *)
-(* ------------------------------------------------------------------ *)
-
-(* One multi-tenant event stream pushed through the sharded serving
-   layer at 1, 4 and 8 shard domains: width 1 drains inline on the
-   producer's domain, wider fleets run one pinned worker per shard.  The
-   p99 is read from the shared rmt.serve.latency_ns histogram (bucket
-   delta across the run, so earlier widths in the same process don't
-   leak in), and the per-tenant decision digests must be bit-identical
-   across widths — the bench doubles as a determinism check. *)
-
-type tput_row = {
-  t_domains : int;
-  t_events : int;
-  t_wall_ms : float;
-  t_events_per_sec : float;
-  t_p99_ns : int;
-  t_backpressure : int;
-  t_digest : int;
-}
-
-let now_wall_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
-
-(* p99 from a histogram bucket delta: rank-walk the per-bucket counts,
-   report the matched bucket's upper bound (as Obs.Histo.percentile). *)
-let p99_of_delta before after =
-  let n = Array.length after in
-  let total = ref 0 in
-  for k = 0 to n - 1 do
-    total := !total + (after.(k) - before.(k))
-  done;
-  if !total = 0 then 0
-  else begin
-    let rank = Stdlib.max 1 (int_of_float (ceil (0.99 *. float_of_int !total))) in
-    let rec walk k seen =
-      if k >= n then Obs.Histo.bucket_hi (n - 1)
-      else begin
-        let seen = seen + (after.(k) - before.(k)) in
-        if seen >= rank then Obs.Histo.bucket_hi k else walk (k + 1) seen
-      end
-    in
-    walk 0 0
-  end
-
-let measure_throughput ~domains ~tenants ~pages =
-  let n = Array.length tenants in
-  let config =
-    { Serve.Serving.shards = domains;
-      producers = 1;
-      ring_capacity = 4096;
-      max_batch = 64;
-      tokens_per_sec = 0;
-      burst = 0 }
-  in
-  let fleet, _dps = Serve.Serving.create_datapath ~config () in
-  let latency = Obs.Histo.make "rmt.serve.latency_ns" in
-  let before = Obs.Histo.buckets latency in
-  let backpressure = ref 0 in
-  let pinned = domains > 1 in
-  if pinned then Serve.Serving.start fleet;
-  let t0 = Unix.gettimeofday () in
-  Serve.Serving.set_now fleet (now_wall_ns ());
-  for i = 0 to n - 1 do
-    (* Coarse clock heartbeat: one syscall per 64 events is plenty for
-       log2-bucketed queue latency. *)
-    if i land 63 = 0 then Serve.Serving.set_now fleet (now_wall_ns ());
-    let tenant = Array.unsafe_get tenants i and page = Array.unsafe_get pages i in
-    let rec push () =
-      match Serve.Serving.submit fleet ~producer:0 ~tenant ~page with
-      | `Admitted -> ()
-      | `Throttled -> assert false (* no limiter configured *)
-      | `Backpressure ->
-        incr backpressure;
-        if pinned then Domain.cpu_relax () else ignore (Serve.Serving.drain fleet : int);
-        push ()
-    in
-    push ()
-  done;
-  if pinned then Serve.Serving.stop fleet
-  else begin
-    Serve.Serving.set_now fleet (now_wall_ns ());
-    Serve.Serving.drain_until_idle fleet
-  end;
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let after = Obs.Histo.buckets latency in
-  let served = Serve.Serving.served fleet in
-  if served <> n then begin
-    Format.eprintf "throughput: served %d of %d events at domains=%d@." served n domains;
-    exit 1
-  end;
-  { t_domains = domains;
-    t_events = served;
-    t_wall_ms = wall_s *. 1000.0;
-    t_events_per_sec = float_of_int served /. wall_s;
-    t_p99_ns = p99_of_delta before after;
-    t_backpressure = !backpressure;
-    t_digest = Serve.Serving.digest fleet }
-
-let write_throughput_json path rows =
-  let oc = open_out path in
-  let n = List.length rows in
-  output_string oc "{\n  \"schema\": \"rkd-bench-throughput/1\",\n  \"results\": [\n";
-  List.iteri
-    (fun i r ->
-      Printf.fprintf oc
-        "    { \"name\": \"serve/%d\", \"domains\": %d, \"events\": %d, \"wall_ms\": %.1f, \
-         \"events_per_sec\": %.0f, \"p99_ns\": %d, \"backpressure\": %d }%s\n"
-        r.t_domains r.t_domains r.t_events r.t_wall_ms r.t_events_per_sec r.t_p99_ns
-        r.t_backpressure
-        (if i = n - 1 then "" else ","))
-    rows;
-  output_string oc "  ]\n}\n";
-  close_out oc
-
-let run_throughput ~quick path =
-  Obs.set_enabled true;
-  let tenants_n = if quick then 16 else 32 in
-  let events_per_tenant = if quick then 2_000 else 10_000 in
-  let trace =
-    Ksim.Workload_mem.multi_tenant ~rng:(Kml.Rng.create 0x7569) ~tenants:tenants_n
-      ~events_per_tenant ()
-  in
-  let n = List.length trace in
-  let tenants = Array.make n 0 and pages = Array.make n 0 in
-  List.iteri
-    (fun i a ->
-      tenants.(i) <- a.Ksim.Mem_sim.pid;
-      pages.(i) <- a.Ksim.Mem_sim.page)
-    trace;
-  let cores = Domain.recommended_domain_count () in
-  Format.printf "throughput: %d events, %d tenants, %d hardware thread%s@." n tenants_n cores
-    (if cores = 1 then "" else "s");
-  let rows =
-    List.map
-      (fun domains -> measure_throughput ~domains ~tenants ~pages)
-      [ 1; 4; 8 ]
-  in
-  let base =
-    match rows with r :: _ -> r | [] -> assert false
-  in
-  List.iter
-    (fun r ->
-      Format.printf
-        "  serve/%-2d %10.0f events/s  p99 %9d ns  wall %7.1f ms  backpressure %d  (%.2fx \
-         vs 1)@."
-        r.t_domains r.t_events_per_sec r.t_p99_ns r.t_wall_ms r.t_backpressure
-        (r.t_events_per_sec /. base.t_events_per_sec))
-    rows;
-  (* The digest must not depend on how tenants were sharded or batched. *)
-  List.iter
-    (fun r ->
-      if r.t_digest <> base.t_digest then begin
-        Format.eprintf "throughput: digest mismatch at domains=%d (%x vs %x)@." r.t_domains
-          r.t_digest base.t_digest;
-        exit 1
-      end)
-    rows;
-  Format.printf "  digests bit-identical across shard widths (%x)@." base.t_digest;
-  (* Scaling gate, same spirit as perf-check-macro: a fleet wider than
-     the machine (every CI runner here is small) only has to avoid a
-     pathological collapse; real fan-out must pay for itself, and a full
-     8-wide fleet on >= 8 cores must clear the 2.5x the serving layer is
-     for. *)
-  let failed = ref false in
-  List.iter
-    (fun r ->
-      if r.t_domains > 1 then begin
-        let speedup = r.t_events_per_sec /. base.t_events_per_sec in
-        let min_speedup =
-          if r.t_domains <= cores then if r.t_domains >= 8 then 2.5 else 1.0 else 0.35
-        in
-        if speedup < min_speedup then begin
-          Format.eprintf "throughput: serve/%d speedup %.2fx below %.2fx@." r.t_domains
-            speedup min_speedup;
-          failed := true
-        end
-      end)
-    rows;
-  write_throughput_json path rows;
-  Format.printf "wrote %d rows to %s@." (List.length rows) path;
-  if !failed then exit 1
-
-(* ------------------------------------------------------------------ *)
-(* Table / ablation harness                                            *)
-(* ------------------------------------------------------------------ *)
-
-let run_table1 () = Rkd.Report.print_table1 Format.std_formatter (Rkd.Experiment.table1 ())
-let run_table2 () = Rkd.Report.print_table2 Format.std_formatter (Rkd.Experiment.table2 ())
-
-let run_overhead () =
-  Rkd.Report.print_overhead Format.std_formatter (Rkd.Experiment.vm_overhead ())
-
-let run_ablations () =
-  Rkd.Report.print_lean Format.std_formatter (Rkd.Experiment.ablation_lean_monitoring ());
-  Format.printf "@.";
-  Rkd.Report.print_window Format.std_formatter (Rkd.Experiment.ablation_window ());
-  Format.printf "@.";
-  Rkd.Report.print_quant Format.std_formatter (Rkd.Experiment.ablation_quantization ());
-  Format.printf "@.";
-  Rkd.Report.print_adapt Format.std_formatter (Rkd.Experiment.ablation_adaptivity ());
-  Format.printf "@.";
-  Rkd.Report.print_distill Format.std_formatter (Rkd.Experiment.ablation_distillation ());
-  Format.printf "@.";
-  Rkd.Report.print_privacy Format.std_formatter (Rkd.Experiment.ablation_privacy ());
-  Format.printf "@.";
-  Rkd.Report.print_family Format.std_formatter (Rkd.Experiment.ablation_model_family ());
-  Format.printf "@.";
-  Rkd.Report.print_nas Format.std_formatter (Rkd.Experiment.ablation_nas ());
-  Format.printf "@.";
-  Rkd.Report.print_granularity Format.std_formatter (Rkd.Experiment.ablation_granularity ());
-  Format.printf "@.";
-  Rkd.Report.print_cross Format.std_formatter (Rkd.Experiment.ablation_cross_app ());
-  Format.printf "@.";
-  Rkd.Report.print_online Format.std_formatter (Rkd.Experiment.ablation_online_training ())
-
-let run_shapes () =
-  let t1 = Rkd.Experiment.table1 () in
-  let t2 = Rkd.Experiment.table2 () in
-  Rkd.Report.print_table1 Format.std_formatter t1;
-  Format.printf "@.";
-  Rkd.Report.print_table2 Format.std_formatter t2;
-  Format.printf "@.Shape checks (DESIGN.md section 4):@.";
-  List.iter
-    (fun (name, ok) -> Format.printf "  [%s] %s@." (if ok then "PASS" else "FAIL") name)
-    (Rkd.Report.shape_checks t1 t2)
-
 let () =
   let arg i default = if Array.length Sys.argv > i then Sys.argv.(i) else default in
-  match arg 1 "all" with
+  match arg 1 "micro" with
   | "micro" -> run_micro ()
   | "json" -> run_json (arg 2 "BENCH_micro.json")
   | "perf-check" -> run_perf_check (arg 2 "bench/BASELINE_micro.json")
   | "macro" -> run_macro (arg 2 "BENCH_macro.json")
   | "perf-check-macro" -> run_perf_check_macro ()
-  | "throughput" ->
-    let quick = ref false in
-    let path = ref "BENCH_throughput.json" in
-    for i = 2 to Array.length Sys.argv - 1 do
-      match Sys.argv.(i) with
-      | "--quick" | "quick" -> quick := true
-      | p -> path := p
-    done;
-    run_throughput ~quick:!quick !path
-  | "table1" -> run_table1 ()
-  | "table2" -> run_table2 ()
-  | "ablations" -> run_ablations ()
-  | "overhead" -> run_overhead ()
-  | "all" ->
-    run_shapes ();
-    Format.printf "@.";
-    run_overhead ();
-    Format.printf "@.";
-    run_ablations ();
-    Format.printf "@.";
-    run_micro ()
   | other ->
-    Format.eprintf
-      "unknown mode %s (expected \
-       micro|json|perf-check|macro|perf-check-macro|throughput|table1|table2|ablations|\
-       overhead|all)@."
+    Format.eprintf "unknown mode %s (expected micro|json|perf-check|macro|perf-check-macro)@."
       other;
     exit 1

@@ -982,20 +982,7 @@ let table2_cmd =
       Rkd.Report.print_table2 Format.std_formatter (Rkd.Experiment.table2 ()))
 
 let ablations_cmd =
-  timed "ablations" "run ablations A-F" (fun () ->
-      Rkd.Report.print_lean Format.std_formatter (Rkd.Experiment.ablation_lean_monitoring ());
-      Rkd.Report.print_window Format.std_formatter (Rkd.Experiment.ablation_window ());
-      Rkd.Report.print_quant Format.std_formatter (Rkd.Experiment.ablation_quantization ());
-      Rkd.Report.print_adapt Format.std_formatter (Rkd.Experiment.ablation_adaptivity ());
-      Rkd.Report.print_distill Format.std_formatter (Rkd.Experiment.ablation_distillation ());
-      Rkd.Report.print_privacy Format.std_formatter (Rkd.Experiment.ablation_privacy ());
-      Rkd.Report.print_family Format.std_formatter (Rkd.Experiment.ablation_model_family ());
-      Rkd.Report.print_nas Format.std_formatter (Rkd.Experiment.ablation_nas ());
-      Rkd.Report.print_granularity Format.std_formatter
-        (Rkd.Experiment.ablation_granularity ());
-      Rkd.Report.print_cross Format.std_formatter (Rkd.Experiment.ablation_cross_app ());
-      Rkd.Report.print_online Format.std_formatter
-        (Rkd.Experiment.ablation_online_training ()))
+  timed "ablations" "run ablations A-K" (fun () -> Rkd.Report.ablations Format.std_formatter)
 
 let overhead_cmd =
   simple "overhead" "Figure 1 family: interpreter vs JIT per-invocation cost" (fun () ->

@@ -229,6 +229,19 @@ let print_online fmt rows =
         r.window_agreement_pct r.pushes_so_far)
     rows
 
+let ablations fmt =
+  print_lean fmt (Experiment.ablation_lean_monitoring ());
+  print_window fmt (Experiment.ablation_window ());
+  print_quant fmt (Experiment.ablation_quantization ());
+  print_adapt fmt (Experiment.ablation_adaptivity ());
+  print_distill fmt (Experiment.ablation_distillation ());
+  print_privacy fmt (Experiment.ablation_privacy ());
+  print_family fmt (Experiment.ablation_model_family ());
+  print_nas fmt (Experiment.ablation_nas ());
+  print_granularity fmt (Experiment.ablation_granularity ());
+  print_cross fmt (Experiment.ablation_cross_app ());
+  print_online fmt (Experiment.ablation_online_training ())
+
 let print_table3 fmt rows =
   Format.fprintf fmt "Table 3 — learned congestion control (net.cc decision point)@.";
   hr fmt;

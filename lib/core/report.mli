@@ -29,6 +29,10 @@ val print_granularity : Format.formatter -> Experiment.granularity_row list -> u
 val print_cross : Format.formatter -> Experiment.cross_row list -> unit
 val print_online : Format.formatter -> Experiment.online_row list -> unit
 
+val ablations : Format.formatter -> unit
+(** Run every ablation (A-K) in order and print each one's rows — the
+    single list behind [rkdctl ablations] and the macro bench. *)
+
 val print_table3 : Format.formatter -> Experiment.table3_row list -> unit
 (** Table 3 (DESIGN.md section 16): goodput / FCT / fairness per workload
     mix and congestion-control system, plus breaker-fallback counts. *)

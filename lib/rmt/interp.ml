@@ -36,10 +36,9 @@ let trap_of_exn = function
 
 type outcome = { result : int; steps : int; privacy_denied : int }
 
-(* Engine totals, bumped once per invocation (never per step) so the
-   inner dispatch loop stays untouched.  The per-program accessors
-   (Loaded.runs / total_steps) are unchanged. *)
-let c_runs = Obs.Counter.make "rmt.interp.runs"
+(* Engine step total, bumped once per invocation (never per step) so
+   the inner dispatch loop stays untouched.  Run counts are the
+   per-program accessors (Loaded.runs / total_steps). *)
 let c_steps = Obs.Counter.make "rmt.interp.steps"
 
 let max_tail_depth = 32
@@ -261,7 +260,6 @@ let run ?fuel (loaded : Loaded.t) ~ctxt ~now =
   let result = run_program loaded 0 in
   loaded.runs <- loaded.runs + 1;
   loaded.total_steps <- loaded.total_steps + st.steps;
-  Obs.Counter.incr c_runs;
   Obs.Counter.add c_steps st.steps;
   (match loaded.privacy with
    | Some _ -> ()

@@ -431,8 +431,8 @@ let fresh_st () =
     result = 0 }
 
 (* Engine totals (DESIGN.md section 11), bumped once per invocation /
-   compilation — the threaded dispatch itself stays untouched. *)
-let c_runs = Obs.Counter.make "rmt.jit.runs"
+   compilation — the threaded dispatch itself stays untouched.  Run
+   counts are the per-program accessors (Loaded.runs). *)
 let c_steps = Obs.Counter.make "rmt.jit.steps"
 let c_compiles = Obs.Counter.make "rmt.jit.compiles"
 let c_batch_runs = Obs.Counter.make "rmt.jit.batch_runs"
@@ -492,7 +492,6 @@ let exec t ~ctxt ~now =
   let result = exec_unit t t.root 0 in
   t.root.loaded.Loaded.runs <- t.root.loaded.Loaded.runs + 1;
   t.root.loaded.Loaded.total_steps <- t.root.loaded.Loaded.total_steps + st.steps;
-  Obs.Counter.incr c_runs;
   Obs.Counter.add c_steps st.steps;
   result
 
@@ -892,7 +891,6 @@ let run_kernel t k (b : Batch.t) bn =
     b.Batch.denied.(s) <- 0;
     b.Batch.traps.(s) <- None
   done;
-  Obs.Counter.add c_runs bn;
   Obs.Counter.add c_steps (bn * st.bsteps);
   Obs.Counter.incr c_batch_runs;
   Obs.Counter.add c_batch_slots bn

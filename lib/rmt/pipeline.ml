@@ -59,9 +59,9 @@ let tables_at t ~hook =
 
 let hooks t = List.filter (fun h -> tables_at t ~hook:h <> []) t.order
 
-(* Hook dispatch totals; the ambient hook id lets VM-level trace events
-   attribute themselves to the hook whose table dispatched them. *)
-let c_firings = Obs.Counter.make "rmt.pipeline.firings"
+(* Fallback totals; firings are counted per hook ({!firings}).  The
+   ambient hook id lets VM-level trace events attribute themselves to
+   the hook whose table dispatched them. *)
 let c_fallback = Obs.Counter.make "rmt.pipeline.fallback_served"
 let c_trap_fallback = Obs.Counter.make "rmt.pipeline.trap_fallbacks"
 
@@ -191,7 +191,6 @@ let fire_batch t ~hook b ~now =
       let n = b.Batch.n in
       if n > 0 then begin
         s.firings <- s.firings + n;
-        Obs.Counter.add c_firings n;
         match s.protection with
         | Some p -> fire_protected_batch s p b ~now
         | None -> dispatch_batch s b ~now

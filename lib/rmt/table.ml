@@ -45,10 +45,8 @@ type t = {
 (* Bitmask bookkeeping needs one bit per match key. *)
 let max_indexable_arity = 60
 
-(* Process-wide match totals across every table (DESIGN.md section 11);
-   the per-table / per-entry hit accessors below are unchanged. *)
-let c_lookups = Obs.Counter.make "rmt.table.lookups"
-let c_default_hits = Obs.Counter.make "rmt.table.default_hits"
+(* Process-wide insert total across every table (DESIGN.md section 11);
+   lookups and default hits are the per-table / per-entry accessors. *)
 let c_inserts = Obs.Counter.make "rmt.table.inserts"
 
 let create ~name ~match_keys ~default =
@@ -271,7 +269,6 @@ let lookup_batch t (b : Batch.t) ~now =
     for s = 0 to n - 1 do
       if b.Batch.traps.(s) == None then begin
         t.total_hits <- t.total_hits + 1;
-        Obs.Counter.incr c_lookups;
         (* Fault seam: a forced miss sends the slot to the default action
            (table-miss storm, DESIGN.md section 12). *)
         let e =
@@ -279,10 +276,7 @@ let lookup_batch t (b : Batch.t) ~now =
           else find_entry t (read_fields t ~ctxt:b.Batch.ctxts.(s))
         in
         entries.(s) <- e;
-        if e == no_entry then begin
-          t.default_hits <- t.default_hits + 1;
-          Obs.Counter.incr c_default_hits
-        end
+        if e == no_entry then t.default_hits <- t.default_hits + 1
         else e.hits <- e.hits + 1
       end
     done;

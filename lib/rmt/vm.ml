@@ -1,11 +1,10 @@
 type engine = Interpreted | Jit_compiled
 
-(* Datapath telemetry (DESIGN.md section 11): one counter bump, one
-   histogram observation and one trace event per invocation, all behind
-   [Obs.enabled] and all allocation-free — the steady-state zero-alloc
-   contract of the JIT fast path is Gc-verified with telemetry on. *)
-let c_invocations = Obs.Counter.make "rmt.vm.invocations"
-let h_steps = Obs.Histo.make "rmt.vm.steps"
+(* Datapath telemetry (DESIGN.md section 11): one trace event per
+   invocation, behind [Obs.enabled] and allocation-free — the
+   steady-state zero-alloc contract of the JIT fast path is Gc-verified
+   with telemetry on.  Invocation and step totals are the engines'
+   counters and the per-program views. *)
 let c_traps = Obs.Counter.make "rmt.vm.traps"
 
 (* Canary lifecycle totals (DESIGN.md section 12). *)
@@ -123,8 +122,6 @@ let engine_code = function Interpreted -> 0 | Jit_compiled -> 1
    violation-count delta across the run; throttling and privacy denials
    are visible directly. *)
 let record t ~violations_before ~steps ~result ~throttled ~denied =
-  Obs.Counter.incr c_invocations;
-  Obs.Histo.observe h_steps steps;
   let flags =
     (if throttled then Obs.Trace.flag_throttled else 0)
     lor

@@ -43,9 +43,6 @@ type t = {
   c_batches : Obs.Counter.t; (* rmt.serve.<i>.batches *)
   c_invocations : Obs.Counter.t; (* rmt.serve.<i>.invocations *)
   h_queue_ns : Obs.Histo.t; (* rmt.serve.<i>.queue_ns *)
-  h_latency_ns : Obs.Histo.t; (* rmt.serve.latency_ns — shared: Obs
-                                 dedups metrics by name, so every shard
-                                 feeds one fleet-wide histogram *)
   mutable served : int; (* events drained into the sink (worker-owned) *)
 }
 
@@ -68,7 +65,6 @@ let create ~index ~producers ~ring_capacity ~max_batch sink =
     c_batches = Obs.Counter.make (name ^ ".batches");
     c_invocations = Obs.Counter.make (name ^ ".invocations");
     h_queue_ns = Obs.Histo.make (name ^ ".queue_ns");
-    h_latency_ns = Obs.Histo.make "rmt.serve.latency_ns";
     served = 0 }
 
 let index t = t.index
@@ -104,13 +100,11 @@ let drain_ring t ring ~now =
   let n = Ring.drain_into ring ~max:t.max_batch t.d_tenants t.d_pages t.d_stamps in
   if n > 0 then begin
     t.sink.run ~n ~tenants:t.d_tenants ~pages:t.d_pages ~now;
-    (* Queueing latency: admission stamp -> drain.  The shared
-       [rmt.serve.latency_ns] histogram is the bench's p99 source. *)
+    (* Queueing latency: admission stamp -> drain. *)
     for i = 0 to n - 1 do
       let wait = now - Array.unsafe_get t.d_stamps i in
       let wait = if wait < 0 then 0 else wait in
-      Obs.Histo.observe t.h_queue_ns wait;
-      Obs.Histo.observe t.h_latency_ns wait
+      Obs.Histo.observe t.h_queue_ns wait
     done;
     t.served <- t.served + n;
     Obs.Counter.add t.c_invocations n;

@@ -25,8 +25,7 @@ type t
 val create :
   index:int -> producers:int -> ring_capacity:int -> max_batch:int -> sink -> t
 (** Registers per-shard counters [rmt.serve.<index>.{invocations,batches}]
-    and histogram [rmt.serve.<index>.queue_ns], plus the shared
-    [rmt.serve.latency_ns] histogram every shard feeds. *)
+    and histogram [rmt.serve.<index>.queue_ns]. *)
 
 val index : t -> int
 val name : t -> string

@@ -302,10 +302,8 @@ let test_vm_emits_telemetry () =
   done;
   Obs.Trace.set_current_hook (-1);
   let d = Obs.Snapshot.diff ~before ~after:(Obs.Registry.snapshot ()) in
-  Alcotest.(check (option int)) "vm invocations counted" (Some 5)
-    (Obs.Snapshot.scalar d "rmt.vm.invocations");
-  Alcotest.(check (option int)) "jit runs counted" (Some 5)
-    (Obs.Snapshot.scalar d "rmt.jit.runs");
+  Alcotest.(check (option int)) "jit steps counted" (Some 20)
+    (Obs.Snapshot.scalar d "rmt.jit.steps");
   Alcotest.(check int) "one trace event per invocation" 5 d.Obs.Snapshot.trace_emitted;
   (* The installed program's registry views track its accessors. *)
   Alcotest.(check (option int)) "program invocation view" (Some 5)
@@ -333,7 +331,7 @@ let test_disabled_vm_is_silent () =
   let d = Obs.Snapshot.diff ~before ~after:(Obs.Registry.snapshot ()) in
   Obs.set_enabled true;
   Alcotest.(check (option int)) "no counter movement when disabled" (Some 0)
-    (Obs.Snapshot.scalar d "rmt.vm.invocations");
+    (Obs.Snapshot.scalar d "rmt.jit.steps");
   Alcotest.(check int) "no trace events when disabled" 0 d.Obs.Snapshot.trace_emitted;
   (* The datapath itself still runs. *)
   Alcotest.(check int) "program still executes" 1 (Single.result vm ~ctxt ~now:now0)

@@ -1,7 +1,8 @@
 (* Tests for the sharded serving layer (DESIGN.md section 14): SPSC ring
    semantics, digest determinism across shard counts and drain modes,
-   per-shard breaker and canary isolation, fault-plan capture into
-   pinned workers, the obs stripe guard, and steady-state allocation. *)
+   registry counters vs the fleet's accessors, per-shard breaker and
+   canary isolation, fault-plan capture into pinned workers, the obs
+   stripe guard, and steady-state allocation. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -217,6 +218,60 @@ let test_digest_across_widths () =
   check_bool "1 and 3 shards agree" true (d1 = d3);
   check_bool "inline and pinned agree" true (d1 = d4)
 
+(* ---------------- Registry counters vs fleet accessors ---------------- *)
+
+(* The process-wide counters an external reader (the perfbench ledger)
+   takes deltas of must agree with the fleet's own accessors — a renamed
+   or deleted counter would otherwise read as a silent 0.  One inline
+   shard, so the shard-0 counters see only this fleet's events. *)
+let deleted_metrics =
+  [ "rmt.pipeline.firings"; "rmt.table.lookups"; "rmt.table.default_hits";
+    "rmt.vm.invocations"; "rmt.vm.steps"; "rmt.jit.runs"; "rmt.interp.runs";
+    "rmt.serve.latency_ns" ]
+
+let test_registry_counters_match_accessors () =
+  let was = Obs.enabled () in
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled was)
+    (fun () ->
+      let config = { Serve.Serving.default_config with shards = 1; max_batch = 16 } in
+      let fleet, dps = Serve.Serving.create_datapath ~config () in
+      let dp = dps.(0) in
+      let vm = Serve.Shard.Datapath.vm dp in
+      let trace = serve_trace () in
+      let steps_before = Rmt.Vm.total_steps vm in
+      let before = Obs.Registry.snapshot () in
+      List.iter
+        (fun (a : Ksim.Workload_mem.access) ->
+          submit_exn fleet ~tenant:a.pid ~page:a.page;
+          if Serve.Serving.admitted fleet land 15 = 0 then
+            ignore (Serve.Serving.drain fleet : int))
+        trace;
+      Serve.Serving.drain_until_idle fleet;
+      let after = Obs.Registry.snapshot () in
+      let d = Obs.Snapshot.diff ~before ~after in
+      let delta name =
+        match Obs.Snapshot.scalar d name with
+        | Some v -> v
+        | None -> Alcotest.failf "%s is not registered" name
+      in
+      let served = Serve.Serving.served fleet in
+      check_int "every event served" (List.length trace) served;
+      check_int "rmt.serve.0.invocations = served" served (delta "rmt.serve.0.invocations");
+      check_int "engine steps = vm steps"
+        (Rmt.Vm.total_steps vm - steps_before)
+        (delta "rmt.jit.steps" + delta "rmt.interp.steps");
+      check_bool "batch slots <= served" true (delta "rmt.jit.batch_slots" <= served);
+      check_int "table inserts = first-touched tenants"
+        (Serve.Shard.Datapath.tenant_count dp)
+        (delta "rmt.table.inserts");
+      List.iter
+        (fun name ->
+          check_bool (name ^ " is gone") true
+            (Obs.Snapshot.scalar after name = None && Obs.Snapshot.histo after name = None))
+        deleted_metrics)
+
 (* ---------------- Per-shard breaker isolation ---------------- *)
 
 let test_breaker_trip_is_shard_local () =
@@ -387,6 +442,8 @@ let suite =
           test_faulting_posted_command;
         Alcotest.test_case "digest stable across widths and modes" `Quick
           test_digest_across_widths;
+        Alcotest.test_case "registry counters match fleet accessors" `Quick
+          test_registry_counters_match_accessors;
         Alcotest.test_case "breaker trip is shard-local" `Quick
           test_breaker_trip_is_shard_local;
         Alcotest.test_case "canary transactions route per shard" `Quick
