@@ -1,6 +1,5 @@
-.PHONY: all build test bench table1 table2 net fleet ablations micro bench-json perf-check \
-        bench-macro perf-check-macro check lint analyze chaos \
-        examples clean
+.PHONY: all build test table1 table2 net fleet ablations perf-check \
+        bench-macro check lint analyze chaos examples clean
 
 all: build
 
@@ -9,9 +8,6 @@ build:
 
 test:
 	dune runtest --force --no-buffer
-
-bench:
-	dune exec bench/main.exe micro
 
 table1:
 	dune exec bin/rkdctl.exe -- table1
@@ -35,24 +31,18 @@ net:
 fleet:
 	dune exec bin/rkdctl.exe -- fleet --soak
 
-micro:
-	dune exec bench/main.exe micro
-
-bench-json:
-	dune exec bench/main.exe json BENCH_micro.json
-
+# Micro harness: one Bechamel pass writes BENCH_micro.json and fails if
+# a within-run ratio (loop64/b64 batch amortization, Figure 1 collect
+# interp/jit) falls below its floor.
 perf-check:
-	dune exec bench/main.exe perf-check bench/BASELINE_micro.json
+	dune exec bench/main.exe micro BENCH_micro.json
 
-# Macro harness: times table1/table2/ablations at domains=1 vs the pool
-# width (RKD_DOMAINS or core count) and writes BENCH_macro.json.
+# Macro harness: one pass times table1/table2/ablations/net/fleet at
+# domains=1 vs the pool width (RKD_DOMAINS or core count), writes
+# BENCH_macro.json and fails if the pool is slower than sequential
+# beyond the floor (see bench/main.ml).
 bench-macro:
 	dune exec bench/main.exe macro BENCH_macro.json
-
-# Fails if the parallel experiment engine is slower than sequential
-# (tolerance scales down on single-core machines; see bench/main.ml).
-perf-check-macro:
-	dune exec bench/main.exe perf-check-macro
 
 # Fast static-analysis smoke (~2s): a 20000-trial differential-fuzz run
 # of the abstract interpreter and the engines — interp, JIT and batch
@@ -103,7 +93,7 @@ chaos:
 
 # The umbrella CI gate: warning-clean build, absint fuzz smoke, static
 # analysis (lint corpus + protocol model checking), full test suite,
-# chaos soak, micro perf regression check.
+# chaos soak, micro within-run ratio gates.
 check:
 	dune build @all
 	$(MAKE) lint

@@ -356,73 +356,70 @@ type overhead_row = {
   steps_per_invocation : float;
 }
 
-let representative_programs () =
-  (* A ctxt-heavy collect-style program and a model-consulting
-     predict-style program mirroring the case-study datapath. *)
-  let params = Prefetch_rmt.default_params in
-  let collect = Prefetch_rmt.build_collect_program params in
-  let predict = Prefetch_rmt.build_predict_program params in
-  (params, collect, predict)
+type fig1_fixture = {
+  collect : Rmt.Vm.t;
+  predict : Rmt.Vm.t;
+  tree : Kml.Decision_tree.t;
+  one : Rmt.Batch.t;
+}
 
-let vm_overhead ?(iterations = 50_000) () =
-  let params, collect, predict = representative_programs () in
+(* A ctxt-heavy collect-style program and a model-consulting
+   predict-style program mirroring the case-study datapath, the predict
+   one consulting a tree trained on 512 seeded random samples. *)
+let fig1_fixture engine =
+  let params = Prefetch_rmt.default_params in
+  let nf = params.Prefetch_rmt.history + 3 in
   let rng = Kml.Rng.create 7 in
-  let ds =
-    Kml.Dataset.create ~n_features:(params.Prefetch_rmt.history + 3)
-      ~n_classes:params.Prefetch_rmt.n_delta_classes
-  in
+  let ds = Kml.Dataset.create ~n_features:nf ~n_classes:params.Prefetch_rmt.n_delta_classes in
   for _ = 1 to 512 do
-    let features =
-      Array.init (params.Prefetch_rmt.history + 3) (fun _ -> Kml.Rng.int rng 128)
-    in
+    let features = Array.init nf (fun _ -> Kml.Rng.int rng 128) in
     Kml.Dataset.add ds { Kml.Dataset.features; label = Kml.Rng.int rng 4 }
   done;
   let tree = Kml.Decision_tree.train ds in
-  let measure engine_name engine prog prog_name needs_model =
-    let control = Rmt.Control.create ~engine () in
-    if needs_model then begin
-      let (_ : Rmt.Model_store.handle) =
-        Rmt.Control.register_model control ~name:"m" (Rmt.Model_store.Tree tree)
-      in
-      ()
-    end;
-    let vm =
-      match
-        Rmt.Control.install control
-          ~model_names:(if needs_model then [ "m" ] else [])
-          prog
-      with
-      | Ok vm -> vm
-      | Error e -> invalid_arg ("vm_overhead: " ^ e)
-    in
-    let b = Rmt.Batch.create ~capacity:1 in
-    let ctxt = b.Rmt.Batch.ctxts.(0) in
-    Rmt.Ctxt.set ctxt Hooks.key_page 1234;
-    Rmt.Ctxt.set ctxt Hooks.key_last_page 1230;
-    for i = 0 to params.Prefetch_rmt.history + 2 do
-      Rmt.Ctxt.set ctxt (Hooks.key_feature_base + i) (i + 1)
-    done;
+  let control = Rmt.Control.create ~engine () in
+  let (_ : Rmt.Model_store.handle) =
+    Rmt.Control.register_model control ~name:"m" (Rmt.Model_store.Tree tree)
+  in
+  let install ?model_names prog =
+    match Rmt.Control.install control ?model_names prog with
+    | Ok vm -> vm
+    | Error e -> invalid_arg ("fig1_fixture: " ^ e)
+  in
+  let collect = install (Prefetch_rmt.build_collect_program params) in
+  let predict = install ~model_names:[ "m" ] (Prefetch_rmt.build_predict_program params) in
+  let one = Rmt.Batch.create ~capacity:1 in
+  let ctxt = one.Rmt.Batch.ctxts.(0) in
+  Rmt.Ctxt.set ctxt Hooks.key_page 1234;
+  Rmt.Ctxt.set ctxt Hooks.key_last_page 1230;
+  for i = 0 to nf - 1 do
+    Rmt.Ctxt.set ctxt (Hooks.key_feature_base + i) (i + 1)
+  done;
+  { collect; predict; tree; one }
+
+let vm_overhead ?(iterations = 50_000) () =
+  let interp = fig1_fixture Rmt.Vm.Interpreted and jit = fig1_fixture Rmt.Vm.Jit_compiled in
+  let measure engine program one vm =
     let now () = 0 in
     (* warmup *)
     for _ = 1 to 1000 do
-      Rmt.Vm.invoke_batch vm b ~now
+      Rmt.Vm.invoke_batch vm one ~now
     done;
     let steps_before = Rmt.Vm.total_steps vm in
     let t0 = Sys.time () in
     for _ = 1 to iterations do
-      Rmt.Vm.invoke_batch vm b ~now
+      Rmt.Vm.invoke_batch vm one ~now
     done;
     let elapsed = Sys.time () -. t0 in
     let steps = Rmt.Vm.total_steps vm - steps_before in
-    { engine = engine_name;
-      program = prog_name;
+    { engine;
+      program;
       ns_per_invocation = elapsed *. 1e9 /. float_of_int iterations;
       steps_per_invocation = float_of_int steps /. float_of_int iterations }
   in
-  [ measure "interpreted" Rmt.Vm.Interpreted collect "pf_collect" false;
-    measure "jit" Rmt.Vm.Jit_compiled collect "pf_collect" false;
-    measure "interpreted" Rmt.Vm.Interpreted predict "pf_predict" true;
-    measure "jit" Rmt.Vm.Jit_compiled predict "pf_predict" true ]
+  [ measure "interpreted" "pf_collect" interp.one interp.collect;
+    measure "jit" "pf_collect" jit.one jit.collect;
+    measure "interpreted" "pf_predict" interp.one interp.predict;
+    measure "jit" "pf_predict" jit.one jit.predict ]
 
 (* ------------------------------------------------------------------ *)
 (* Ablation G — in-kernel model families                                *)

@@ -105,10 +105,22 @@ type overhead_row = {
   steps_per_invocation : float;
 }
 
+type fig1_fixture = {
+  collect : Rmt.Vm.t;  (** [pf_collect], no model *)
+  predict : Rmt.Vm.t;  (** [pf_predict], consulting [tree] *)
+  tree : Kml.Decision_tree.t;  (** trained on 512 samples at seed 7 *)
+  one : Rmt.Batch.t;  (** one slot carrying a prefetch-hook context *)
+}
+
+val fig1_fixture : Rmt.Vm.engine -> fig1_fixture
+(** The representative prefetch programs installed under [engine]: what
+    {!vm_overhead} times and the bench [fig1/*] rows measure.  Every call
+    builds a fresh control plane and context. *)
+
 val vm_overhead : ?iterations:int -> unit -> overhead_row list
-(** Wall-clock per-invocation cost of representative collect/predict
-    programs under both engines (complemented by the Bechamel
-    microbenchmarks in bench/main.exe). *)
+(** Wall-clock per-invocation cost of {!fig1_fixture}'s programs under
+    both engines (complemented by the Bechamel microbenchmarks in
+    bench/main.exe). *)
 
 (** {2 Extension experiments (paper §3.2 / §6 future work)} *)
 

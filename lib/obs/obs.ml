@@ -2,7 +2,7 @@
    flight-recorder ring, and a registry with snapshot/diff/exporters.
 
    Write-side design rules (enforced by test/test_obs.ml):
-   - no allocation in [Counter.incr], [Gauge.add], [Histo.observe] or
+   - no allocation in [Counter.incr], [Histo.observe] or
      [Trace.emit] in steady state;
    - one flag load + branch when telemetry is disabled;
    - per-domain striping so concurrent writers land on different cache
@@ -95,7 +95,6 @@ let intern_name id =
 (* ---------------- metric storage ---------------- *)
 
 type counter = { c_name : string; c_cells : int Atomic.t array }
-type gauge = { g_name : string; g_cells : int Atomic.t array }
 
 let histo_buckets = 64
 
@@ -111,7 +110,6 @@ type histo = {
    same seam share one counter. *)
 let registry_lock = Mutex.create ()
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 32
-let gauges : (string, gauge) Hashtbl.t = Hashtbl.create 16
 let histos : (string, histo) Hashtbl.t = Hashtbl.create 16
 let views : (string, unit -> int) Hashtbl.t = Hashtbl.create 16
 
@@ -141,34 +139,6 @@ module Counter = struct
 
   let value t = cells_sum t.c_cells
   let name t = t.c_name
-end
-
-module Gauge = struct
-  type t = gauge
-
-  let make name =
-    with_lock registry_lock (fun () ->
-        match Hashtbl.find_opt gauges name with
-        | Some g -> g
-        | None ->
-          let g = { g_name = name; g_cells = make_cells stripes } in
-          Hashtbl.replace gauges name g;
-          g)
-
-  let add t n =
-    if !enabled_flag then
-      ignore (Atomic.fetch_and_add (Array.unsafe_get t.g_cells (stripe ())) n)
-
-  let sub t n = add t (-n)
-
-  let set t n =
-    if !enabled_flag then begin
-      cells_reset t.g_cells;
-      Atomic.set (Array.unsafe_get t.g_cells (stripe ())) n
-    end
-
-  let value t = cells_sum t.g_cells
-  let name t = t.g_name
 end
 
 module Histo = struct
@@ -365,7 +335,7 @@ end
 (* ---------------- snapshots ---------------- *)
 
 module Snapshot = struct
-  type kind = Counter | Gauge | View
+  type kind = Counter | View
 
   type t = {
     scalars : (string * kind * int) array;
@@ -377,12 +347,10 @@ module Snapshot = struct
 
   let kind_to_string = function
     | Counter -> "counter"
-    | Gauge -> "gauge"
     | View -> "view"
 
   let kind_of_string = function
     | "counter" -> Some Counter
-    | "gauge" -> Some Gauge
     | "view" -> Some View
     | _ -> None
 
@@ -474,10 +442,9 @@ module Snapshot = struct
   let to_prometheus t =
     let buf = Buffer.create 2048 in
     Array.iter
-      (fun (name, kind, v) ->
+      (fun (name, _, v) ->
         let n = prom_name name in
-        let ptype = match kind with Gauge -> "gauge" | Counter | View -> "counter" in
-        Buffer.add_string buf (Printf.sprintf "# TYPE %s %s\n%s %d\n" n ptype n v))
+        Buffer.add_string buf (Printf.sprintf "# TYPE %s counter\n%s %d\n" n n v))
       t.scalars;
     Array.iter
       (fun (name, b) ->
@@ -503,8 +470,7 @@ module Snapshot = struct
          t.trace_emitted t.trace_dropped);
     Buffer.contents buf
 
-  (* One record per line so [of_json] can stay Scanf-only, like the bench
-     harness's baseline reader. *)
+  (* One record per line so [of_json] can stay Scanf-only. *)
   let to_json t =
     let buf = Buffer.create 2048 in
     Buffer.add_string buf "{\n  \"schema\": \"rkd-obs-snapshot/1\",\n  \"scalars\": [\n";
@@ -603,9 +569,6 @@ module Registry = struct
           (fun name c -> scalars := (name, Snapshot.Counter, cells_sum c.c_cells) :: !scalars)
           counters;
         Hashtbl.iter
-          (fun name g -> scalars := (name, Snapshot.Gauge, cells_sum g.g_cells) :: !scalars)
-          gauges;
-        Hashtbl.iter
           (fun name f ->
             let v = try f () with _ -> 0 in
             scalars := (name, Snapshot.View, v) :: !scalars)
@@ -627,7 +590,6 @@ module Registry = struct
   let reset_metrics () =
     with_lock registry_lock (fun () ->
         Hashtbl.iter (fun _ c -> cells_reset c.c_cells) counters;
-        Hashtbl.iter (fun _ g -> cells_reset g.g_cells) gauges;
         Hashtbl.iter
           (fun _ h ->
             cells_reset h.h_counts;

@@ -4,12 +4,12 @@
     drops, rate-limit pressure, model cost — so the reproduction needs a
     uniform, low-cost way to observe the datapath.  This library provides
     four primitives, all designed so the instrumented hot paths stay
-    allocation free (Gc-verified in [test/test_obs.ml]) and within the
-    micro-benchmark baseline tolerance:
+    allocation free (Gc-verified in [test/test_obs.ml]) and priced by
+    the bench [obs/*] rows:
 
-    - {!Counter} / {!Gauge}: monotonic / signed totals kept in per-domain
-      striped atomic cells, so multicore experiment fan-out never contends
-      on a shared cache line.  Summed only at snapshot time.
+    - {!Counter}: monotonic totals kept in per-domain striped atomic
+      cells, so multicore experiment fan-out never contends on a shared
+      cache line.  Summed only at snapshot time.
     - {!Histo}: fixed 64-bucket log2 histograms with a zero-alloc
       [observe] and read-time percentile estimation.
     - {!Trace}: a bounded power-of-two ring buffer of fixed-size
@@ -40,7 +40,7 @@ val intern_name : int -> string
 
 (** {2 Stripe capacity guard}
 
-    Counters, gauges and histogram sums are striped by domain id.  Domain
+    Counters and histogram sums are striped by domain id.  Domain
     ids are allocated monotonically by the runtime, so a process that
     spawns long-lived pinned domains after many pool resizes can exceed
     the stripe capacity; such domains alias earlier stripes.  Aliasing is
@@ -77,21 +77,6 @@ module Counter : sig
   (** Sum over all stripes.  Exact: stripes are atomic cells, so no
       increment is ever lost regardless of domain interleaving. *)
 
-  val name : t -> string
-end
-
-module Gauge : sig
-  type t
-
-  val make : string -> t
-  val add : t -> int -> unit
-  val sub : t -> int -> unit
-
-  val set : t -> int -> unit
-  (** Clears every stripe then sets the calling domain's.  Not atomic as
-      a whole; meant for single-writer gauges (sizes, capacities). *)
-
-  val value : t -> int
   val name : t -> string
 end
 
@@ -196,7 +181,7 @@ module Trace : sig
 end
 
 module Snapshot : sig
-  type kind = Counter | Gauge | View
+  type kind = Counter | View
 
   type t = {
     scalars : (string * kind * int) array;  (** sorted by name *)
@@ -223,13 +208,13 @@ module Snapshot : sig
   (** Human-readable listing (what [rkdctl stats] prints by default). *)
 
   val to_prometheus : t -> string
-  (** Prometheus text exposition: scalars as counter/gauge families,
+  (** Prometheus text exposition: scalars as counter families,
       histograms as cumulative [_bucket{le=...}] series plus [_sum] /
       [_count].  Metric names have [.] mapped to [_]. *)
 
   val to_json : t -> string
   (** One scalar/histogram per line ([rkd-obs-snapshot/1] schema), so the
-      reader below can stay Scanf-only like the bench harness. *)
+      reader below can stay Scanf-only. *)
 
   val of_json : string -> (t, string) result
   (** Parses {!to_json} output; round-trips exactly. *)
@@ -245,13 +230,13 @@ module Registry : sig
   val unregister_view : string -> unit
 
   val snapshot : unit -> Snapshot.t
-  (** Point-in-time snapshot of every counter, gauge, histogram and view.
+  (** Point-in-time snapshot of every counter, histogram and view.
       Per-cell reads are atomic; the snapshot as a whole is not a global
       barrier (counts being incremented concurrently land in this
       snapshot or the next). *)
 
   val reset_metrics : unit -> unit
-  (** Zeroes every counter, gauge and histogram cell and resets the trace
+  (** Zeroes every counter and histogram cell and resets the trace
       ring counters.  Views are left alone (their storage is elsewhere).
       Test isolation helper; not for the datapath. *)
 end

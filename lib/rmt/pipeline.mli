@@ -74,7 +74,7 @@ val protect :
 
     [?breaker] shares an existing breaker across hooks (e.g. both stages
     of the prefetch pipeline trip together); otherwise a fresh one is
-    created from [?config] and named after the hook.  Registers gauge
+    created from [?config] and named after the hook.  Registers registry
     views [<view_ns>.breaker.<hook>.state] and
     [<view_ns>.breaker.<hook>.fallback_served].  Returns the armed
     breaker. *)

@@ -33,14 +33,6 @@ let test_counter_basics () =
   Obs.set_enabled true;
   Alcotest.(check int) "disabled writes are dropped" 8 (Obs.Counter.value c)
 
-let test_gauge_basics () =
-  let g = Obs.Gauge.make "test.obs.gauge_basics" in
-  Obs.Gauge.add g 10;
-  Obs.Gauge.sub g 3;
-  Alcotest.(check int) "add/sub" 7 (Obs.Gauge.value g);
-  Obs.Gauge.set g 42;
-  Alcotest.(check int) "set clears other stripes" 42 (Obs.Gauge.value g)
-
 (* ---------------- histograms ---------------- *)
 
 let test_histo_bucketing () =
@@ -339,7 +331,6 @@ let test_disabled_vm_is_silent () =
 let suite =
   [ ( "obs",
       [ Alcotest.test_case "counter basics" `Quick test_counter_basics;
-        Alcotest.test_case "gauge basics" `Quick test_gauge_basics;
         Alcotest.test_case "histo bucketing" `Quick test_histo_bucketing;
         Alcotest.test_case "histo percentiles" `Quick test_histo_observe_and_percentile;
         Alcotest.test_case "zero allocation" `Quick test_zero_alloc_primitives;
