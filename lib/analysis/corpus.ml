@@ -1,38 +1,17 @@
 (* Lint validation corpus: the repo's real programs (must lint clean)
    plus seeded-defect mutants (must each be caught).
 
-   The scheduler, cascade, quickstart and chaos programs are rebuilt
-   here with the same instruction sequences as their sources
-   (lib/core/sched_rmt.ml, examples/cascade.ml, examples/quickstart.ml,
-   lib/core/chaos.ml) because those builders are module-internal; the
-   prefetcher's are exported and used directly.  If a source program
+   The cascade and quickstart programs are rebuilt here with the same
+   instruction sequences as their sources (examples/cascade.ml,
+   examples/quickstart.ml) because examples are not a library; the
+   prefetcher's, scheduler's, privacy ablation's and chaos harness's
+   builders are exported and used directly.  If an example program
    changes shape, update its twin here — the corpus exists precisely to
    lint what the repo actually ships. *)
 
 open Rmt
 
 (* --- clean programs ------------------------------------------------ *)
-
-let lb_migrate ~suffix ~keep =
-  let k = Array.length keep in
-  let b = Builder.create ~name:("lb_migrate_" ^ suffix) ~vmem_size:(Stdlib.max 1 k) () in
-  let _slot = Builder.add_model b ~n_features:k in
-  Builder.add_capability b (Program.Guarded { lo = 0; hi = 1 });
-  let contiguous =
-    Array.length keep > 0
-    && Array.for_all Fun.id (Array.mapi (fun i key -> key = keep.(0) + i) keep)
-  in
-  if contiguous then
-    Builder.emit b (Insn.Vec_ld_ctxt (0, Rkd.Hooks.key_feature_base + keep.(0), k))
-  else
-    Array.iteri
-      (fun j key ->
-        Builder.emit b (Insn.Ld_ctxt_k (1, Rkd.Hooks.key_feature_base + key));
-        Builder.emit b (Insn.Vec_st_reg (j, 1)))
-      keep;
-  Builder.emit b (Insn.Call_ml (0, 0, k));
-  Builder.emit b Insn.Exit;
-  Builder.finish b ()
 
 let stage1 ~margin_raw =
   let n_features = 4 in
@@ -88,35 +67,18 @@ hot:
   exit
 |}
 
-let agg_query () =
-  let b = Builder.create ~name:"agg_query" ~vmem_size:1 () in
-  Builder.add_capability b (Program.Privacy_budget { epsilon_milli = 100_000 });
-  Builder.emit b (Insn.Ld_imm (1, Rkd.Hooks.key_feature_base));
-  Builder.emit b (Insn.Ld_imm (2, 16));
-  Builder.emit b (Insn.Call Helper.ctxt_sum_range);
-  Builder.emit b Insn.Exit;
-  Builder.finish b ()
-
-let chaos_prog () =
-  let b = Builder.create ~name:"chaos_prog" ~vmem_size:1 () in
-  Builder.add_capability b (Program.Guarded { lo = 0; hi = 1023 });
-  Builder.emit b (Insn.Ld_ctxt_k (0, Rkd.Hooks.key_page));
-  Builder.emit b (Insn.Alu_imm (Insn.Add, 0, 1));
-  Builder.emit b (Insn.Alu_imm (Insn.Mod, 0, 1024));
-  Builder.emit b Insn.Exit;
-  Builder.finish b ()
-
 let clean () =
   let params = Rkd.Prefetch_rmt.default_params in
   [ ("pf_collect", Rkd.Prefetch_rmt.build_collect_program params);
     ("pf_predict", Rkd.Prefetch_rmt.build_predict_program params);
-    ("lb_migrate_contig", lb_migrate ~suffix:"contig" ~keep:(Array.init 6 Fun.id));
-    ("lb_migrate_sparse", lb_migrate ~suffix:"sparse" ~keep:[| 0; 2; 5 |]);
+    ("lb_migrate_contig", Rkd.Sched_rmt.build_program ~keep:(Array.init 6 Fun.id));
+    ("lb_migrate_sparse", Rkd.Sched_rmt.build_program ~keep:[| 0; 2; 5 |]);
     ("stage1_linear", stage1 ~margin_raw:(Kml.Fixed.to_raw (Kml.Fixed.of_int 6)));
     ("stage2_tree", stage2 ());
     ("hot_or_cold", hot_or_cold ());
-    ("agg_query", agg_query ());
-    ("chaos_prog", chaos_prog ()) ]
+    ("agg_query",
+     Rkd.Experiment.privacy_program ~helper_id:Helper.ctxt_sum_range ~budget_milli:100_000);
+    ("chaos_prog", Rkd.Chaos.build_simple ~bias:1) ]
 
 (* --- seeded-defect mutants ----------------------------------------- *)
 

@@ -44,3 +44,7 @@ val run :
     and the same [seed] yields the same [digest] at any pool width. *)
 
 val pp_summary : Format.formatter -> summary -> unit
+
+val build_simple : bias:int -> Rmt.Program.t
+(** The control-plane churn scenarios' [chaos_prog]: the faulting page
+    plus [bias], modulo 1024. *)

@@ -96,6 +96,10 @@ val ablation_privacy : ?seed:int -> unit -> privacy_row list
     fixed total budget — low per-query epsilon answers many noisy queries,
     high per-query epsilon answers few precise ones before exhaustion. *)
 
+val privacy_program : helper_id:int -> budget_milli:int -> Rmt.Program.t
+(** Ablation F's [agg_query] program: a sum over 16 monitor words through
+    helper [helper_id], under a total privacy budget of [budget_milli]. *)
+
 (** {2 Figure 1 family — VM overhead} *)
 
 type overhead_row = {

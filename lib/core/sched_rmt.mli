@@ -12,6 +12,10 @@
 
 type t
 
+val build_program : keep:int array -> Rmt.Program.t
+(** The [lb_migrate] program over feature indices [keep]: one vector
+    load when they are contiguous, one context read each otherwise. *)
+
 val create :
   ?engine:Rmt.Vm.engine ->
   ?keep:int array ->

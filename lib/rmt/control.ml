@@ -265,12 +265,11 @@ let protect t ~hook ?config ?breaker ?programs ~fallback () =
   in
   Pipeline.protect t.pipeline ~hook ?config ?breaker ~vms ~fallback ()
 
-let install t ?engine ?budget ?resource_budget ?model_names (prog : Program.t) =
-  let engine = Option.value engine ~default:t.default_engine in
+let install t ?budget ?resource_budget ?model_names (prog : Program.t) =
   match prepare t ?budget ?resource_budget ?model_names prog with
   | Error _ as e -> e
   | Ok loaded ->
-    let vm = Vm.create ~engine loaded in
+    let vm = Vm.create ~engine:t.default_engine loaded in
     if not (Hashtbl.mem t.programs prog.name) then
       t.program_order <- t.program_order @ [ prog.name ];
     Hashtbl.replace t.programs prog.name vm;
@@ -278,12 +277,12 @@ let install t ?engine ?budget ?resource_budget ?model_names (prog : Program.t) =
     register_program_views ~view_ns:t.view_ns prog.name vm;
     Ok vm
 
-let install_canary t ?engine ?budget ?resource_budget ?model_names ?invocations
+let install_canary t ?budget ?resource_budget ?model_names ?invocations
     ?max_divergences ?grace (prog : Program.t) =
   match Hashtbl.find_opt t.programs prog.name with
   | None ->
     (* Nothing to canary against: a first install is immediate. *)
-    install t ?engine ?budget ?resource_budget ?model_names prog
+    install t ?budget ?resource_budget ?model_names prog
   | Some vm ->
     (match prepare t ?budget ?resource_budget ?model_names prog with
      | Error _ as e -> e
@@ -318,15 +317,15 @@ let rollback_program t name =
   | None -> false
   | Some vm -> Vm.cancel_canary vm || Vm.rollback vm
 
-let install_asm t ?engine ?budget ?resource_budget ?model_names source =
+let install_asm t ?budget ?resource_budget ?model_names source =
   match Asm.parse ~helpers:t.helpers source with
   | Error e -> Error (Format.asprintf "%a" Asm.pp_error e)
-  | Ok prog -> install t ?engine ?budget ?resource_budget ?model_names prog
+  | Ok prog -> install t ?budget ?resource_budget ?model_names prog
 
-let install_bytes t ?engine ?budget ?resource_budget ?model_names data =
+let install_bytes t ?budget ?resource_budget ?model_names data =
   match Encoding.decode data with
   | Error e -> Error ("decode: " ^ e)
-  | Ok prog -> install t ?engine ?budget ?resource_budget ?model_names prog
+  | Ok prog -> install t ?budget ?resource_budget ?model_names prog
 
 let find_program t name = Hashtbl.find_opt t.programs name
 

@@ -5,15 +5,16 @@
     plane verifies it against the kernel's helper registry and the bound
     models' measured costs, links it, and exposes it to tables and hooks.
     At runtime the same surface supports the paper's reconfiguration loop:
-    adding/removing table entries, swapping retrained models in place, and
-    switching execution engines. *)
+    adding/removing table entries and swapping retrained models in place.
+    The execution engine is fixed per control plane at {!create}. *)
 
 type t
 
 val create :
   ?engine:Vm.engine -> ?limits:Verifier.limits -> ?seed:int -> ?view_ns:string -> unit -> t
 (** Fresh kernel-side state: default helper registry, empty model store,
-    empty pipeline.  [seed] drives DP noise and any program randomness.
+    empty pipeline.  Every program it installs runs on [engine] (default
+    [Jit_compiled]).  [seed] drives DP noise and any program randomness.
     [view_ns] (default ["rmt"]) prefixes every registry view this control
     plane registers — [<view_ns>.program.<name>.*] and, through its
     pipeline, [<view_ns>.breaker.<hook>.*] — so several instances (one
@@ -60,7 +61,6 @@ val update_model_checked :
 
 val install :
   t ->
-  ?engine:Vm.engine ->
   ?budget:Kml.Model_cost.budget ->
   ?resource_budget:Resource.budget ->
   ?model_names:string list ->
@@ -80,7 +80,6 @@ val install :
 
 val install_asm :
   t ->
-  ?engine:Vm.engine ->
   ?budget:Kml.Model_cost.budget ->
   ?resource_budget:Resource.budget ->
   ?model_names:string list ->
@@ -89,7 +88,6 @@ val install_asm :
 
 val install_bytes :
   t ->
-  ?engine:Vm.engine ->
   ?budget:Kml.Model_cost.budget ->
   ?resource_budget:Resource.budget ->
   ?model_names:string list ->
@@ -100,7 +98,6 @@ val install_bytes :
 
 val install_canary :
   t ->
-  ?engine:Vm.engine ->
   ?budget:Kml.Model_cost.budget ->
   ?resource_budget:Resource.budget ->
   ?model_names:string list ->

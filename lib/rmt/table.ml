@@ -20,20 +20,11 @@ type entry = {
   mutable hits : int;
 }
 
-(* Lookup structure: entries whose patterns are all Eq/Any are "exact" and
-   indexed by a hash of their Eq-position bitmask plus the Eq values, giving
-   O(1) dispatch per distinct wildcard shape.  Entries with Mask/Between
-   patterns stay on a sorted scan list.  Both candidate sets are consulted
-   and the best entry (priority desc, insertion order asc) wins, so the
-   observable match semantics are identical to a full sorted scan. *)
 type t = {
   name : string;
   match_keys : int array;
   default : action;
-  mutable entries : entry list; (* all entries; kept sorted: priority desc, seq asc *)
-  mutable scan_entries : entry list; (* non-exact entries, same order *)
-  index : (int, entry list) Hashtbl.t; (* bucket lists sorted best-first *)
-  mutable group_masks : int array; (* distinct Eq-position bitmasks in the index *)
+  mutable entries : entry list; (* kept sorted: priority desc, seq asc *)
   fields : int array; (* per-lookup scratch; one slot per match key *)
   mutable entry_scratch : entry array; (* per-slot resolved entries for lookup_batch *)
   mutable next_id : int;
@@ -41,9 +32,6 @@ type t = {
   mutable total_hits : int;
   mutable default_hits : int;
 }
-
-(* Bitmask bookkeeping needs one bit per match key. *)
-let max_indexable_arity = 60
 
 (* Process-wide insert total across every table (DESIGN.md section 11);
    lookups and default hits are the per-table / per-entry accessors. *)
@@ -54,9 +42,6 @@ let create ~name ~match_keys ~default =
     match_keys = Array.copy match_keys;
     default;
     entries = [];
-    scan_entries = [];
-    index = Hashtbl.create 16;
-    group_masks = [||];
     fields = Array.make (Array.length match_keys) 0;
     entry_scratch = [||];
     next_id = 0;
@@ -86,81 +71,13 @@ let rec match_from patterns (fields : int array) i n =
 let entry_matches fields e = match_from e.patterns fields 0 (Array.length fields)
 
 (* Sentinel for "no match" on the hot path: avoids option boxing per
-   lookup.  Compared physically; loses to every real entry. *)
+   lookup.  Compared physically. *)
 let no_entry =
   { id = -1; priority = min_int; seq = max_int; patterns = [||]; action = Const 0; hits = 0 }
 
 let rec first_match fields = function
   | [] -> no_entry
   | e :: rest -> if entry_matches fields e then e else first_match fields rest
-
-let better a b =
-  if a == no_entry then b
-  else if b == no_entry then a
-  else if entry_order a b <= 0 then a
-  else b
-
-(* Eq-position bitmask of an exact entry, or -1 if the entry needs a scan. *)
-let exact_mask patterns =
-  let n = Array.length patterns in
-  if n > max_indexable_arity then -1
-  else begin
-    let rec go i acc =
-      if i >= n then acc
-      else
-        match patterns.(i) with
-        | Eq _ -> go (i + 1) (acc lor (1 lsl i))
-        | Any -> go (i + 1) acc
-        | Mask _ | Between _ -> -1
-    in
-    go 0 0
-  end
-
-(* Deterministic hash of (mask, values at mask positions).  Collisions are
-   fine: bucket candidates are re-verified with [entry_matches].  Written as
-   top-level accumulator loops so probing allocates nothing. *)
-let rec hash_fields (fields : int array) i m h =
-  if m = 0 then h
-  else
-    let h =
-      if m land 1 <> 0 then ((h * 0x01000193) + Array.unsafe_get fields i) land max_int else h
-    in
-    hash_fields fields (i + 1) (m lsr 1) h
-
-let rec hash_patterns patterns i m h =
-  if m = 0 then h
-  else
-    let h =
-      if m land 1 <> 0 then
-        ((h * 0x01000193)
-         + (match patterns.(i) with Eq v -> v | Any | Mask _ | Between _ -> 0))
-        land max_int
-      else h
-    in
-    hash_patterns patterns (i + 1) (m lsr 1) h
-
-let index_key_fields mask fields = hash_fields fields 0 mask ((mask * 0x9E3779B1) land max_int)
-
-let index_key_patterns mask patterns =
-  hash_patterns patterns 0 mask ((mask * 0x9E3779B1) land max_int)
-
-let rebuild_lookup t =
-  Hashtbl.reset t.index;
-  t.scan_entries <- [];
-  let masks = ref [] in
-  (* Iterate worst-first so that consing yields best-first lists. *)
-  List.iter
-    (fun e ->
-      let mask = exact_mask e.patterns in
-      if mask < 0 then t.scan_entries <- e :: t.scan_entries
-      else begin
-        if not (List.mem mask !masks) then masks := mask :: !masks;
-        let key = index_key_patterns mask e.patterns in
-        let bucket = match Hashtbl.find_opt t.index key with Some b -> b | None -> [] in
-        Hashtbl.replace t.index key (e :: bucket)
-      end)
-    (List.rev t.entries);
-  t.group_masks <- Array.of_list !masks
 
 let insert t ?(priority = 0) ~patterns action =
   if Array.length patterns <> Array.length t.match_keys then
@@ -176,16 +93,13 @@ let insert t ?(priority = 0) ~patterns action =
   t.next_id <- t.next_id + 1;
   t.next_seq <- t.next_seq + 1;
   t.entries <- List.sort entry_order (entry :: t.entries);
-  rebuild_lookup t;
   Obs.Counter.incr c_inserts;
   entry.id
 
 let remove t id =
   let before = List.length t.entries in
   t.entries <- List.filter (fun e -> e.id <> id) t.entries;
-  let removed = List.length t.entries < before in
-  if removed then rebuild_lookup t;
-  removed
+  List.length t.entries < before
 
 let set_action t id action =
   match List.find_opt (fun e -> e.id = id) t.entries with
@@ -203,24 +117,9 @@ let read_fields t ~ctxt =
   done;
   fields
 
-(* Probe one index bucket per wildcard shape, carrying the best candidate
-   so far; top level (not a closure) so the hot path allocates nothing. *)
-let rec best_indexed t fields i best =
-  if i >= Array.length t.group_masks then best
-  else begin
-    let mask = Array.unsafe_get t.group_masks i in
-    let candidate =
-      match Hashtbl.find t.index (index_key_fields mask fields) with
-      | bucket -> first_match fields bucket
-      | exception Not_found -> no_entry
-    in
-    best_indexed t fields (i + 1) (better best candidate)
-  end
-
-(* Best matching entry ([no_entry] if none): index buckets, then the
-   Mask/Between scan list, best overall by [entry_order]. *)
-let find_entry t fields =
-  better (best_indexed t fields 0 no_entry) (first_match fields t.scan_entries)
+(* Best matching entry ([no_entry] if none): [entries] is sorted, so the
+   first match wins. *)
+let find_entry t fields = first_match fields t.entries
 
 (* ------------------------------------------------------------------ *)
 (* Lookup (DESIGN.md section 13)                                       *)
@@ -250,17 +149,17 @@ let set_result (b : Batch.t) s v =
   b.Batch.steps.(s) <- 0;
   b.Batch.denied.(s) <- 0
 
-(* Match resolution stays per slot (field reads + index probes are
-   cheap), and when every slot resolves to the same [Run] action — the
-   common case for learned tables, where one installed program serves a
-   wildcard entry or the default — the whole batch is dispatched through
-   one {!Vm.invoke_batch}, so the program's model inference and
-   instruction dispatch amortize across the events.  Mixed batches run
-   each slot's action on its own, through {!Vm.invoke_slot} for [Run];
-   [Host] actions are foreign code and their exceptions propagate.  A
-   slot that already trapped in an earlier table of the same hook is
-   skipped: it is neither matched nor counted nor run, and keeps its trap
-   marker. *)
+(* Match resolution stays per slot (field reads plus a scan of a short
+   priority-ordered entry list), and when every slot resolves to the same
+   [Run] action — the common case for learned tables, where one installed
+   program serves a wildcard entry or the default — the whole batch is
+   dispatched through one {!Vm.invoke_batch}, so the program's model
+   inference and instruction dispatch amortize across the events.  Mixed
+   batches run each slot's action on its own, through {!Vm.invoke_slot}
+   for [Run]; [Host] actions are foreign code and their exceptions
+   propagate.  A slot that already trapped in an earlier table of the same
+   hook is skipped: it is neither matched nor counted nor run, and keeps
+   its trap marker. *)
 let lookup_batch t (b : Batch.t) ~now =
   let n = b.Batch.n in
   if n > 0 then begin
@@ -296,11 +195,6 @@ let lookup_entry t ~ctxt =
   let e = find_entry t (read_fields t ~ctxt) in
   if e == no_entry then None else Some e.id
 
-(* Reference lookup: full scan of the sorted entry list.  Kept as the
-   differential-test oracle for the indexed path. *)
-let lookup_entry_linear t ~ctxt =
-  let e = first_match (read_fields t ~ctxt) t.entries in
-  if e == no_entry then None else Some e.id
 let hits t = t.total_hits
 let default_hits t = t.default_hits
 
@@ -310,8 +204,7 @@ let entry_hits t id =
 let clear t =
   t.entries <- [];
   t.total_hits <- 0;
-  t.default_hits <- 0;
-  rebuild_lookup t
+  t.default_hits <- 0
 
 let pp_pattern fmt = function
   | Any -> Format.fprintf fmt "*"

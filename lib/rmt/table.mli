@@ -9,10 +9,9 @@
     plane — "statically encoded in the RMT program or dynamically inserted
     or removed via an API at runtime".
 
-    Lookup is indexed: entries whose patterns are all [Eq]/[Any] are hashed
-    on their matched-field tuple (one hash probe per distinct wildcard
-    shape), so exact-match tables dispatch in O(1) regardless of entry
-    count; [Mask]/[Between] entries fall back to a priority-ordered scan.
+    Lookup scans the entries in priority order and stops at the first
+    match, so its cost grows with the entry count; the tables the
+    experiments and the serving plane build hold at most a dozen entries.
     Field reads go through a preallocated scratch buffer, so matching
     allocates nothing and performs exactly one {!Ctxt.get} per match key. *)
 
@@ -59,11 +58,6 @@ val lookup_batch : t -> Batch.t -> now:(unit -> int) -> unit
 
 val lookup_entry : t -> ctxt:Ctxt.t -> entry_id option
 (** Which entry would fire, without running its action. *)
-
-val lookup_entry_linear : t -> ctxt:Ctxt.t -> entry_id option
-(** Reference lookup: full priority-ordered scan, no index.  Same answer as
-    {!lookup_entry} by construction; kept as the oracle for the indexed
-    path's differential tests. *)
 
 val hits : t -> int
 val default_hits : t -> int

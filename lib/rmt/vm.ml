@@ -36,7 +36,7 @@ type grace = {
 
 type t = {
   mutable loaded : Loaded.t;
-  mutable engine : engine;
+  engine : engine;
   mutable compiled : Jit.compiled option;
   (* The limiter needs a creation timestamp, which is only known at the
      first invocation; hence the deferred initialization below. *)
@@ -58,12 +58,6 @@ let create ?(engine = Jit_compiled) loaded =
     grace = None }
 
 let engine t = t.engine
-
-let set_engine t e =
-  t.engine <- e;
-  match e with
-  | Jit_compiled -> if t.compiled = None then t.compiled <- Some (Jit.compile t.loaded)
-  | Interpreted -> ()
 
 let loaded t = t.loaded
 let traps t = t.traps

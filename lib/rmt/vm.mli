@@ -21,8 +21,6 @@ val create : ?engine:engine -> Loaded.t -> t
 (** Default engine: [Jit_compiled]. *)
 
 val engine : t -> engine
-val set_engine : t -> engine -> unit
-(** Switching to [Jit_compiled] (re)compiles. *)
 
 val loaded : t -> Loaded.t
 

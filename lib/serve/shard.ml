@@ -206,7 +206,6 @@ module Datapath = struct
     ctxts : (int, Rmt.Ctxt.t) Hashtbl.t; (* tenant -> pinned slab *)
     now_cell : int array; (* drain timestamp; the control clock reads it *)
     chunk_cell : int array; (* monotonically increasing chunk id *)
-    mutable tenant_order : int list; (* first-touch order, digest fold *)
   }
 
   let mix h v =
@@ -238,15 +237,13 @@ module Datapath = struct
         batch = Rmt.Batch.create ~capacity:max_batch;
         ctxts = Hashtbl.create 64;
         now_cell = Array.make 1 0;
-        chunk_cell = Array.make 1 0;
-        tenant_order = [] }
+        chunk_cell = Array.make 1 0 }
     in
     Rmt.Control.set_clock control (fun () -> d.now_cell.(0));
     d
 
-  (* First touch of a tenant: allocate its context slab and give it an
-     exact-match table entry (the paper's per-process entry insertion).
-     Every entry runs the same installed program, so batches stay
+  (* First touch of a tenant allocates its context slab.  The table
+     default runs the installed program for every tenant, so batches stay
      uniform-[Run] and keep the SoA kernel. *)
   let ctxt_for d tenant =
     match Hashtbl.find d.ctxts tenant with
@@ -254,10 +251,6 @@ module Datapath = struct
     | exception Not_found ->
       let c = Rmt.Ctxt.create () in
       Hashtbl.replace d.ctxts tenant c;
-      ignore
-        (Rmt.Table.insert d.table ~patterns:[| Rmt.Table.Eq tenant |] (Rmt.Table.Run d.vm)
-          : Rmt.Table.entry_id);
-      d.tenant_order <- tenant :: d.tenant_order;
       c
 
   (* Fill batch slots from event [i] until the stream ends or a tenant
@@ -311,10 +304,9 @@ module Datapath = struct
     run_from d tenants pages n 0
 
   let digest d =
-    List.fold_left
-      (fun acc tenant ->
-        acc lxor mix tenant (Rmt.Ctxt.get (Hashtbl.find d.ctxts tenant) digest_key))
-      0 d.tenant_order
+    Hashtbl.fold
+      (fun tenant ctxt acc -> acc lxor mix tenant (Rmt.Ctxt.get ctxt digest_key))
+      d.ctxts 0
 
   let tenant_count d = Hashtbl.length d.ctxts
   let control d = d.control

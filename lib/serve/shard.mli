@@ -72,10 +72,11 @@ val wake_force : t -> unit
 
     A shard-private {!Rmt.Control} running the prefetch collect program
     behind a per-shard circuit breaker: per-tenant execution-context
-    slabs and exact-match table entries are created on first touch, every
-    batch goes through {!Rmt.Control.fire_batch} (uniform-[Run] batches
-    keep the SoA kernel), and each slot's decision folds into a rolling
-    per-tenant digest stored at a reserved dense context key. *)
+    slabs are created on first touch, the table's default action runs
+    the program for every tenant (no per-tenant entries, so every batch
+    is uniform-[Run] and keeps the SoA kernel), every batch goes through
+    {!Rmt.Control.fire_batch}, and each slot's decision folds into a
+    rolling per-tenant digest stored at a reserved dense context key. *)
 
 module Datapath : sig
   type dp

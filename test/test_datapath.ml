@@ -1,5 +1,5 @@
-(* Hot-datapath tests: the flat Ctxt store and the indexed Table against
-   naive oracles, a structured interpreter/JIT differential over the full
+(* Hot-datapath tests: the flat Ctxt store and the Table against naive
+   oracles, a structured interpreter/JIT differential over the full
    ISA (maps, helpers, ML ops, privacy), steady-state allocation checks,
    and the JIT unit cache keyed by loaded-instance identity. *)
 
@@ -51,7 +51,7 @@ let test_ctxt_range_across_boundary () =
   Alcotest.(check int) "cleared" 0 (Rmt.Ctxt.get ctxt 125);
   Alcotest.(check bool) "cleared mem" false (Rmt.Ctxt.mem ctxt 125)
 
-(* ---------------- Table index vs. linear-scan oracle ---------------- *)
+(* ---------------- Table vs. priority spec model ---------------- *)
 
 let random_pattern ri =
   match ri 7 with
@@ -62,8 +62,8 @@ let random_pattern ri =
     let lo = ri 4 in
     Rmt.Table.Between (lo, lo + ri 3)
 
-let prop_table_index_matches_linear =
-  QCheck2.Test.make ~name:"indexed table lookup = linear-scan oracle" ~count:300
+let prop_table_matches_spec =
+  QCheck2.Test.make ~name:"table lookup = priority spec model" ~count:300
     QCheck2.Gen.(int_range 0 1_000_000)
     (fun seed ->
       let rng = Kml.Rng.create seed in
@@ -74,36 +74,57 @@ let prop_table_index_matches_linear =
           ~match_keys:(Array.init arity (fun i -> i))
           ~default:(Rmt.Table.Const (-1))
       in
-      let ids =
-        List.init
-          (ri 16)
-          (fun _ ->
-            Rmt.Table.insert table ~priority:(ri 3)
-              ~patterns:(Array.init arity (fun _ -> random_pattern ri))
-              (Rmt.Table.Const (ri 100)))
+      (* The spec: live entries as (id, priority, patterns), in insertion
+         order; of those that match, the highest priority wins, then the
+         earliest insert. *)
+      let live =
+        ref
+          (List.init
+             (ri 16)
+             (fun _ ->
+               let priority = ri 3 in
+               let patterns = Array.init arity (fun _ -> random_pattern ri) in
+               let id =
+                 Rmt.Table.insert table ~priority ~patterns (Rmt.Table.Const (ri 100))
+               in
+               (id, priority, patterns)))
+      in
+      let spec fields =
+        List.fold_left
+          (fun best (id, priority, patterns) ->
+            let matches = Array.for_all2 Rmt.Table.pattern_matches patterns fields in
+            match best with
+            | Some (_, p) when p >= priority -> best
+            | _ when matches -> Some (id, priority)
+            | _ -> best)
+          None !live
+        |> Option.map fst
       in
       let agree () =
         let ctxt = Rmt.Ctxt.create () in
         for k = 0 to arity - 1 do
           if ri 4 > 0 then Rmt.Ctxt.set ctxt k (ri 6)
         done;
-        Rmt.Table.lookup_entry table ~ctxt = Rmt.Table.lookup_entry_linear table ~ctxt
+        let fields = Array.init arity (Rmt.Ctxt.get ctxt) in
+        Rmt.Table.lookup_entry table ~ctxt = spec fields
       in
       let ok = ref true in
       for _ = 1 to 20 do
         if not (agree ()) then ok := false
       done;
-      (* removal must rebuild the index consistently *)
-      List.iteri (fun i id -> if i mod 3 = 0 then ignore (Rmt.Table.remove table id)) ids;
+      live :=
+        List.filteri
+          (fun i (id, _, _) -> not (i mod 3 = 0 && Rmt.Table.remove table id))
+          !live;
       for _ = 1 to 20 do
         if not (agree ()) then ok := false
       done;
       !ok)
 
 let test_table_priority_and_ties () =
-  (* Exact-match entries across different wildcard shapes plus a scan
-     entry, all matching the same context: highest priority must win, and
-     insertion order must break ties — identical to the linear oracle. *)
+  (* Eq/Any entries of different wildcard shapes plus a Mask entry, all
+     matching the same context: highest priority must win, and insertion
+     order must break ties. *)
   let table =
     Rmt.Table.create ~name:"prio" ~match_keys:[| 0; 1 |] ~default:(Rmt.Table.Const (-1))
   in
@@ -119,8 +140,6 @@ let test_table_priority_and_ties () =
   let ctxt = Rmt.Ctxt.of_list [ (0, 5); (1, 7) ] in
   Alcotest.(check int) "mask entry wins on priority" 40
     (Single.lookup table ~ctxt ~now:now0);
-  Alcotest.(check bool) "agrees with oracle" true
-    (Rmt.Table.lookup_entry table ~ctxt = Rmt.Table.lookup_entry_linear table ~ctxt);
   ignore (Rmt.Table.remove table e_mask);
   Alcotest.(check int) "earlier insertion breaks the tie" 20
     (Single.lookup table ~ctxt ~now:now0);
@@ -434,7 +453,7 @@ let suite =
       [ QCheck_alcotest.to_alcotest prop_ctxt_matches_oracle;
         Alcotest.test_case "ctxt range across dense boundary" `Quick
           test_ctxt_range_across_boundary;
-        QCheck_alcotest.to_alcotest prop_table_index_matches_linear;
+        QCheck_alcotest.to_alcotest prop_table_matches_spec;
         Alcotest.test_case "table priority and ties" `Quick test_table_priority_and_ties;
         QCheck_alcotest.to_alcotest prop_structured_differential;
         Alcotest.test_case "jit invoke is allocation-free" `Quick

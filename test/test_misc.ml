@@ -145,21 +145,6 @@ let test_const_constructors () =
   Alcotest.(check int) "vector rows" 1 v.Rmt.Program.rows;
   Alcotest.(check int) "vector cols" 2 v.Rmt.Program.cols
 
-(* ---------------- Vm engine switching ---------------- *)
-
-let test_vm_engine_switch () =
-  let program =
-    Rmt.Program.make ~name:"p" [ Rmt.Insn.Ld_imm (0, 9); Rmt.Insn.Exit ]
-  in
-  let control = Rmt.Control.create ~engine:Rmt.Vm.Interpreted () in
-  let vm = Result.get_ok (Rmt.Control.install control program) in
-  Alcotest.(check bool) "starts interpreted" true (Rmt.Vm.engine vm = Rmt.Vm.Interpreted);
-  let r1 = (Single.run vm ~ctxt:(Rmt.Ctxt.create ()) ~now:(fun () -> 0)).Rmt.Interp.result in
-  Rmt.Vm.set_engine vm Rmt.Vm.Jit_compiled;
-  let r2 = (Single.run vm ~ctxt:(Rmt.Ctxt.create ()) ~now:(fun () -> 0)).Rmt.Interp.result in
-  Alcotest.(check int) "same result" r1 r2;
-  Alcotest.(check int) "two invocations" 2 (Rmt.Vm.invocations vm)
-
 (* ---------------- Interpreter fuel ---------------- *)
 
 let test_interp_fuel_exhaustion () =
@@ -296,8 +281,6 @@ let suite =
     ( "program_meta",
       [ Alcotest.test_case "capabilities" `Quick test_program_capabilities;
         Alcotest.test_case "const constructors" `Quick test_const_constructors ] );
-    ( "vm_engine",
-      [ Alcotest.test_case "switch" `Quick test_vm_engine_switch ] );
     ( "interp_fuel",
       [ Alcotest.test_case "exhaustion" `Quick test_interp_fuel_exhaustion ] );
     ( "loaded",

@@ -263,9 +263,12 @@ let test_registry_counters_match_accessors () =
         (Rmt.Vm.total_steps vm - steps_before)
         (delta "rmt.jit.steps" + delta "rmt.interp.steps");
       check_bool "batch slots <= served" true (delta "rmt.jit.batch_slots" <= served);
-      check_int "table inserts = first-touched tenants"
-        (Serve.Shard.Datapath.tenant_count dp)
-        (delta "rmt.table.inserts");
+      (* The table default serves every tenant: no per-tenant entries. *)
+      let table = Serve.Shard.Datapath.table dp in
+      check_int "no table inserts" 0 (delta "rmt.table.inserts");
+      check_int "no table entries" 0 (Rmt.Table.entry_count table);
+      check_int "every lookup hits the default" (Rmt.Table.hits table)
+        (Rmt.Table.default_hits table);
       List.iter
         (fun name ->
           check_bool (name ^ " is gone") true
