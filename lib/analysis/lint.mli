@@ -43,12 +43,6 @@ type finding = {
   message : string;
 }
 
-val of_report : Rmt.Verifier.report -> Rmt.Program.t -> finding list
-(** All findings for a verified program, ordered by (pc, rule).  Uses
-    only the report's [facts] array — works for reports from
-    {!Rmt.Verifier.check} and {!Rmt.Verifier.check_structure_only}
-    alike. *)
-
 val analyze : helpers:Rmt.Helper.t -> Rmt.Program.t -> (finding list, string) result
 (** Run {!Rmt.Verifier.check_structure_only} (models assumed zero-cost),
     then {!of_report}.  [Error] when the program does not verify at all
@@ -68,7 +62,6 @@ val resource_waste :
     {!Rmt.Resource} report against a budget — the Homunculus-style
     waste summary [rkdctl analyze] prints and exports. *)
 
-val severity_name : severity -> string
 val pp_finding : Format.formatter -> finding -> unit
 
 val findings_to_json : program:string -> finding list -> string

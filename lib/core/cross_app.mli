@@ -22,8 +22,6 @@ type params = {
   vote_window : int;  (** consumer observations per vote round *)
 }
 
-val default_params : params
-
 type t
 
 val create : ?params:params -> unit -> t

@@ -272,9 +272,6 @@ type t = {
   mutable cdigest : int;  (* control-plane event digest *)
 }
 
-let params t = t.params
-let ticks_run t = t.ticks
-
 (* --- workload: per-tenant concepts with scheduled drift -------------- *)
 
 (* Ground truth is an xor of two per-(tenant, phase) threshold tests —

@@ -119,11 +119,6 @@ module Rollout : sig
 
   val installs : t -> int
   (** Canary installs performed so far by this rollout. *)
-
-  val abort : t -> int
-  (** Tear the rollout down: restore pending canaries and promotions
-      (newest first) and finish it.  Returns the rollbacks performed;
-      {!step} must not be called afterwards. *)
 end
 
 type t
@@ -141,14 +136,12 @@ val create :
     draws from one process-wide rng and is only deterministic
     sequentially. *)
 
-val params : t -> params
 val tick : ?pool:Par.pool -> t -> unit
 (** One control-loop iteration: drive every shard's event slice (fanned
     over [pool] when given — results are bit-identical at any width),
     then run the sequential control step (accuracy merge, drift
     detection, episode state machines). *)
 
-val ticks_run : t -> int
 val digest : t -> int
 (** Order- and width-independent fold of every (shard, tenant) decision
     stream plus the control-plane event stream. *)

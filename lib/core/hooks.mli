@@ -21,8 +21,6 @@ val fleet_predict : string
     (DESIGN.md section 17): one protected hook per shard, with an
     exact-match table entry per tenant. *)
 
-val all : string list
-
 (** {2 Execution-context key layout}
 
     Context keys are shared between hook wiring, bytecode programs and

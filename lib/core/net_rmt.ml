@@ -310,7 +310,6 @@ let make_cc t (spec : Ksim.Flow.spec) =
     init = { Ksim.Cc.cwnd = 4; pacing_ns = 0 };
     on_signal = (fun s -> decide t ~flow:spec.Ksim.Flow.id s) }
 
-let control t = t.control
 let breaker t = t.breaker
 
 type stats = {

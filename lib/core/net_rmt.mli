@@ -28,19 +28,6 @@ type params = {
 }
 
 val default_params : params
-val n_features : int
-
-val oracle : rtt_ratio_pct:int -> ecn:bool -> loss:bool -> int
-(** The hindsight labelling rule (exposed for tests). *)
-
-val apply_action : params -> cwnd:int -> int -> int
-(** Next cwnd for an action class, clamped to [2, cwnd_cap]. *)
-
-val fallback_marker : int
-(** Negative marker the breaker fallback returns; the program is Guarded
-    to [0, n_actions) so it cannot collide with a real action. *)
-
-val build_program : params -> Rmt.Program.t
 
 type t
 
@@ -54,7 +41,6 @@ val make_cc : t -> Ksim.Flow.spec -> Ksim.Cc.t
 (** Adapter for {!Ksim.Net_sim.run}: per-flow policies sharing this
     control plane (and its online model). *)
 
-val control : t -> Rmt.Control.t
 val breaker : t -> Rmt.Breaker.t
 
 type stats = {

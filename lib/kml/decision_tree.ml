@@ -268,16 +268,7 @@ let predict_batch t ~features ~n ~out =
     out.(s) <- t.s_label.(!i)
   done
 
-let predict_dist t features =
-  check_arity t features;
-  match t.nodes.(walk_flat t features) with
-  | Leaf { counts; _ } -> Array.copy counts
-  | Split _ -> assert false
-
 let n_nodes t = Array.length t.nodes
-
-let n_leaves t =
-  Array.fold_left (fun acc n -> match n with Leaf _ -> acc + 1 | Split _ -> acc) 0 t.nodes
 
 let depth t =
   let rec go i =
@@ -288,7 +279,6 @@ let depth t =
   go 0
 
 let n_features t = t.n_features
-let n_classes t = t.n_classes
 let nodes t = Array.copy t.nodes
 
 let of_nodes ~n_features ~n_classes arr =
@@ -333,16 +323,3 @@ let feature_importance t =
   go 0;
   let total = Array.fold_left ( +. ) 0.0 importance in
   if total > 0.0 then Array.map (fun x -> x /. total) importance else importance
-
-let pp fmt t =
-  let rec go i indent =
-    match t.nodes.(i) with
-    | Leaf { label; counts } ->
-      Format.fprintf fmt "%sleaf -> %d %s@." indent label
-        (String.concat "," (Array.to_list (Array.map string_of_int counts)))
-    | Split { feature; threshold; left; right } ->
-      Format.fprintf fmt "%sf%d <= %d?@." indent feature threshold;
-      go left (indent ^ "  ");
-      go right (indent ^ "  ")
-  in
-  go 0 ""

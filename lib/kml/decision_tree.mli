@@ -54,14 +54,9 @@ val predict_batch : t -> features:int array -> n:int -> out:int array -> unit
     [out.(s)].  One flat-layout walk per slot, no per-slot feature copy,
     no allocation. *)
 
-val predict_dist : t -> int array -> int array
-(** Training-set class counts at the reached leaf. *)
-
 val n_nodes : t -> int
-val n_leaves : t -> int
 val depth : t -> int
 val n_features : t -> int
-val n_classes : t -> int
 
 type node =
   | Leaf of { label : int; counts : int array }
@@ -83,5 +78,3 @@ val feature_importance : t -> float array
 (** Impurity-based importance: total weighted Gini decrease contributed by
     splits on each feature, normalized to sum to 1 (all-zero if the tree is
     a single leaf). *)
-
-val pp : Format.formatter -> t -> unit

@@ -4,7 +4,6 @@ let frac_bits = 16
 let scale = 1 lsl frac_bits
 let one = scale
 let zero = 0
-let minus_one = -scale
 
 (* Saturation bounds: keep products of two in-range values representable in
    the 63-bit native int.  23 integer bits is ample for every feature and
@@ -56,7 +55,6 @@ let abs x = Stdlib.abs x
 let min (a : t) b = Stdlib.min a b
 let max (a : t) b = Stdlib.max a b
 let clamp ~lo ~hi x = min hi (max lo x)
-let compare (a : t) b = Stdlib.compare a b
 let equal (a : t) b = a = b
 let ( + ) = add
 let ( - ) = sub

@@ -26,11 +26,6 @@ val train : ?params:params -> rng:Rng.t -> Dataset.t -> t
 
 val predict : t -> int array -> int
 val predict_probs : t -> int array -> float array
-val logits : t -> Tensor.Vec.t -> Tensor.Vec.t
-(** Forward pass on an already-normalized float input. *)
-
-val normalize : t -> int array -> Tensor.Vec.t
-(** Apply the stored standardization to raw integer features. *)
 
 val layers : t -> layer list
 val n_features : t -> int

@@ -140,13 +140,6 @@ module Qmlp = struct
       Array.unsafe_set out s !best
     done
   let n_features t = t.n_features
-  let n_classes t = t.n_classes
-
-  let n_parameters t =
-    List.fold_left
-      (fun acc { weights; bias } ->
-        acc + (Qmat.rows weights * Qmat.cols weights) + Qvec.dim bias)
-      0 t.layers
 
   let architecture t =
     match t.layers with

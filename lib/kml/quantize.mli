@@ -19,10 +19,7 @@ module Qmlp : sig
       to [predict].  Internal batch planes grow geometrically and are
       reused — allocation-free in steady state. *)
 
-  val logits : t -> int array -> Tensor.Qvec.t
   val n_features : t -> int
-  val n_classes : t -> int
-  val n_parameters : t -> int
   val architecture : t -> int list
 end
 

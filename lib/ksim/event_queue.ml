@@ -7,7 +7,6 @@ type 'a t = {
 }
 
 let create () = { heap = [||]; len = 0; next_seq = 0 }
-let length t = t.len
 let is_empty t = t.len = 0
 
 let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
@@ -62,7 +61,3 @@ let pop t =
   end
 
 let peek_time t = if t.len = 0 then None else Some t.heap.(0).time
-
-let clear t =
-  t.len <- 0;
-  t.next_seq <- 0

@@ -6,11 +6,9 @@
 type 'a t
 
 val create : unit -> 'a t
-val length : 'a t -> int
 val is_empty : 'a t -> bool
 val push : 'a t -> time:int -> 'a -> unit
 val pop : 'a t -> (int * 'a) option
 (** Earliest event (time, payload), or [None] when empty. *)
 
 val peek_time : 'a t -> int option
-val clear : 'a t -> unit

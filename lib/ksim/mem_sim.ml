@@ -106,10 +106,3 @@ let run ?(config = default_config) ?(reset = true) ~prefetcher trace =
     completion_ns = st.now;
     stall_ns = st.stall_ns;
     device_reads = Swap_device.reads_issued st.device }
-
-let pp_result fmt r =
-  Format.fprintf fmt
-    "%-18s accesses=%d faults=%d acc=%.2f%% cov=%.2f%% completion=%.3fs stalls=%.3fs" r.prefetcher
-    r.accesses r.faults (100.0 *. r.accuracy) (100.0 *. r.coverage)
-    (float_of_int r.completion_ns /. 1e9)
-    (float_of_int r.stall_ns /. 1e9)

@@ -25,10 +25,6 @@ type config = {
   max_prefetch_per_access : int;
 }
 
-val default_config : config
-(** 4096-page cache, 1 µs of CPU per access, 50 µs swap reads, at most 32
-    prefetches per access. *)
-
 type result = {
   prefetcher : string;
   accesses : int;
@@ -46,5 +42,3 @@ type result = {
 val run : ?config:config -> ?reset:bool -> prefetcher:Prefetcher.t -> access list -> result
 (** The prefetcher is [reset] before the run unless [reset:false] is given
     (used to carry learned state across a workload shift). *)
-
-val pp_result : Format.formatter -> result -> unit

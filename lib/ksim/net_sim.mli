@@ -17,8 +17,6 @@ type config = {
   horizon_ns : int;  (** hard stop; unfinished flows are censored here *)
 }
 
-val default_config : config
-
 type flow_report = {
   f_id : int;
   f_size : int;

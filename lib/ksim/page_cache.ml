@@ -51,7 +51,6 @@ let create ~capacity =
     hit_ready = 0;
     hit_first_use = false }
 
-let capacity t = t.capacity
 let resident t = t.resident
 
 (* Multiplicative hashing: the top bits of the product. *)
@@ -138,10 +137,3 @@ let insert t ~page ~origin ~ready_time =
 
 let contains t ~page = t.index.(find t page) >= 0
 let evicted_unused_prefetches t = t.evicted_unused
-
-let clear t =
-  Array.fill t.index 0 (Array.length t.index) (-1);
-  t.resident <- 0;
-  t.head <- -1;
-  t.tail <- -1;
-  t.evicted_unused <- 0

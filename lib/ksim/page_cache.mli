@@ -17,7 +17,6 @@ type origin = Demand | Prefetch
 type t
 
 val create : capacity:int -> t
-val capacity : t -> int
 val resident : t -> int
 
 val lookup : t -> page:int -> bool
@@ -42,5 +41,3 @@ val insert : t -> page:int -> origin:origin -> ready_time:int -> unit
 val contains : t -> page:int -> bool
 val evicted_unused_prefetches : t -> int
 (** Prefetched pages that were evicted before first use (wasted). *)
-
-val clear : t -> unit

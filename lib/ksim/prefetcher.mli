@@ -19,9 +19,3 @@ val none : t
 val next_n : depth:int -> t
 (** Unconditionally prefetches the next [depth] pages — the strawman upper
     bound on aggressiveness. *)
-
-val with_failover : primary:t -> fallback:t -> degraded:(unit -> bool) -> t
-(** Per-access failover: while [degraded ()] holds, every access is
-    served by [fallback] instead of [primary] (e.g. stock readahead while
-    the learned prefetcher's circuit breaker is open); [reset] resets
-    both. *)

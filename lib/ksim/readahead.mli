@@ -18,5 +18,4 @@ type params = {
   max_window : int;
 }
 
-val default_params : params
 val create : ?params:params -> unit -> Prefetcher.t

@@ -14,7 +14,6 @@ type t = {
 }
 
 let create ~cpu = { cpu; tree = S.empty; load = 0; min_vruntime = 0 }
-let cpu t = t.cpu
 
 let key (task : Task.t) = (task.Task.vruntime, task.Task.id)
 
@@ -56,5 +55,4 @@ let remove t task =
 let nr_running t = S.cardinal t.tree
 let load t = t.load
 let min_vruntime t = t.min_vruntime
-let iter f t = S.iter (fun _ task -> f task) t.tree
 let to_list t = List.map snd (S.bindings t.tree)

@@ -4,7 +4,6 @@
 type t
 
 val create : cpu:int -> t
-val cpu : t -> int
 val enqueue : t -> Task.t -> unit
 (** Raises [Invalid_argument] if the task is already queued here. *)
 
@@ -22,8 +21,5 @@ val load : t -> int
 val min_vruntime : t -> int
 (** Monotonically-maintained floor used to place newly woken tasks; never
     decreases. *)
-
-val iter : (Task.t -> unit) -> t -> unit
-(** In vruntime order. *)
 
 val to_list : t -> Task.t list

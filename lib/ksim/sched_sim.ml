@@ -75,9 +75,3 @@ let collect ?params ~workload () =
       mean_task_ns = total_task_ns /. float_of_int (Stdlib.max 1 (List.length tasks)) } )
 
 let decider_of_predict predict ~features ~heuristic:_ = predict features = 1
-
-let pp_result fmt r =
-  Format.fprintf fmt "%-14s %-16s jct=%.3fs migrations=%d decisions=%d agreement=%.2f%%"
-    r.workload r.decider
-    (float_of_int r.jct_ns /. 1e9)
-    r.migrations r.decisions (100.0 *. r.agreement)

@@ -25,5 +25,3 @@ val collect : ?params:Cfs.params -> workload:string -> unit -> Kml.Dataset.t * r
 
 val decider_of_predict : (int array -> int) -> Cfs.decider
 (** Wrap a trained classifier (class 1 = migrate) as a decider. *)
-
-val pp_result : Format.formatter -> result -> unit

@@ -14,4 +14,3 @@ let advance_to t time =
 let reader t () = t.now
 let us n = n * 1_000
 let ms n = n * 1_000_000
-let sec n = n * 1_000_000_000

@@ -22,4 +22,3 @@ val us : int -> int
 (** Microseconds to nanoseconds. *)
 
 val ms : int -> int
-val sec : int -> int

@@ -9,8 +9,6 @@ let create ?(service_time_ns = 50_000) () =
   if service_time_ns <= 0 then invalid_arg "Swap_device.create: service time must be positive";
   { service_time_ns; busy_until = 0; reads = 0; busy_ns = 0 }
 
-let service_time_ns t = t.service_time_ns
-
 let read t ~now =
   let start = Stdlib.max now t.busy_until in
   let done_at = start + t.service_time_ns in
@@ -19,11 +17,5 @@ let read t ~now =
   t.busy_ns <- t.busy_ns + t.service_time_ns;
   done_at
 
-let busy_until t = t.busy_until
 let reads_issued t = t.reads
 let busy_ns t = t.busy_ns
-
-let reset t =
-  t.busy_until <- 0;
-  t.reads <- 0;
-  t.busy_ns <- 0

@@ -13,13 +13,9 @@ val create : ?service_time_ns:int -> unit -> t
 (** Default service time: 50 µs per page (fast-SSD swap, in the range the
     Leap paper reports for remote memory). *)
 
-val service_time_ns : t -> int
 val read : t -> now:int -> int
 (** Enqueue one page read issued at [now]; returns its completion time. *)
 
-val busy_until : t -> int
 val reads_issued : t -> int
 val busy_ns : t -> int
 (** Total time the device has spent (or is committed to spend) servicing. *)
-
-val reset : t -> unit

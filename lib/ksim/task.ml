@@ -52,7 +52,3 @@ let charge t dt =
   t.runtime_ns <- t.runtime_ns + dt;
   (* vruntime advances inversely to weight, as in CFS. *)
   t.vruntime <- t.vruntime + (dt * default_weight / t.weight)
-
-let pp fmt t =
-  Format.fprintf fmt "task%d(w=%d, rem=%dus, cpu=%d, mig=%d)" t.id t.weight
-    (t.remaining_work_ns / 1000) t.cpu t.migrations

@@ -40,5 +40,3 @@ val is_sleeper : t -> bool
 val charge : t -> int -> unit
 (** Account [dt] of CPU time: advances vruntime (scaled by weight), burst
     and work accounting. *)
-
-val pp : Format.formatter -> t -> unit

@@ -63,7 +63,6 @@ let make_cells n =
       c)
 
 let cells_sum cells = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 cells
-let cells_reset cells = Array.iter (fun c -> Atomic.set c 0) cells
 
 (* ---------------- interning ---------------- *)
 
@@ -209,7 +208,6 @@ module Histo = struct
       walk 0 0
     end
 
-  let name t = t.h_name
 end
 
 module Trace = struct
@@ -324,12 +322,6 @@ module Trace = struct
   let set_current_hook id = Domain.DLS.get hook_dls := id
   let current_hook () = !(Domain.DLS.get hook_dls)
 
-  let reset () =
-    let r = !ring in
-    Atomic.set r.head 0;
-    Atomic.set r.drops 0;
-    r.frozen <- false;
-    Array.fill r.data 0 (Array.length r.data) 0
 end
 
 (* ---------------- snapshots ---------------- *)
@@ -587,15 +579,6 @@ module Registry = struct
           trace_dropped = Trace.dropped ();
           trace_capacity = Trace.capacity () })
 
-  let reset_metrics () =
-    with_lock registry_lock (fun () ->
-        Hashtbl.iter (fun _ c -> cells_reset c.c_cells) counters;
-        Hashtbl.iter
-          (fun _ h ->
-            cells_reset h.h_counts;
-            cells_reset h.h_sums)
-          histos;
-        Trace.reset ())
 end
 
 (* The stripe-capacity guard is observable like any other health signal:

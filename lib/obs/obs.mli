@@ -109,8 +109,6 @@ module Histo : sig
       contains the [ceil (p * count)]-th smallest observation; 0 when the
       histogram is empty.  A read-time estimate: resolution is the bucket
       width (a factor of 2). *)
-
-  val name : t -> string
 end
 
 module Trace : sig
@@ -234,9 +232,4 @@ module Registry : sig
       Per-cell reads are atomic; the snapshot as a whole is not a global
       barrier (counts being incremented concurrently land in this
       snapshot or the next). *)
-
-  val reset_metrics : unit -> unit
-  (** Zeroes every counter and histogram cell and resets the trace
-      ring counters.  Views are left alone (their storage is elsewhere).
-      Test isolation helper; not for the datapath. *)
 end

@@ -21,8 +21,6 @@ module Interval = struct
 
   let mem v t = t.lo <= v && v <= t.hi
   let is_const t = t.lo = t.hi
-  let const_value t = if t.lo = t.hi then Some t.lo else None
-  let nonneg t = t.lo >= 0
   let equal a b = a.lo = b.lo && a.hi = b.hi
   let join a b = { lo = Stdlib.min a.lo b.lo; hi = Stdlib.max a.hi b.hi }
 

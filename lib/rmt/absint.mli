@@ -41,12 +41,6 @@ module Interval : sig
   val mem : int -> t -> bool
   val is_const : t -> bool
 
-  val const_value : t -> int option
-  (** [Some v] when the interval pins a single value ([is_const]). *)
-
-  val nonneg : t -> bool
-  (** Every value in the interval is [>= 0]. *)
-
   val equal : t -> t -> bool
   val join : t -> t -> t
   val meet : t -> t -> t option  (** [None] when disjoint. *)

@@ -21,12 +21,3 @@ let capacity t = Array.length t.ctxts
 let set_n t n =
   if n < 0 || n > capacity t then invalid_arg "Batch.set_n: out of range";
   t.n <- n
-
-let reset t =
-  for s = 0 to capacity t - 1 do
-    Ctxt.clear t.ctxts.(s);
-    t.results.(s) <- 0;
-    t.steps.(s) <- 0;
-    t.denied.(s) <- 0;
-    t.traps.(s) <- None
-  done

@@ -28,10 +28,5 @@ val create : capacity:int -> t
 (** Fresh batch with [capacity] slots (each with its own empty context)
     and [n = capacity]. *)
 
-val capacity : t -> int
-
 val set_n : t -> int -> unit
 (** Raises [Invalid_argument] outside [0, capacity]. *)
-
-val reset : t -> unit
-(** Clear every slot context and result column; [n] is untouched. *)

@@ -23,10 +23,6 @@ type config = {
   saturation_streak : int;  (** consecutive throttled firings treated as a failure *)
 }
 
-val default_config : config
-(** 3 failures to open, 2 probes to close, 1ms..1s backoff, 10% jitter,
-    0.5 guardrail rate, 8-firing saturation streak. *)
-
 type t
 
 val create : ?config:config -> ?seed:int -> string -> t
@@ -57,5 +53,4 @@ val retry_at : t -> int
 
 val opens : t -> int
 val closes : t -> int
-val transitions : t -> int
 val consecutive_failures : t -> int

@@ -31,15 +31,9 @@ val place : t -> label -> unit
 val emit : t -> Insn.t -> unit
 val jump : t -> target:label -> unit
 val jump_if : t -> Insn.cond -> reg:Insn.reg -> imm:int -> target:label -> unit
-val jump_if_reg : t -> Insn.cond -> ra:Insn.reg -> rb:Insn.reg -> target:label -> unit
-val here : t -> int
-(** Index the next emitted instruction will occupy. *)
 
 val add_const : t -> Program.const -> int
 (** Returns the constant-pool id. *)
-
-val add_map : t -> Map_store.spec -> int
-(** Returns the map slot. *)
 
 val add_model : t -> n_features:int -> int
 (** Returns the model slot. *)

@@ -89,7 +89,6 @@ let set_clock t clock =
     (fun () ->
       let n = clock () in
       if Fault.active () && Fault.fire Fault.Clock_skew then n + Fault.skew () else n)
-let now t = t.clock ()
 let register_model t ~name model = Model_store.register t.store ~name model
 
 let update_model t ~name model =

@@ -27,8 +27,6 @@ val pipeline : t -> Pipeline.t
 val set_clock : t -> (unit -> int) -> unit
 (** Wire the simulated clock (nanoseconds).  Defaults to a constant 0. *)
 
-val now : t -> int
-
 (** {2 Models} *)
 
 val register_model : t -> name:string -> Model_store.model -> Model_store.handle

@@ -51,8 +51,6 @@ let invoke t id env args =
   (* Fault seam: a misbehaving kernel helper (DESIGN.md section 12). *)
   if Fault.active () && Fault.fire Fault.Helper_fail then Fault.garbage () else r
 
-let count t = t.len
-
 (* Standard helper set.  Ids are stable: they are assigned in registration
    order below and exposed as module-level constants. *)
 let ktime_get = 0

@@ -32,8 +32,6 @@ val mem : t -> int -> bool
 val invoke : t -> int -> env -> int array -> int
 (** Raises [Invalid_argument] on an unknown id or arity mismatch. *)
 
-val count : t -> int
-
 (** {2 Standard helper ids (stable across [with_defaults])} *)
 
 (** [ktime_get ()] — current simulated time. *)

@@ -502,8 +502,6 @@ let run t ~ctxt ~now =
   let result = exec t ~ctxt ~now in
   { Interp.result; steps = t.st.steps; privacy_denied = t.st.denied }
 
-let loaded t = t.root.loaded
-
 (* --------------------------------------------------------------------- *)
 (* Batch (SoA) kernel                                                    *)
 (* --------------------------------------------------------------------- *)

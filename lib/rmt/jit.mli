@@ -46,8 +46,6 @@ val compiled_units : compiled -> int
     loaded instance's unique id, so same-named but distinct programs never
     share or evict each other's units. *)
 
-val loaded : compiled -> Loaded.t
-
 (** {2 Batched invocation}
 
     [exec_batch] runs every live slot of a {!Batch.t} through the root

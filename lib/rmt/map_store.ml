@@ -67,13 +67,6 @@ let lookup t key =
      | exception Not_found -> 0)
   | Ring _ -> 0
 
-let mem t key =
-  match t.repr with
-  | Arr a -> key >= 0 && key < Array.length a
-  | Hash h -> Hashtbl.mem h key
-  | Lru s -> Hashtbl.mem s.nodes key
-  | Ring _ -> false
-
 let update t ~key ~value =
   match t.repr with
   | Arr a -> if key >= 0 && key < Array.length a then a.(key) <- value
@@ -134,18 +127,6 @@ let size t =
   | Lru s -> Hashtbl.length s.nodes
   | Ring r -> r.len
 
-let clear t =
-  match t.repr with
-  | Arr a -> Array.fill a 0 (Array.length a) 0
-  | Hash h -> Hashtbl.reset h
-  | Lru s ->
-    Hashtbl.reset s.nodes;
-    s.head <- None;
-    s.tail <- None
-  | Ring r ->
-    r.start <- 0;
-    r.len <- 0
-
 let fold f t init =
   match t.repr with
   | Arr a ->
@@ -159,12 +140,3 @@ let fold f t init =
     let acc = ref init in
     Array.iteri (fun i v -> acc := f i v !acc) contents;
     !acc
-
-let kind_name = function
-  | Array_map -> "array"
-  | Hash_map -> "hash"
-  | Lru_hash_map -> "lru"
-  | Ring_buffer -> "ring"
-
-let pp fmt t =
-  Format.fprintf fmt "%s(cap=%d, size=%d)" (kind_name t.spec.kind) t.spec.capacity (size t)

@@ -23,7 +23,6 @@ val spec : t -> spec
 val lookup : t -> int -> int
 (** 0 when absent. *)
 
-val mem : t -> int -> bool
 val update : t -> key:int -> value:int -> unit
 val delete : t -> int -> unit
 val push : t -> int -> unit
@@ -35,8 +34,5 @@ val ring_contents : t -> int array
 val size : t -> int
 (** Current number of live entries (ring: buffered values). *)
 
-val clear : t -> unit
 val fold : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 (** Fold over key/value pairs (ring: index/value, oldest first). *)
-
-val pp : Format.formatter -> t -> unit

@@ -56,16 +56,9 @@ let find t name =
   let rec go i = if i >= t.len then None else if t.slots.(i).name = name then Some i else go (i + 1) in
   go 0
 
-let name t h =
-  check t h "name";
-  t.slots.(h).name
-
 let model t h =
   check t h "model";
   t.slots.(h).model
-
-let id h = h
-let handle_of_id t i = if i >= 0 && i < t.len then Some i else None
 
 let predict t h features =
   check t h "predict";

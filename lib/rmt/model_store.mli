@@ -22,10 +22,7 @@ val replace : t -> handle -> model -> unit
 (** Swap the model in a slot (same feature arity required). *)
 
 val find : t -> string -> handle option
-val name : t -> handle -> string
 val model : t -> handle -> model
-val id : handle -> int
-val handle_of_id : t -> int -> handle option
 val n_features : model -> int
 val cost : model -> Kml.Model_cost.t
 val predict : t -> handle -> int array -> int

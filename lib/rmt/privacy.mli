@@ -14,7 +14,6 @@ val create : epsilon_milli:int -> account
 (** Raises [Invalid_argument] on a negative budget. *)
 
 val remaining_milli : account -> int
-val spent_milli : account -> int
 val denials : account -> int
 
 type grant = Granted of { epsilon_milli : int } | Denied

@@ -337,15 +337,7 @@ let throttled_units t =
 let guardrail_violations t =
   match t.loaded.Loaded.guardrail with Some g -> Guardrail.violations g | None -> 0
 
-let guardrail_violation_rate t =
-  match t.loaded.Loaded.guardrail with Some g -> Guardrail.violation_rate g | None -> 0.0
-
 let guardrail_degraded t ~rate =
   match t.loaded.Loaded.guardrail with
   | Some g -> Guardrail.violation_rate_ge g rate
   | None -> false
-
-let privacy_remaining_milli t =
-  match t.loaded.Loaded.privacy with
-  | Some acct -> Some (Privacy.remaining_milli acct)
-  | None -> None

@@ -98,13 +98,8 @@ val traps : t -> int
 
 val guardrail_violations : t -> int
 
-val guardrail_violation_rate : t -> float
-(** Recent-window violation rate of the program's guardrail, 0.0 when the
-    program declares none (see {!Guardrail.violation_rate}). *)
-
 val guardrail_degraded : t -> rate:float -> bool
-(** [guardrail_violation_rate t >= rate], without boxing a float return
+(** The guardrail's recent-window violation rate is [>= rate] (false when
+    the program declares none), without boxing a float return
     — the pipeline health monitor calls this once per batch on the
     serving hot path (see {!Guardrail.violation_rate_ge}). *)
-
-val privacy_remaining_milli : t -> int option
