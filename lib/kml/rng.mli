@@ -9,7 +9,6 @@ type t
 val create : int -> t
 (** [create seed] builds a generator; equal seeds yield equal streams. *)
 
-val copy : t -> t
 val next : t -> int
 (** Uniform in \[0, 2^62). *)
 

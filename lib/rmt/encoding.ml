@@ -299,6 +299,3 @@ let decode data =
      corrupted image must never escape as an exception (decode-fuzz
      audited; see Fuzz.decode_fuzz). *)
   | Failure msg -> Error msg
-
-let decode_exn data =
-  match decode data with Ok p -> p | Error e -> failwith ("Encoding.decode: " ^ e)

@@ -26,11 +26,6 @@ let of_report (report : Verifier.report) (prog : Program.t) =
       + Array.length prog.Program.model_arity
       + prog.Program.n_prog_slots }
 
-let within t b =
-  t.steps <= b.max_steps
-  && t.scratch_words <= b.max_scratch_words
-  && t.table_slots <= b.max_table_slots
-
 let violations t b =
   let over what used allowed acc =
     if used > allowed then

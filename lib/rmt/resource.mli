@@ -33,8 +33,6 @@ val default_budget : budget
 val of_report : Verifier.report -> Program.t -> t
 (** Derive the report for a verified program. *)
 
-val within : t -> budget -> bool
-
 val violations : t -> budget -> string list
 (** Human-readable budget violations; [[]] iff {!within}. *)
 

@@ -341,7 +341,7 @@ let test_resource_report () =
   Alcotest.(check string) "program name" "spec" r.Resource.program;
   Alcotest.(check int) "worst-case steps" 132 r.Resource.steps;
   Alcotest.(check bool) "fits the default budget" true
-    (Resource.within r Resource.default_budget);
+    (Resource.violations r Resource.default_budget = []);
   let tiny = { Resource.default_budget with Resource.max_steps = 1 } in
   Alcotest.(check bool) "violations reported" true (Resource.violations r tiny <> []);
   let json = Resource.to_json r in

@@ -35,10 +35,13 @@ let program_equal (a : Rmt.Program.t) (b : Rmt.Program.t) =
          x.name = y.name && x.rows = y.rows && x.cols = y.cols && x.data = y.data)
        a.consts b.consts
 
+let decode_ok data =
+  match Rmt.Encoding.decode data with Ok p -> p | Error e -> Alcotest.fail e
+
 let test_roundtrip_sample () =
   let encoded = Rmt.Encoding.encode sample_program in
   Alcotest.(check string) "magic" "RMTB" (Bytes.sub_string encoded 0 4);
-  let decoded = Rmt.Encoding.decode_exn encoded in
+  let decoded = decode_ok encoded in
   Alcotest.(check bool) "identical" true (program_equal sample_program decoded)
 
 let test_negative_operands_roundtrip () =
@@ -49,7 +52,7 @@ let test_negative_operands_roundtrip () =
         Rmt.Insn.Mov (0, 1);
         Rmt.Insn.Exit ]
   in
-  let decoded = Rmt.Encoding.decode_exn (Rmt.Encoding.encode program) in
+  let decoded = decode_ok (Rmt.Encoding.encode program) in
   Alcotest.(check bool) "negative immediates survive" true (program_equal program decoded)
 
 let test_corruption_rejected () =
@@ -117,7 +120,7 @@ let prop_roundtrip_random =
       match Rmt.Verifier.check ~helpers ~model_costs:[||] program with
       | Error _ -> QCheck2.assume_fail ()
       | Ok _ ->
-        let decoded = Rmt.Encoding.decode_exn (Rmt.Encoding.encode program) in
+        let decoded = decode_ok (Rmt.Encoding.encode program) in
         program_equal program decoded)
 
 let suite =

@@ -130,11 +130,7 @@ let test_pipeline_fire_order () =
   Alcotest.(check (option int)) "single event gets the fallback" (Some 99)
     (trapping (fun () -> Rmt.Control.fire control ~hook:"h" ~ctxt:b.Rmt.Batch.ctxts.(0)));
   Alcotest.(check bool) "fired healthy" true (fire ());
-  Alcotest.(check bool) "marker cleared on the next firing" true (slot 0 = (None, 2));
-  Alcotest.(check bool) "detach" true (Rmt.Pipeline.detach p ~hook:"h" ~name:"b");
-  Alcotest.(check bool) "fired after detach" true (fire ());
-  Alcotest.(check bool) "first table decides after detach" true
-    (slot 0 = (None, 7) && slot 1 = (None, 1))
+  Alcotest.(check bool) "marker cleared on the next firing" true (slot 0 = (None, 2))
 
 (* ---------------- Control plane ---------------- *)
 
