@@ -313,7 +313,8 @@ let print_fleet fmt (r : Fleet.report) =
     (float_of_int r.Fleet.mean_accuracy_milli /. 10.0)
     r.Fleet.digest
 
-let fleet_checks ?(faulted = false) ?(attempts_bound = 2) (r : Fleet.report) =
+let fleet_checks ?(faulted = false) (r : Fleet.report) =
+  let attempts_bound = 2 in
   let sum f = Array.fold_left (fun acc v -> acc + f v) 0 r.Fleet.per_tenant in
   let accounted =
     sum (fun v -> v.Fleet.t_rollbacks) = r.Fleet.rollbacks

@@ -14,7 +14,8 @@ type result = {
 }
 
 let search ~rng ?(trials = 12) ?(budget = Model_cost.default_budget)
-    ?(widths = [| 4; 8; 16; 32 |]) ?(depths = [| 1; 2 |]) ~train ~validation () =
+    ?(widths = [| 4; 8; 16; 32 |]) ~train ~validation () =
+  let depths = [| 1; 2 |] in
   if Dataset.length train = 0 then invalid_arg "Nas.search: empty training set";
   let nf = Dataset.n_features train and nc = Dataset.n_classes train in
   (* Trials are independent: trial [i] draws its hyper-parameters and its

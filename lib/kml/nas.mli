@@ -26,13 +26,12 @@ val search :
   ?trials:int ->
   ?budget:Model_cost.budget ->
   ?widths:int array ->
-  ?depths:int array ->
   train:Dataset.t ->
   validation:Dataset.t ->
   unit ->
   result
 (** [search ~rng ~train ~validation ()] samples [trials] (default 12)
     architectures with hidden widths from [widths] (default [|4;8;16;32|])
-    and depth from [depths] (default [|1;2|]), trains the admissible ones
+    and 1 or 2 hidden layers, trains the admissible ones
     and returns the best by validation accuracy (ties: cheaper wins).
     Raises [Invalid_argument] if no candidate fits the budget. *)

@@ -54,8 +54,8 @@ module Cubic = struct
   let beta_num = 7 (* beta = 0.7 *)
   let beta_den = 10
 
-  let create ?(init_cwnd = 4) () =
-    { cwnd = max 2 init_cwnd;
+  let create () =
+    { cwnd = 4;
       ssthresh = max_int;
       w_max = 0;
       epoch_start_ns = -1;

@@ -30,7 +30,9 @@ val icbrt : int -> int
 module Cubic : sig
   type state
 
-  val create : ?init_cwnd:int -> unit -> state
+  val create : unit -> state
+  (** Slow start from a 4-packet window. *)
+
   val on_signal : state -> signal -> decision
   val cwnd : state -> int
   val w_max : state -> int

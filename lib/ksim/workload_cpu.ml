@@ -1,6 +1,7 @@
 let ms = 1_000_000
 
-let blackscholes ?(workers = 48) ?(work_ms = 250) () =
+let blackscholes () =
+  let workers = 48 and work_ms = 250 in
   (* Option chunks are not perfectly equal and worker threads start in
      waves as the main thread partitions the input, so per-worker work and
      arrival are skewed — this is what gives the load balancer work. *)
@@ -8,7 +9,8 @@ let blackscholes ?(workers = 48) ?(work_ms = 250) () =
       let work = work_ms * (60 + (9 * (id mod 10))) / 100 in
       Task.create ~id ~arrival_ns:(id mod 8 * 120 * ms) ~total_work_ns:(work * ms) ())
 
-let streamcluster ?(workers = 16) ?(phases = 40) ?(phase_ms = 40) () =
+let streamcluster () =
+  let workers = 16 and phases = 40 and phase_ms = 40 in
   (* Workers compute for a phase then sleep at the barrier; modelled as a
      burst/sleep cycle with slightly skewed per-worker phase lengths so the
      barrier wait (sleep) differs per worker, creating imbalance. *)
@@ -20,7 +22,8 @@ let streamcluster ?(workers = 16) ?(phases = 40) ?(phase_ms = 40) () =
         ~total_work_ns:(phases * phase_ms * ms)
         ())
 
-let fib ?(depth = 11) ?(unit_ms = 8) () =
+let fib () =
+  let depth = 11 and unit_ms = 8 in
   (* Unbalanced spawn tree: a node at depth d has work ~ fib(depth - d) time
      units and spawns two children that arrive staggered, like a
      fork-join fib(n) decomposition. *)
@@ -42,7 +45,8 @@ let fib ?(depth = 11) ?(unit_ms = 8) () =
   spawn depth 0;
   List.rev !tasks
 
-let matmul ?(tiles = 96) ?(tile_ms = 60) () =
+let matmul () =
+  let tiles = 96 and tile_ms = 60 in
   (* Border tiles are smaller than interior tiles; tiles are spawned in
      waves of eight as the driver walks the output matrix. *)
   List.init tiles (fun id ->
@@ -50,10 +54,10 @@ let matmul ?(tiles = 96) ?(tile_ms = 60) () =
       Task.create ~id ~arrival_ns:(id / 8 * 100 * ms) ~total_work_ns:(work * ms) ())
 
 let by_name = function
-  | "blackscholes" -> Some (fun () -> blackscholes ())
-  | "streamcluster" -> Some (fun () -> streamcluster ())
-  | "fib" -> Some (fun () -> fib ())
-  | "matmul" -> Some (fun () -> matmul ())
+  | "blackscholes" -> Some blackscholes
+  | "streamcluster" -> Some streamcluster
+  | "fib" -> Some fib
+  | "matmul" -> Some matmul
   | _ -> None
 
 let names = [ "blackscholes"; "streamcluster"; "fib"; "matmul" ]

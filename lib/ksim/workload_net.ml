@@ -8,7 +8,8 @@ let ms = Sim_clock.ms
 
 (* Long-lived elephants sharing a deep queue: steady-state throughput and
    fairness are what matter here. *)
-let stream ?(flows = 6) ?(size_pkts = 1200) () =
+let stream () =
+  let flows = 6 and size_pkts = 1200 in
   { name = "stream";
     config =
       { Net_sim.link = { Link.default_config with queue_capacity = 128 };
@@ -24,7 +25,8 @@ let stream ?(flows = 6) ?(size_pkts = 1200) () =
    throughout: the p99 flow-completion time of the mice exposes
    bufferbloat, which loss-based control causes and delay-aware control
    avoids. *)
-let mixed ~rng ?(elephants = 3) ?(mice = 24) () =
+let mixed ~rng =
+  let elephants = 3 and mice = 24 in
   let elephant i =
     { Flow.id = i; start_ns = i * ms 2; size_pkts = 1400; base_rtt_ns = ms 10 }
   in
@@ -42,7 +44,8 @@ let mixed ~rng ?(elephants = 3) ?(mice = 24) () =
 
 (* Synchronized short flows into a shallow ECN-marking queue: the incast
    pattern of partition/aggregate datacenter workloads. *)
-let incast ~rng ?(flows = 24) ?(size_pkts = 48) () =
+let incast ~rng =
+  let flows = 24 and size_pkts = 48 in
   { name = "incast";
     config =
       { Net_sim.link =
@@ -59,6 +62,6 @@ let names = [ "stream"; "mixed"; "incast" ]
 
 let by_name ~rng = function
   | "stream" -> stream ()
-  | "mixed" -> mixed ~rng ()
-  | "incast" -> incast ~rng ()
+  | "mixed" -> mixed ~rng
+  | "incast" -> incast ~rng
   | other -> invalid_arg ("Workload_net.by_name: unknown mix " ^ other)

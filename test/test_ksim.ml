@@ -249,7 +249,7 @@ let test_workload_determinism () =
 
 let test_zipf_skew () =
   let rng = Kml.Rng.create 11 in
-  let trace = Ksim.Workload_mem.zipf ~rng ~pid:1 ~pages:1000 ~n:10_000 () in
+  let trace = Ksim.Workload_mem.zipf ~rng ~pid:1 ~pages:1000 ~n:10_000 in
   let counts = Hashtbl.create 64 in
   List.iter
     (fun { Ksim.Mem_sim.page; _ } ->
