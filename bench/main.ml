@@ -30,12 +30,13 @@ open Toolkit
 (* One full online-training window shaped like Prefetch_rmt's: 6144
    samples of eight deltas clamped to +-4096 (mostly short strides), page
    mod 64, (page / 64) mod 64 and a horizon of 1..8, labelled with a
-   noisy function of the newest delta and the horizon. *)
+   noisy function of the newest delta and the horizon over its 32 delta
+   classes, trained as it trains (depth 12, splits down to 2 samples). *)
 let tree_train_fixture () =
   let params = Rkd.Prefetch_rmt.default_params in
   let rng = Kml.Rng.create 11 in
   let history = params.Rkd.Prefetch_rmt.history in
-  let n_classes = params.Rkd.Prefetch_rmt.n_delta_classes in
+  let n_classes = 32 in
   let ds = Kml.Dataset.create ~n_features:(history + 3) ~n_classes in
   let delta () =
     if Kml.Rng.int rng 4 = 0 then Kml.Rng.int rng 8193 - 4096 else Kml.Rng.int rng 17 - 8
@@ -52,7 +53,7 @@ let tree_train_fixture () =
     in
     Kml.Dataset.add ds { Kml.Dataset.features; label }
   done;
-  (params.Rkd.Prefetch_rmt.tree_params, ds)
+  ({ Kml.Decision_tree.max_depth = 12; min_samples_split = 2 }, ds)
 
 let sched_fixture () =
   (* A trained quantized MLP over the 15 LB features, as in case study 2. *)

@@ -34,7 +34,7 @@ let () =
         (float_of_int r.Ksim.Mem_sim.completion_ns /. 1e9))
     [ ("no prefetch", Ksim.Prefetcher.none);
       ("linux", Ksim.Readahead.create ());
-      ("leap", Ksim.Leap.create ());
+      ("leap", Ksim.Leap.create ~depth:8 ());
       ("rmt-ml", Rkd.Prefetch_rmt.prefetcher (Rkd.Prefetch_rmt.create ()));
       ("cross-app", Rkd.Cross_app.prefetcher xa) ];
   Format.printf "@.detected couplings:@.";

@@ -25,7 +25,7 @@ let () =
       let systems =
         [ ("no prefetch", Ksim.Prefetcher.none);
           ("linux readahead", Ksim.Readahead.create ());
-          ("leap", Ksim.Leap.create ~params:{ Ksim.Leap.default_params with depth = 4 } ());
+          ("leap", Ksim.Leap.create ~depth:4 ());
           ("rmt-ml (ours)", Rkd.Prefetch_rmt.prefetcher ours) ]
       in
       List.iter

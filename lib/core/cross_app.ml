@@ -1,10 +1,8 @@
-type params = {
-  history : int;
-  min_support : int;
-  vote_window : int;
-}
-
-let default_params = { history = 32; min_support = 24; vote_window = 32 }
+(* Producer pages remembered per process, the majority-vote support
+   required to couple, and consumer observations per vote round. *)
+let history = 32
+let min_support = 24
+let vote_window = 32
 
 type coupling = { producer : int; consumer : int; delta : int }
 
@@ -19,7 +17,6 @@ type vote = {
 }
 
 type t = {
-  params : params;
   streams : (int, stream) Hashtbl.t;
   votes : (int * int, vote) Hashtbl.t;
   mutable couplings : coupling list;
@@ -27,11 +24,8 @@ type t = {
   mutable cross_prefetches : int;
 }
 
-let create ?(params = default_params) () =
-  if params.history < 1 || params.min_support < 1 || params.vote_window < params.min_support
-  then invalid_arg "Cross_app.create: invalid parameters";
-  { params;
-    streams = Hashtbl.create 8;
+let create () =
+  { streams = Hashtbl.create 8;
     votes = Hashtbl.create 16;
     couplings = [];
     observations = 0;
@@ -44,7 +38,7 @@ let stream_of t pid =
     let s =
       { ring =
           Rmt.Map_store.create
-            { Rmt.Map_store.kind = Rmt.Map_store.Ring_buffer; capacity = t.params.history } }
+            { Rmt.Map_store.kind = Rmt.Map_store.Ring_buffer; capacity = history } }
     in
     Hashtbl.replace t.streams pid s;
     s
@@ -76,7 +70,7 @@ let observe_consumer t ~consumer ~page =
             end)
           (Rmt.Map_store.ring_contents stream.ring);
         v.observed <- v.observed + 1;
-        if v.observed >= t.params.vote_window then begin
+        if v.observed >= vote_window then begin
           (* Round ends: promote/demote the coupling for this pair. *)
           let best =
             Hashtbl.fold
@@ -92,7 +86,7 @@ let observe_consumer t ~consumer ~page =
               t.couplings
           in
           (match best with
-           | Some (delta, count) when count >= t.params.min_support ->
+           | Some (delta, count) when count >= min_support ->
              t.couplings <- { producer; consumer; delta } :: keep_others
            | Some _ | None -> t.couplings <- keep_others);
           Hashtbl.reset v.counts;

@@ -16,15 +16,12 @@
     Per-process single-stream prefetchers cannot express this policy at
     all: the information lives in the correlation {e between} streams. *)
 
-type params = {
-  history : int;      (** producer pages remembered per process *)
-  min_support : int;  (** majority-vote support required to couple *)
-  vote_window : int;  (** consumer observations per vote round *)
-}
-
 type t
 
-val create : ?params:params -> unit -> t
+val create : unit -> t
+(** Remembers 32 producer pages per process and couples on 24 matching
+    deltas out of a 32-observation vote round. *)
+
 val prefetcher : t -> Ksim.Prefetcher.t
 
 type coupling = {

@@ -8,25 +8,15 @@
    hook is protected: when the breaker is open (or the program traps) the
    decision comes verbatim from an always-warm stock Cubic instance. *)
 
-type params = {
-  n_actions : int;
-  window_capacity : int;
-  retrain_period : int;
-  min_retrain_samples : int;
-  bootstrap_samples : int;
-  tree_params : Kml.Decision_tree.params;
-  cwnd_cap : int;
-}
+type params = { window_capacity : int; retrain_period : int; min_retrain_samples : int }
 
-let default_params =
-  { n_actions = 5;
-    window_capacity = 4096;
-    retrain_period = 512;
-    min_retrain_samples = 256;
-    bootstrap_samples = 768;
-    tree_params =
-      { Kml.Decision_tree.default_params with max_depth = 8; min_samples_split = 4 };
-    cwnd_cap = 512 }
+let default_params = { window_capacity = 4096; retrain_period = 512; min_retrain_samples = 256 }
+
+(* Action classes, the cwnd ceiling (packets) and the synthetic oracle
+   samples behind the initial tree. *)
+let n_actions = 5
+let cwnd_cap = 512
+let bootstrap_samples = 768
 
 (* Feature layout at [Hooks.key_feature_base]:
    0 srtt (100 us units)     1 min_rtt (100 us)   2 srtt/min_rtt (percent)
@@ -35,7 +25,7 @@ let default_params =
 let n_features = 8
 
 (* Action classes: how the next cwnd derives from the current one. *)
-let apply_action params ~cwnd action =
+let apply_action ~cwnd action =
   let c =
     match action with
     | 0 -> cwnd / 2
@@ -44,7 +34,7 @@ let apply_action params ~cwnd action =
     | 3 -> cwnd + 1
     | _ -> cwnd + 3
   in
-  max 2 (min params.cwnd_cap c)
+  max 2 (min cwnd_cap c)
 
 (* Hindsight oracle shared by the bootstrap set and the online labeller:
    given what one control interval revealed, which action class should
@@ -98,11 +88,11 @@ type t = {
   mutable now_ns : int;
 }
 
-let build_program params =
+let build_program () =
   let open Rmt in
   let b = Builder.create ~name:"net_cc" ~vmem_size:n_features () in
   let _slot = Builder.add_model b ~n_features in
-  Builder.add_capability b (Program.Guarded { lo = 0; hi = params.n_actions - 1 });
+  Builder.add_capability b (Program.Guarded { lo = 0; hi = n_actions - 1 });
   Builder.emit b (Insn.Vec_ld_ctxt (0, Hooks.key_feature_base, n_features));
   Builder.emit b (Insn.Call_ml (0, 0, n_features));
   Builder.emit b Insn.Exit;
@@ -111,10 +101,10 @@ let build_program params =
 (* Synthetic-but-coherent feature vectors labelled by the oracle: the
    tree starts out mimicking the stock rules and online retraining bends
    it toward what the live workload rewards. *)
-let bootstrap_tree params ~seed =
+let bootstrap_tree ~seed =
   let rng = Kml.Rng.create (seed lxor 0x7e7) in
-  let ds = Kml.Dataset.create ~n_features ~n_classes:params.n_actions in
-  for _ = 1 to params.bootstrap_samples do
+  let ds = Kml.Dataset.create ~n_features ~n_classes:n_actions in
+  for _ = 1 to bootstrap_samples do
     let min_rtt = 1 + Kml.Rng.int rng 400 in
     let ratio = 95 + Kml.Rng.int rng 220 in
     let srtt = min_rtt * ratio / 100 in
@@ -133,18 +123,16 @@ let bootstrap_tree params ~seed =
     Kml.Dataset.add ds
       { Kml.Dataset.features; label = oracle ~rtt_ratio_pct:ratio ~ecn ~loss }
   done;
-  Kml.Decision_tree.train ~params:params.tree_params ds
+  Kml.Decision_tree.train ds
 
-let create ?(params = default_params) ?(engine = Rmt.Vm.Jit_compiled) ?(seed = 42) ?view_ns
-    () =
-  if params.n_actions < 3 then invalid_arg "Net_rmt.create: need at least three actions";
-  let control = Rmt.Control.create ~engine ~seed ?view_ns () in
-  let model = Rmt.Model_store.Tree (bootstrap_tree params ~seed) in
+let create ?(params = default_params) ?(seed = 42) () =
+  let control = Rmt.Control.create ~seed () in
+  let model = Rmt.Model_store.Tree (bootstrap_tree ~seed) in
   let (_ : Rmt.Model_store.handle) =
     Rmt.Control.register_model control ~name:"net_model" model
   in
   let vm =
-    match Rmt.Control.install control ~model_names:[ "net_model" ] (build_program params) with
+    match Rmt.Control.install control ~model_names:[ "net_model" ] (build_program ()) with
     | Ok vm -> vm
     | Error e -> invalid_arg ("Net_rmt: program rejected: " ^ e)
   in
@@ -203,7 +191,7 @@ let ring_push t sample =
   t.training_samples <- t.training_samples + 1
 
 let retrain t =
-  let ds = Kml.Dataset.create ~n_features ~n_classes:t.params.n_actions in
+  let ds = Kml.Dataset.create ~n_features ~n_classes:n_actions in
   let cap = t.params.window_capacity in
   let start = (t.ring_head - t.ring_len + cap) mod cap in
   for i = 0 to t.ring_len - 1 do
@@ -211,7 +199,7 @@ let retrain t =
     | Some s -> Kml.Dataset.add ds { Kml.Dataset.features = s.s_features; label = s.s_label }
     | None -> assert false
   done;
-  let tree = Kml.Decision_tree.train ~params:t.params.tree_params ds in
+  let tree = Kml.Decision_tree.train ds in
   if Kml.Model_cost.within (Kml.Model_cost.of_tree tree) Kml.Model_cost.default_budget
   then begin
     match Rmt.Control.update_model t.control ~name:"net_model" (Rmt.Model_store.Tree tree) with
@@ -284,7 +272,7 @@ let decide t ~flow (s : Ksim.Cc.signal) =
         else 2
       else action
     in
-    let cwnd = apply_action t.params ~cwnd:s.Ksim.Cc.cwnd action in
+    let cwnd = apply_action ~cwnd:s.Ksim.Cc.cwnd action in
     (* Pace the window out over one smoothed RTT so the sending rate
        follows the window without ack-clocked bursts. *)
     let pacing_ns =

@@ -1,26 +1,20 @@
-type params = {
-  history : int;
-  n_delta_classes : int;
-  depth : int;
-  window_capacity : int;
-  retrain_period : int;
-  tree_params : Kml.Decision_tree.params;
-  adaptive : bool;
-  pages_per_sec_limit : int;
-  min_leaf_purity_pct : int;
-}
+type params = { history : int; window_capacity : int; retrain_period : int }
 
-let default_params =
-  { history = 8;
-    n_delta_classes = 32;
-    depth = 8;
-    window_capacity = 6144;
-    retrain_period = 512;
-    tree_params =
-      { Kml.Decision_tree.default_params with max_depth = 12; min_samples_split = 2 };
-    adaptive = true;
-    pages_per_sec_limit = 400_000;
-    min_leaf_purity_pct = 70 }
+let default_params = { history = 8; window_capacity = 6144; retrain_period = 512 }
+
+(* Delta classes, class 0 = "no prefetch". *)
+let n_delta_classes = 32
+
+(* Prefetch roll-forward depth: predictions per access. *)
+let depth = 8
+let tree_params = { Kml.Decision_tree.max_depth = 12; min_samples_split = 2 }
+
+(* Prefetch-issue rate limit (token bucket). *)
+let pages_per_sec_limit = 400_000
+
+(* Leaves whose majority class holds less than this percentage of their
+   samples are demoted to "no prefetch" (conservative prefetching, §3.1). *)
+let min_leaf_purity_pct = 70
 
 (* The per-access host state lives in int arrays allocated at a pid's
    first access, so the hook's host side allocates nothing but the list it
@@ -140,36 +134,32 @@ let build_predict_program params =
   let nf = n_features params in
   let b = Builder.create ~name:"pf_predict" ~vmem_size:nf () in
   let _slot = Builder.add_model b ~n_features:nf in
-  Builder.add_capability b (Program.Guarded { lo = 0; hi = params.n_delta_classes - 1 });
+  Builder.add_capability b (Program.Guarded { lo = 0; hi = n_delta_classes - 1 });
   Builder.emit b (Insn.Vec_ld_ctxt (0, Hooks.key_feature_base, nf - 1));
   Builder.emit b (Insn.Ld_imm (7, 1)); (* horizon *)
   Builder.emit b (Insn.Ld_imm (8, result_key_base));
   (* loop body: 5 instructions *)
-  Builder.emit b (Insn.Rep (params.depth, 5));
+  Builder.emit b (Insn.Rep (depth, 5));
   Builder.emit b (Insn.Vec_st_reg (nf - 1, 7));
   Builder.emit b (Insn.Call_ml (0, 0, nf));
   Builder.emit b (Insn.St_ctxt_r (8, 0));
   Builder.emit b (Insn.Alu_imm (Insn.Add, 7, 1));
   Builder.emit b (Insn.Alu_imm (Insn.Add, 8, 1));
-  Builder.emit b (Insn.Ld_imm (0, params.depth));
+  Builder.emit b (Insn.Ld_imm (0, depth));
   Builder.emit b Insn.Exit;
   Builder.finish b ()
 
 let empty_tree params =
   let ds =
-    Kml.Dataset.create ~n_features:(n_features params) ~n_classes:params.n_delta_classes
+    Kml.Dataset.create ~n_features:(n_features params) ~n_classes:n_delta_classes
   in
   Kml.Decision_tree.train ds
 
-let create ?(params = default_params) ?(engine = Rmt.Vm.Jit_compiled) ?(seed = 42) ?view_ns
-    () =
+let create ?(params = default_params) ?(engine = Rmt.Vm.Jit_compiled) ?(seed = 42) () =
   if params.history < 1 then invalid_arg "Prefetch_rmt.create: history must be positive";
-  if params.n_delta_classes < 2 then
-    invalid_arg "Prefetch_rmt.create: need at least two delta classes";
-  if params.depth < 1 then invalid_arg "Prefetch_rmt.create: depth must be positive";
   if params.window_capacity < 1 then
     invalid_arg "Prefetch_rmt.create: window_capacity must be positive";
-  let control = Rmt.Control.create ~engine ~seed ?view_ns () in
+  let control = Rmt.Control.create ~engine ~seed () in
   let model = Rmt.Model_store.Tree (empty_tree params) in
   let (_ : Rmt.Model_store.handle) = Rmt.Control.register_model control ~name:"pf_tree" model in
   let collect_vm =
@@ -224,13 +214,13 @@ let create ?(params = default_params) ?(engine = Rmt.Vm.Jit_compiled) ?(seed = 4
       window_delta = [||];
       window_head = 0;
       window_len = 0;
-      predictions = Array.make params.depth 0;
-      class_deltas = Array.make params.n_delta_classes 0;
+      predictions = Array.make depth 0;
+      class_deltas = Array.make n_delta_classes 0;
       model_ready = false;
       tree = None;
       now_ns = 0;
       limiter =
-        Rmt.Rate_limit.create ~tokens_per_sec:params.pages_per_sec_limit ~burst:256 ~now:0;
+        Rmt.Rate_limit.create ~tokens_per_sec:pages_per_sec_limit ~burst:256 ~now:0;
       accesses = 0;
       retrains = 0;
       training_samples = 0;
@@ -239,7 +229,7 @@ let create ?(params = default_params) ?(engine = Rmt.Vm.Jit_compiled) ?(seed = 4
       predictions_correct = 0;
       recent_checked = 0;
       recent_correct = 0;
-      current_depth = params.depth;
+      current_depth = depth;
       online = true }
   in
   Rmt.Control.set_clock control (fun () -> t.now_ns);
@@ -251,7 +241,7 @@ let pid_state t pid =
   match Hashtbl.find t.pids pid with
   | st -> st
   | exception Not_found ->
-    let depth = t.params.depth and nf = n_features t.params in
+    let nf = n_features t.params in
     if Array.length t.window = 0 then begin
       t.window <- Array.make (t.params.window_capacity * nf) 0;
       t.window_delta <- Array.make t.params.window_capacity 0
@@ -315,7 +305,7 @@ let retrain t =
       (fun (_, a) (_, b) -> compare b a)
       (Hashtbl.fold (fun d c acc -> (d, c) :: acc) freq [])
   in
-  let n_classes = t.params.n_delta_classes in
+  let n_classes = n_delta_classes in
   let class_deltas = Array.make n_classes 0 in
   let class_of = Hashtbl.create 64 in
   List.iteri
@@ -332,7 +322,7 @@ let retrain t =
         match Hashtbl.find_opt class_of t.window_delta.(r) with Some c -> c | None -> 0
       in
       Kml.Dataset.add ds { Kml.Dataset.features = Array.sub t.window (r * nf) nf; label });
-  let tree = Kml.Decision_tree.train ~params:t.params.tree_params ds in
+  let tree = Kml.Decision_tree.train ~params:tree_params ds in
   (* Conservative prefetching: leaves whose majority class is not dominant
      enough are demoted to class 0 (no prefetch), trading a little coverage
      for much better accuracy — the "be more conservative in prefetching"
@@ -345,7 +335,7 @@ let retrain t =
           match node with
           | Kml.Decision_tree.Leaf { label; counts } ->
             let total = Array.fold_left ( + ) 0 counts in
-            if total > 0 && 100 * counts.(label) / total < t.params.min_leaf_purity_pct then
+            if total > 0 && 100 * counts.(label) / total < min_leaf_purity_pct then
               Kml.Decision_tree.Leaf { label = 0; counts }
             else node
           | Kml.Decision_tree.Split _ -> node)
@@ -366,10 +356,10 @@ let retrain t =
   end
 
 let adaptive_update t =
-  if t.params.adaptive && t.recent_checked >= 256 then begin
+  if t.recent_checked >= 256 then begin
     let rate = float_of_int t.recent_correct /. float_of_int t.recent_checked in
     if rate < 0.3 then t.current_depth <- 1
-    else if rate > 0.6 then t.current_depth <- t.params.depth;
+    else if rate > 0.6 then t.current_depth <- depth;
     t.recent_checked <- 0;
     t.recent_correct <- 0
   end
@@ -438,7 +428,6 @@ let on_access t ~pid ~page ~hit ~now =
   adaptive_update t;
   (* Label pending feature snapshots, newest first, with this access's
      cumulative deltas. *)
-  let depth = t.params.depth in
   for age = 0 to st.pending_len - 1 do
     let row = (st.pending_head - 1 - age + depth) mod depth in
     window_push t st row ~horizon:(age + 1) ~cum_delta:(page - st.pending_page.(row))
@@ -486,7 +475,7 @@ let reset t =
   Rmt.Table.clear t.predict_table;
   t.window_head <- 0;
   t.window_len <- 0;
-  t.class_deltas <- Array.make t.params.n_delta_classes 0;
+  t.class_deltas <- Array.make n_delta_classes 0;
   t.model_ready <- false;
   t.tree <- None;
   ignore
@@ -500,7 +489,7 @@ let reset t =
   t.predictions_correct <- 0;
   t.recent_checked <- 0;
   t.recent_correct <- 0;
-  t.current_depth <- t.params.depth;
+  t.current_depth <- depth;
   t.online <- true
 
 let set_online t enabled = t.online <- enabled

@@ -23,30 +23,21 @@
     stale and back up when they recover (§3.1 "Updating RMT entries"). *)
 
 type params = {
-  history : int;            (** delta-history length K (feature arity = K + 2) *)
-  n_delta_classes : int;    (** delta classes incl. class 0 = "no prefetch" *)
-  depth : int;              (** prefetch roll-forward depth *)
+  history : int;            (** delta-history length K (feature arity = K + 3) *)
   window_capacity : int;    (** online training window (samples) *)
   retrain_period : int;     (** accesses between background retrains *)
-  tree_params : Kml.Decision_tree.params;
-  adaptive : bool;          (** accuracy-triggered depth scaling *)
-  pages_per_sec_limit : int; (** prefetch-issue rate limit (token bucket) *)
-  min_leaf_purity_pct : int;
-      (** leaves whose majority class holds less than this percentage of
-          their samples are demoted to "no prefetch" (conservative
-          prefetching, §3.1) *)
 }
 
 val default_params : params
+(** Fixed for every instance: 32 delta classes (class 0 = "no prefetch"),
+    a roll-forward depth of 8 with accuracy-triggered depth scaling, a
+    depth-12 tree, a 400,000 pages/s prefetch rate limit, and leaves
+    under 70% majority demoted to "no prefetch" (conservative
+    prefetching, §3.1). *)
 
 type t
 
-val create :
-  ?params:params -> ?engine:Rmt.Vm.engine -> ?seed:int -> ?view_ns:string -> unit -> t
-(** [view_ns] namespaces the underlying control plane's registry views
-    (see {!Rmt.Control.create}); the serving layer passes a per-shard
-    namespace so shard-pinned prefetcher instances publish disjoint
-    breaker/program telemetry. *)
+val create : ?params:params -> ?engine:Rmt.Vm.engine -> ?seed:int -> unit -> t
 
 val prefetcher : t -> Ksim.Prefetcher.t
 (** The {!Ksim.Mem_sim}-compatible interface.  [reset] clears per-process

@@ -39,10 +39,13 @@ let flatten ~n_features ~n_classes nodes =
     nodes;
   { n_features; n_classes; nodes; s_feature; s_threshold; s_left; s_right; s_label }
 
-type params = { max_depth : int; min_samples_split : int; min_gain : int }
+type params = { max_depth : int; min_samples_split : int }
 
+let default_params = { max_depth = 8; min_samples_split = 4 }
 let gini_scale = 1 lsl 20
-let default_params = { max_depth = 8; min_samples_split = 4; min_gain = gini_scale / 1024 }
+
+(* A split must gain at least this much Gini, scaled by [gini_scale]. *)
+let min_gain = gini_scale / 1024
 
 (* [cost counts n] is [n * gini(counts)] in [gini_scale] units:
    scale * (n^2 - sum c^2) / n.  Using n*gini (not gini) makes split gain a
@@ -192,7 +195,7 @@ let train ?(params = default_params) ds =
       make_leaf ()
     else begin
       match best_split lo hi counts parent_cost with
-      | Some (gain, feature, threshold, nl) when gain >= params.min_gain ->
+      | Some (gain, feature, threshold, nl) when gain >= min_gain ->
         (* The chosen feature's range is already split: its first [nl]
            entries hold exactly the values [<= threshold]. *)
         let mid = lo + nl and base = feature * n in

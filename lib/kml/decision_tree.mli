@@ -10,7 +10,6 @@ type t
 type params = {
   max_depth : int;       (** maximum tree depth; 1 = a single split *)
   min_samples_split : int; (** do not split nodes smaller than this *)
-  min_gain : int;        (** minimum Gini gain, scaled by [gini_scale] *)
 }
 
 val default_params : params
@@ -19,7 +18,7 @@ val gini_scale : int
 
 val train : ?params:params -> Dataset.t -> t
 (** Trains on the dataset.  An empty dataset yields a tree that always
-    predicts class 0.
+    predicts class 0.  A split must gain at least [gini_scale / 1024].
 
     Presorted CART.  The samples are copied once into a flat
     feature-major int matrix, and each feature's sample indices are

@@ -71,7 +71,9 @@ module Perceptron = struct
     done;
     !best
 
-  let train ?(epochs = 5) ~rng ds =
+  let epochs = 20
+
+  let train ~rng ds =
     let t = create ~n_features:(Dataset.n_features ds) ~n_classes:(Dataset.n_classes ds) in
     let samples = Dataset.to_array ds in
     for _ = 1 to epochs do
@@ -93,7 +95,9 @@ module Svm = struct
     inv_std : Fixed.t array;
   }
 
-  let train ?(epochs = 20) ~rng ds =
+  let epochs = 20
+
+  let train ~rng ds =
     let learning_rate = 0.01 and regularization = 1e-3 in
     if Dataset.length ds = 0 then invalid_arg "Svm.train: empty dataset";
     let nf = Dataset.n_features ds and nc = Dataset.n_classes ds in

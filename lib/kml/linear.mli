@@ -14,15 +14,16 @@ module Perceptron : sig
   (** One online update with (features, label). *)
 
   val predict : t -> int array -> int
-  val train : ?epochs:int -> rng:Rng.t -> Dataset.t -> t
-  (** Batch convenience wrapper: shuffled online passes. *)
+  val train : rng:Rng.t -> Dataset.t -> t
+  (** Batch convenience wrapper: 20 shuffled online passes. *)
 end
 
 module Svm : sig
   type t
 
-  val train : ?epochs:int -> rng:Rng.t -> Dataset.t -> t
-  (** One-vs-rest linear SVM.  Binary problems train a single separator. *)
+  val train : rng:Rng.t -> Dataset.t -> t
+  (** One-vs-rest linear SVM, 20 epochs.  Binary problems train a single
+      separator. *)
 
   val predict : t -> int array -> int
 

@@ -10,22 +10,14 @@ type t = {
   std : Vec.t;
 }
 
-type params = {
-  hidden : int list;
-  epochs : int;
-  batch_size : int;
-  learning_rate : float;
-  momentum : float;
-  weight_decay : float;
-}
+type params = { hidden : int list; epochs : int; learning_rate : float }
 
-let default_params =
-  { hidden = [ 16; 16 ];
-    epochs = 30;
-    batch_size = 32;
-    learning_rate = 0.05;
-    momentum = 0.9;
-    weight_decay = 1e-4 }
+let default_params = { hidden = [ 16; 16 ]; epochs = 30; learning_rate = 0.05 }
+
+(* Minibatch size and the SGD update's momentum and L2 weight decay. *)
+let batch_size = 32
+let momentum = 0.9
+let weight_decay = 1e-4
 
 let feature_stats ds =
   let nf = Dataset.n_features ds and n = Dataset.length ds in
@@ -123,7 +115,7 @@ let train ?(params = default_params) ~rng ds =
     Rng.shuffle rng order;
     let batch_start = ref 0 in
     while !batch_start < Array.length order do
-      let batch_end = Stdlib.min (Array.length order) (!batch_start + params.batch_size) in
+      let batch_end = Stdlib.min (Array.length order) (!batch_start + batch_size) in
       let batch_n = float_of_int (batch_end - !batch_start) in
       (* Accumulate gradients over the batch. *)
       let grad_w =
@@ -165,13 +157,13 @@ let train ?(params = default_params) ~rng ds =
         let gw = grad_w.(li) and gb = grad_b.(li) in
         for i = 0 to Mat.rows weights - 1 do
           for j = 0 to Mat.cols weights - 1 do
-            let g = (Mat.get gw i j /. batch_n) +. (params.weight_decay *. Mat.get weights i j) in
-            let v = (params.momentum *. Mat.get vw i j) -. (params.learning_rate *. g) in
+            let g = (Mat.get gw i j /. batch_n) +. (weight_decay *. Mat.get weights i j) in
+            let v = (momentum *. Mat.get vw i j) -. (params.learning_rate *. g) in
             Mat.set vw i j v;
             Mat.set weights i j (Mat.get weights i j +. v)
           done;
           let g = gb.(i) /. batch_n in
-          let v = (params.momentum *. vb.(i)) -. (params.learning_rate *. g) in
+          let v = (momentum *. vb.(i)) -. (params.learning_rate *. g) in
           vb.(i) <- v;
           bias.(i) <- bias.(i) +. v
         done

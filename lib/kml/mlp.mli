@@ -14,15 +14,14 @@ type t
 type params = {
   hidden : int list;   (** hidden-layer widths, e.g. [[16; 16]] *)
   epochs : int;
-  batch_size : int;
   learning_rate : float;
-  momentum : float;
-  weight_decay : float;
 }
 
 val default_params : params
+
 val train : ?params:params -> rng:Rng.t -> Dataset.t -> t
-(** Raises [Invalid_argument] on an empty dataset. *)
+(** Minibatches of 32, momentum 0.9 and weight decay 1e-4.  Raises
+    [Invalid_argument] on an empty dataset. *)
 
 val predict : t -> int array -> int
 val predict_probs : t -> int array -> float array

@@ -13,9 +13,11 @@ type result = {
   pruned : int;
 }
 
-let search ~rng ?(trials = 12) ?(budget = Model_cost.default_budget)
-    ?(widths = [| 4; 8; 16; 32 |]) ~train ~validation () =
-  let depths = [| 1; 2 |] in
+let trials = 10
+let widths = [| 4; 8; 16; 32 |]
+let depths = [| 1; 2 |]
+
+let search ~rng ~budget ~train ~validation () =
   if Dataset.length train = 0 then invalid_arg "Nas.search: empty training set";
   let nf = Dataset.n_features train and nc = Dataset.n_classes train in
   (* Trials are independent: trial [i] draws its hyper-parameters and its
@@ -32,7 +34,7 @@ let search ~rng ?(trials = 12) ?(budget = Model_cost.default_budget)
     let cost = Model_cost.of_mlp_architecture ((nf :: hidden) @ [ nc ]) in
     if not (Model_cost.within cost budget) then None
     else begin
-      let params = { Mlp.default_params with hidden; learning_rate; epochs } in
+      let params = { Mlp.hidden; learning_rate; epochs } in
       let model = Mlp.train ~params ~rng train in
       let val_accuracy = Metrics.accuracy_of ~predict:(Mlp.predict model) validation in
       Some ({ hidden; learning_rate; epochs; cost; val_accuracy }, model)

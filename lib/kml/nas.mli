@@ -23,15 +23,13 @@ type result = {
 
 val search :
   rng:Rng.t ->
-  ?trials:int ->
-  ?budget:Model_cost.budget ->
-  ?widths:int array ->
+  budget:Model_cost.budget ->
   train:Dataset.t ->
   validation:Dataset.t ->
   unit ->
   result
-(** [search ~rng ~train ~validation ()] samples [trials] (default 12)
-    architectures with hidden widths from [widths] (default [|4;8;16;32|])
-    and 1 or 2 hidden layers, trains the admissible ones
+(** [search ~rng ~budget ~train ~validation ()] samples 10 architectures
+    with 1 or 2 hidden layers of width 4, 8, 16 or 32, trains the ones
+    within [budget]
     and returns the best by validation accuracy (ties: cheaper wins).
     Raises [Invalid_argument] if no candidate fits the budget. *)

@@ -4,25 +4,18 @@ let heuristic_decider ~features:_ ~heuristic = heuristic
 
 type event = { features : int array; heuristic : bool; decision : bool }
 
-type params = {
-  n_cpus : int;
-  tick_ns : int;
-  balance_interval_ns : int;
-  sched_granularity_ns : int;
-  max_examined_per_balance : int;
-  migration_cost_ns : int;
-}
+let n_cpus = 4
+let tick_ns = 1_000_000
+let balance_interval_ns = 2_000_000
 
-let default_params =
-  { n_cpus = 4;
-    tick_ns = 1_000_000;
-    balance_interval_ns = 2_000_000;
-    sched_granularity_ns = 3_000_000;
-    max_examined_per_balance = 8;
-    migration_cost_ns = 50_000 }
+(* Preemption granularity. *)
+let sched_granularity_ns = 3_000_000
+let max_examined_per_balance = 8
+
+(* Simulated cache-refill penalty per migration. *)
+let migration_cost_ns = 50_000
 
 type t = {
-  params : params;
   rqs : Runqueue.t array;
   running : Task.t option array;
   mutable now : int;
@@ -39,14 +32,12 @@ type t = {
   all_tasks : Task.t list;
 }
 
-let create ?(params = default_params) ?(decider = heuristic_decider) task_list =
-  if params.n_cpus < 1 then invalid_arg "Cfs.create: need at least one CPU";
+let create ~decider task_list =
   let t =
-    { params;
-      rqs = Array.init params.n_cpus (fun cpu -> Runqueue.create ~cpu);
-      running = Array.make params.n_cpus None;
+    { rqs = Array.init n_cpus (fun cpu -> Runqueue.create ~cpu);
+      running = Array.make n_cpus None;
       now = 0;
-      next_balance = params.balance_interval_ns;
+      next_balance = balance_interval_ns;
       decider;
       events = [];
       pending = List.sort (fun a b -> compare a.Task.arrival_ns b.Task.arrival_ns) task_list;
@@ -62,10 +53,10 @@ let finished t = t.unfinished = 0
 
 let least_loaded t =
   let best = ref 0 in
-  for cpu = 1 to t.params.n_cpus - 1 do
+  for cpu = 1 to n_cpus - 1 do
     let load rq_cpu =
       Runqueue.load t.rqs.(rq_cpu)
-      + (match t.running.(rq_cpu) with Some task -> task.Task.weight | None -> 0)
+      + (match t.running.(rq_cpu) with Some _ -> Task.weight | None -> 0)
     in
     if load cpu < load !best then best := cpu
   done;
@@ -73,7 +64,7 @@ let least_loaded t =
 
 let cpu_load t cpu =
   Runqueue.load t.rqs.(cpu)
-  + (match t.running.(cpu) with Some task -> task.Task.weight | None -> 0)
+  + (match t.running.(cpu) with Some _ -> Task.weight | None -> 0)
 
 let cpu_nr t cpu =
   Runqueue.nr_running t.rqs.(cpu) + (match t.running.(cpu) with Some _ -> 1 | None -> 0)
@@ -122,7 +113,7 @@ let run_cpu t cpu =
   match t.running.(cpu) with
   | None -> ()
   | Some task ->
-    Task.charge task t.params.tick_ns;
+    Task.charge task tick_ns;
     task.Task.last_ran_ns <- t.now;
     if task.Task.remaining_work_ns <= 0 then begin
       task.Task.state <- Task.Finished;
@@ -145,7 +136,7 @@ let run_cpu t cpu =
       let rq = t.rqs.(cpu) in
       if Runqueue.nr_running rq > 0 then begin
         let queued_min = Runqueue.min_vruntime rq in
-        if task.Task.vruntime - queued_min > t.params.sched_granularity_ns then begin
+        if task.Task.vruntime - queued_min > sched_granularity_ns then begin
           task.Task.state <- Task.Runnable;
           t.running.(cpu) <- None;
           Runqueue.enqueue rq task;
@@ -156,7 +147,7 @@ let run_cpu t cpu =
 
 let busiest_and_idlest t =
   let busiest = ref 0 and idlest = ref 0 in
-  for cpu = 1 to t.params.n_cpus - 1 do
+  for cpu = 1 to n_cpus - 1 do
     if cpu_load t cpu > cpu_load t !busiest then busiest := cpu;
     if cpu_load t cpu < cpu_load t !idlest then idlest := cpu
   done;
@@ -166,14 +157,14 @@ let balance t =
   let src, dst = busiest_and_idlest t in
   if src <> dst then begin
     let imbalance () = cpu_load t src - cpu_load t dst in
-    if imbalance () > Task.default_weight / 2 then begin
+    if imbalance () > Task.weight / 2 then begin
       let candidates = Runqueue.to_list t.rqs.(src) in
       let examined = ref 0 in
       List.iter
         (fun task ->
           if
-            !examined < t.params.max_examined_per_balance
-            && imbalance () > Task.default_weight / 2
+            !examined < max_examined_per_balance
+            && imbalance () > Task.weight / 2
           then begin
             let inputs =
               { Lb_features.now_ns = t.now;
@@ -199,8 +190,8 @@ let balance t =
               task.Task.migrations <- task.Task.migrations + 1;
               (* Cold-cache penalty: the task must re-fetch its working set. *)
               task.Task.remaining_work_ns <-
-                task.Task.remaining_work_ns + t.params.migration_cost_ns;
-              t.migration_penalty_ns <- t.migration_penalty_ns + t.params.migration_cost_ns;
+                task.Task.remaining_work_ns + migration_cost_ns;
+              t.migration_penalty_ns <- t.migration_penalty_ns + migration_cost_ns;
               t.migrations <- t.migrations + 1;
               Runqueue.enqueue t.rqs.(dst) task
             end
@@ -210,15 +201,15 @@ let balance t =
   end
 
 let step t =
-  t.now <- t.now + t.params.tick_ns;
+  t.now <- t.now + tick_ns;
   admit_arrivals t;
   admit_wakeups t;
-  for cpu = 0 to t.params.n_cpus - 1 do
+  for cpu = 0 to n_cpus - 1 do
     run_cpu t cpu
   done;
   if t.now >= t.next_balance then begin
     balance t;
-    t.next_balance <- t.now + t.params.balance_interval_ns
+    t.next_balance <- t.now + balance_interval_ns
   end
 
 let run t =

@@ -1,8 +1,8 @@
 (** Multicore CFS-style scheduler with periodic load balancing.
 
-    The scheduler is tick-driven: every [tick_ns] each CPU charges its
+    The scheduler is tick-driven: every tick each CPU charges its
     running task, handles sleep/finish transitions and preemption by
-    vruntime, and every [balance_interval_ns] a balancing pass pulls tasks
+    vruntime, and every balance interval a balancing pass pulls tasks
     from the busiest to the idlest CPU.  Each pull candidate goes through
     the pluggable {e migration decider} — the [can_migrate_task] decision
     point of case study 2.  Every consultation is recorded (features,
@@ -16,21 +16,13 @@ val heuristic_decider : decider
 
 type event = { features : int array; heuristic : bool; decision : bool }
 
-type params = {
-  n_cpus : int;
-  tick_ns : int;
-  balance_interval_ns : int;
-  sched_granularity_ns : int;   (** preemption granularity *)
-  max_examined_per_balance : int;
-  migration_cost_ns : int;      (** simulated cache-refill penalty per migration *)
-}
-
-val default_params : params
-
 type t
 
-val create : ?params:params -> ?decider:decider -> Task.t list -> t
-(** Tasks enter at their [arrival_ns]; initial placement is round-robin. *)
+val create : decider:decider -> Task.t list -> t
+(** Tasks enter at their [arrival_ns]; initial placement is round-robin
+    over 4 CPUs.  Ticks are 1 ms, balancing runs every 2 ms and examines
+    at most 8 tasks, the preemption granularity is 3 ms and a migration
+    adds 50 us of cache-refill work to the moved task. *)
 
 val finished : t -> bool
 val step : t -> unit

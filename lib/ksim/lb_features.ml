@@ -39,7 +39,7 @@ let extract i =
      i.src_load;
      i.dst_load;
      i.src_load - i.dst_load;
-     t.Task.weight;
+     Task.weight;
      clamp_us (i.now_ns - t.Task.last_ran_ns);
      clamp_us t.Task.remaining_work_ns;
      Stdlib.min 100 t.Task.migrations;
@@ -59,11 +59,11 @@ let extract i =
 let heuristic i =
   let t = i.task in
   let imbalance = i.src_load - i.dst_load in
-  if imbalance < t.Task.weight / 2 then false
+  if imbalance < Task.weight / 2 then false
   else begin
     let cold_ns = i.now_ns - t.Task.last_ran_ns in
     let cache_hot = cold_ns < cache_hot_threshold_ns in
-    let severe = imbalance > 2 * Task.default_weight in
+    let severe = imbalance > 2 * Task.weight in
     if cache_hot && not severe then false
     else if t.Task.migrations > 8 && not severe then false
     else if t.Task.remaining_work_ns < 200_000 then false

@@ -1,6 +1,7 @@
-type params = { history : int; depth : int; min_support : int }
-
-let default_params = { history = 32; depth = 8; min_support = 12 }
+(* Delta-window length, and the matches of the candidate delta required
+   in it. *)
+let history = 32
+let min_support = 12
 
 let majority deltas =
   let n = Array.length deltas in
@@ -23,15 +24,13 @@ let majority deltas =
 
 type stream = { mutable last_page : int; deltas : int array; mutable len : int; mutable pos : int }
 
-let create ?(params = default_params) () =
-  if params.history < 1 || params.depth < 1 || params.min_support < 1 then
-    invalid_arg "Leap.create: invalid parameters";
+let create ~depth () =
   let streams : (int, stream) Hashtbl.t = Hashtbl.create 16 in
   let stream_of pid =
     match Hashtbl.find_opt streams pid with
     | Some s -> s
     | None ->
-      let s = { last_page = min_int; deltas = Array.make params.history 0; len = 0; pos = 0 } in
+      let s = { last_page = min_int; deltas = Array.make history 0; len = 0; pos = 0 } in
       Hashtbl.replace streams pid s;
       s
   in
@@ -42,12 +41,12 @@ let create ?(params = default_params) () =
       else begin
         let delta = page - s.last_page in
         s.deltas.(s.pos) <- delta;
-        s.pos <- (s.pos + 1) mod params.history;
-        if s.len < params.history then s.len <- s.len + 1;
+        s.pos <- (s.pos + 1) mod history;
+        if s.len < history then s.len <- s.len + 1;
         let window = Array.sub s.deltas 0 s.len in
         match majority window with
-        | Some (trend, support) when trend <> 0 && support >= params.min_support ->
-          List.init params.depth (fun k -> page + ((k + 1) * trend))
+        | Some (trend, support) when trend <> 0 && support >= min_support ->
+          List.init depth (fun k -> page + ((k + 1) * trend))
         | Some _ | None -> []
       end
     in

@@ -8,14 +8,9 @@
     generalizes sequential detection to constant strides — the paper's §4
     notes Leap "extended this to detect striding patterns". *)
 
-type params = {
-  history : int;   (** delta-window length (Leap uses a small history, e.g. 32) *)
-  depth : int;     (** pages fetched along the detected trend *)
-  min_support : int; (** matches of the candidate delta required in the window *)
-}
-
-val default_params : params
-val create : ?params:params -> unit -> Prefetcher.t
+val create : depth:int -> unit -> Prefetcher.t
+(** [depth] pages are fetched along a trend that holds at least 12 of the
+    last 32 deltas. *)
 
 val majority : int array -> (int * int) option
 (** Boyer–Moore majority vote: [Some (value, support)] where [support] is

@@ -1,17 +1,7 @@
-type config = {
-  rate_bytes_per_sec : int;
-  mtu_bytes : int;
-  queue_capacity : int;
-  ecn_threshold : int;
-  prop_delay_ns : int;
-}
+type config = { queue_capacity : int; ecn_threshold : int }
 
-let default_config =
-  { rate_bytes_per_sec = 12_500_000 (* 100 Mbit/s *);
-    mtu_bytes = 1500;
-    queue_capacity = 128;
-    ecn_threshold = 0;
-    prop_delay_ns = 1_000_000 }
+let rate_bytes_per_sec = 12_500_000 (* 100 Mbit/s *)
+let mtu_bytes = 1500
 
 type packet = { flow : int; seq : int; sent_ns : int; ecn_marked : bool }
 
@@ -27,11 +17,9 @@ type t = {
 }
 
 let create config =
-  if config.rate_bytes_per_sec <= 0 then invalid_arg "Link.create: rate must be positive";
-  if config.mtu_bytes <= 0 then invalid_arg "Link.create: mtu must be positive";
   if config.queue_capacity < 1 then invalid_arg "Link.create: queue capacity must be >= 1";
   { config;
-    tx_ns = max 1 (config.mtu_bytes * 1_000_000_000 / config.rate_bytes_per_sec);
+    tx_ns = mtu_bytes * 1_000_000_000 / rate_bytes_per_sec;
     queue = Queue.create ();
     busy = false;
     enqueued = 0;

@@ -4,15 +4,13 @@
     are bit-identical across machines and pool widths. *)
 
 type config = {
-  rate_bytes_per_sec : int;  (** bottleneck bandwidth *)
-  mtu_bytes : int;           (** fixed packet size *)
   queue_capacity : int;      (** drop-tail limit, in packets *)
   ecn_threshold : int;       (** CE-mark admissions at/above this depth; <= 0 disables *)
-  prop_delay_ns : int;       (** one-way propagation, informational *)
 }
+(** Every link serves 1500-byte packets at 100 Mbit/s. *)
 
-val default_config : config
-(** 100 Mbit/s, 1500-byte packets, 128-packet queue, ECN off. *)
+val mtu_bytes : int
+(** 1500, the fixed packet size. *)
 
 type packet = {
   flow : int;
@@ -25,7 +23,7 @@ type t
 
 val create : config -> t
 val tx_ns : t -> int
-(** Serialization time of one packet at the configured rate (>= 1 ns). *)
+(** Serialization time of one packet: 120 us. *)
 
 val config : t -> config
 val depth : t -> int

@@ -4,12 +4,8 @@
    nanoseconds on the Event_queue/Sim_clock substrate, and ties resolve
    in insertion order, so a run is a pure function of its inputs. *)
 
-type config = {
-  link : Link.config;
-  horizon_ns : int;
-}
-
-let default_config = { link = Link.default_config; horizon_ns = 60_000_000_000 }
+(* Hard stop; unfinished flows are censored here. *)
+let horizon_ns = 60_000_000_000
 
 type event =
   | Start of int                  (* flow index: arm the policy, first sends *)
@@ -64,9 +60,9 @@ let percentile sorted pct =
     sorted.(max 0 (min (n - 1) (rank - 1)))
   end
 
-let run ?(config = default_config) ~make_cc (specs : Flow.spec array) =
+let run ~link ~make_cc (specs : Flow.spec array) =
   if Array.length specs = 0 then invalid_arg "Net_sim.run: no flows";
-  let link = Link.create config.link in
+  let link = Link.create link in
   let q : event Event_queue.t = Event_queue.create () in
   let clock = Sim_clock.create () in
   let flows = Array.map Flow.create specs in
@@ -176,12 +172,11 @@ let run ?(config = default_config) ~make_cc (specs : Flow.spec array) =
   while not !stop do
     match Event_queue.pop q with
     | None -> stop := true
-    | Some (time, _) when time > config.horizon_ns -> stop := true
+    | Some (time, _) when time > horizon_ns -> stop := true
     | Some (time, ev) ->
       Sim_clock.advance_to clock time;
       handle time ev
   done;
-  let horizon_ns = config.horizon_ns in
   let fcts = Array.map (fun st -> Flow.fct_ns st ~horizon_ns) flows in
   let reports =
     Array.mapi
@@ -205,7 +200,7 @@ let run ?(config = default_config) ~make_cc (specs : Flow.spec array) =
       0 flows
   in
   let duration_ns = max 1 (last_finish - first_start) in
-  let bits = delivered_pkts * config.link.Link.mtu_bytes * 8 in
+  let bits = delivered_pkts * Link.mtu_bytes * 8 in
   let sorted = Array.copy fcts in
   Array.sort compare sorted;
   let mean_fct_ns =

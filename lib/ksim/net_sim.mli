@@ -12,10 +12,6 @@
     order ({!Event_queue}), so digests are bit-identical across pool
     widths and machines. *)
 
-type config = {
-  link : Link.config;
-  horizon_ns : int;  (** hard stop; unfinished flows are censored here *)
-}
 
 type flow_report = {
   f_id : int;
@@ -45,6 +41,7 @@ type result = {
 val mix : int -> int -> int
 (** The digest combiner (same as the chaos soak's). *)
 
-val run : ?config:config -> make_cc:(Flow.spec -> Cc.t) -> Flow.spec array -> result
+val run : link:Link.config -> make_cc:(Flow.spec -> Cc.t) -> Flow.spec array -> result
 (** [make_cc] is called once per flow, in flow order, before any event
-    runs — a fresh policy instance per flow. *)
+    runs — a fresh policy instance per flow.  Flows still unfinished at
+    60 s of simulated time are censored there. *)

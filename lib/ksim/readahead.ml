@@ -1,6 +1,8 @@
-type params = { trigger : int; initial_window : int; max_window : int }
-
-let default_params = { trigger = 1; initial_window = 4; max_window = 8 }
+(* The kernel's ondemand readahead fires on the second consecutive page:
+   one +1 delta. *)
+let trigger = 1
+let initial_window = 4
+let max_window = 8
 
 type stream = {
   mutable last_page : int;
@@ -9,9 +11,7 @@ type stream = {
   mutable ahead_until : int; (* highest page already requested for this stream *)
 }
 
-let create ?(params = default_params) () =
-  if params.trigger < 1 || params.initial_window < 1 || params.max_window < params.initial_window
-  then invalid_arg "Readahead.create: invalid parameters";
+let create () =
   let streams : (int, stream) Hashtbl.t = Hashtbl.create 16 in
   let stream_of pid =
     match Hashtbl.find_opt streams pid with
@@ -27,10 +27,10 @@ let create ?(params = default_params) () =
     s.last_page <- page;
     if sequential then begin
       s.run <- s.run + 1;
-      if s.run >= params.trigger then begin
+      if s.run >= trigger then begin
         s.window <-
-          (if s.window = 0 then params.initial_window
-           else Stdlib.min params.max_window (2 * s.window));
+          (if s.window = 0 then initial_window
+           else Stdlib.min max_window (2 * s.window));
         (* Request only pages not already requested for this run. *)
         let target = page + s.window in
         let from = Stdlib.max (page + 1) (s.ahead_until + 1) in

@@ -28,7 +28,7 @@ let enqueue t task =
      clamp, as CFS's place_entity does. *)
   if task.Task.vruntime < t.min_vruntime then task.Task.vruntime <- t.min_vruntime;
   t.tree <- S.add (key task) task t.tree;
-  t.load <- t.load + task.Task.weight;
+  t.load <- t.load + Task.weight;
   task.Task.cpu <- t.cpu
 
 let dequeue_min t =
@@ -36,7 +36,7 @@ let dequeue_min t =
   | None -> None
   | Some (k, task) ->
     t.tree <- S.remove k t.tree;
-    t.load <- t.load - task.Task.weight;
+    t.load <- t.load - Task.weight;
     (* CFS semantics: the floor follows the task now entering execution, so
        wakers enqueued later cannot undercut it. *)
     if task.Task.vruntime > t.min_vruntime then t.min_vruntime <- task.Task.vruntime;
@@ -47,7 +47,7 @@ let remove t task =
   let k = key task in
   if S.mem k t.tree then begin
     t.tree <- S.remove k t.tree;
-    t.load <- t.load - task.Task.weight;
+    t.load <- t.load - Task.weight;
     true
   end
   else false

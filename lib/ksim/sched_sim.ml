@@ -18,9 +18,9 @@ let tasks_of workload =
   | Some make -> make ()
   | None -> invalid_arg (Printf.sprintf "Sched_sim: unknown workload %s" workload)
 
-let run ?params ~workload ~decider_name decider =
+let run ~workload ~decider_name decider =
   let tasks = tasks_of workload in
-  let sched = Cfs.create ?params ~decider tasks in
+  let sched = Cfs.create ~decider tasks in
   let jct_ns = Cfs.run sched in
   let events = Cfs.events sched in
   let decisions = List.length events in
@@ -48,9 +48,9 @@ let run ?params ~workload ~decider_name decider =
     agreement;
     mean_task_ns = total_task_ns /. float_of_int (Stdlib.max 1 (List.length tasks)) }
 
-let collect ?params ~workload () =
+let collect ~workload () =
   let tasks = tasks_of workload in
-  let sched = Cfs.create ?params ~decider:Cfs.heuristic_decider tasks in
+  let sched = Cfs.create ~decider:Cfs.heuristic_decider tasks in
   let jct_ns = Cfs.run sched in
   let events = Cfs.events sched in
   let ds = Kml.Dataset.create ~n_features:Lb_features.n_features ~n_classes:2 in

@@ -16,11 +16,10 @@ type result = {
   mean_task_ns : float;         (** mean per-task completion (finish - arrival) *)
 }
 
-val run :
-  ?params:Cfs.params -> workload:string -> decider_name:string -> Cfs.decider -> result
+val run : workload:string -> decider_name:string -> Cfs.decider -> result
 (** Raises [Invalid_argument] on an unknown workload name. *)
 
-val collect : ?params:Cfs.params -> workload:string -> unit -> Kml.Dataset.t * result
+val collect : workload:string -> unit -> Kml.Dataset.t * result
 (** Heuristic run + dataset of (features → heuristic label). *)
 
 val decider_of_predict : (int array -> int) -> Cfs.decider

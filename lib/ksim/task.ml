@@ -2,7 +2,6 @@ type state = Runnable | Running | Sleeping | Finished
 
 type t = {
   id : int;
-  weight : int;
   burst_ns : int;
   sleep_ns : int;
   arrival_ns : int;
@@ -19,15 +18,12 @@ type t = {
   mutable finish_ns : int;
 }
 
-let default_weight = 1024
+let weight = 1024
 
-let create ~id ?(weight = default_weight) ?(burst_ns = max_int) ?(sleep_ns = 0)
-    ?(arrival_ns = 0) ~total_work_ns () =
-  if weight <= 0 then invalid_arg "Task.create: weight must be positive";
+let create ~id ?(burst_ns = max_int) ?(sleep_ns = 0) ?(arrival_ns = 0) ~total_work_ns () =
   if total_work_ns <= 0 then invalid_arg "Task.create: total work must be positive";
   if burst_ns <= 0 then invalid_arg "Task.create: burst must be positive";
   { id;
-    weight;
     burst_ns;
     sleep_ns;
     arrival_ns;
@@ -50,5 +46,6 @@ let charge t dt =
   t.remaining_work_ns <- t.remaining_work_ns - dt;
   t.burst_left_ns <- t.burst_left_ns - dt;
   t.runtime_ns <- t.runtime_ns + dt;
-  (* vruntime advances inversely to weight, as in CFS. *)
-  t.vruntime <- t.vruntime + (dt * default_weight / t.weight)
+  (* vruntime advances inversely to weight, as in CFS; every task has the
+     nice-0 weight, so it advances with CPU time. *)
+  t.vruntime <- t.vruntime + dt

@@ -1,14 +1,13 @@
 (** Task model for the CFS scheduler simulation.
 
     A task alternates CPU bursts and sleeps (pure CPU-bound tasks have
-    [sleep_ns = 0]) until its total work is exhausted.  Weights follow the
-    kernel's nice-to-weight table shape: weight 1024 = nice 0. *)
+    [sleep_ns = 0]) until its total work is exhausted.  Every task runs at
+    nice 0, weight 1024 in the kernel's nice-to-weight table. *)
 
 type state = Runnable | Running | Sleeping | Finished
 
 type t = {
   id : int;
-  weight : int;
   burst_ns : int;        (** CPU time between voluntary sleeps *)
   sleep_ns : int;        (** sleep length after each burst (0 = never sleeps) *)
   arrival_ns : int;
@@ -27,7 +26,6 @@ type t = {
 
 val create :
   id:int ->
-  ?weight:int ->
   ?burst_ns:int ->
   ?sleep_ns:int ->
   ?arrival_ns:int ->
@@ -35,8 +33,10 @@ val create :
   unit ->
   t
 
-val default_weight : int
+val weight : int
+(** 1024, every task's load weight. *)
+
 val is_sleeper : t -> bool
 val charge : t -> int -> unit
-(** Account [dt] of CPU time: advances vruntime (scaled by weight), burst
-    and work accounting. *)
+(** Account [dt] of CPU time: advances vruntime, burst and work
+    accounting. *)

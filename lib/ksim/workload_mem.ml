@@ -97,57 +97,41 @@ let video_resize ?(params = default_video) ?(rng = Kml.Rng.create 7) ~pid () =
 (* Matrix convolution                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type conv_params = {
-  matrix_rows : int;
-  row_stride : int;
-  n_columns : int;
-  col_advance : int;
-  pair_rows : int;
-  out_run : int;
-  checkpoint_every : int;
-  checkpoint_run : int;
-}
+(* im2col-style column sweeps over a row-major matrix: each of 1200 column
+   walks reads 8 rows at a stride of 64 pages (a matrix row); the first 2
+   rows gather two adjacent pages (a short false-sequential burst that
+   baits sequential readahead), the remainder single pages.  Columns
+   advance by 67 pages (coprime to the stride) so pages stay cold.  Each
+   column ends with 3 writes into a circular output buffer, and every 100
+   columns a fresh 8-page sequential checkpoint run is flushed — the only
+   truly sequential I/O in the workload. *)
+let matrix_rows = 8
+let row_stride = 64
+let n_columns = 1200
+let col_advance = 67
+let pair_rows = 2
+let out_run = 3
+let checkpoint_every = 100
+let checkpoint_run = 8
 
-let default_conv =
-  { matrix_rows = 8;
-    row_stride = 64;
-    n_columns = 1200;
-    col_advance = 67;
-    pair_rows = 2;
-    out_run = 3;
-    checkpoint_every = 100;
-    checkpoint_run = 8 }
-
-(* im2col-style column sweeps over a row-major matrix: each column walk
-   strides by [row_stride]; the first [pair_rows] rows gather two adjacent
-   pages (a short false-sequential burst that baits sequential readahead),
-   the remainder single pages.  Columns advance by [col_advance] (coprime
-   to the stride) so pages stay cold.  Each column ends with writes into a
-   circular output buffer, and every [checkpoint_every] columns a fresh
-   sequential checkpoint run is flushed — the only truly sequential I/O in
-   the workload. *)
-let matrix_conv ?(params = default_conv) ~pid () =
-  if params.matrix_rows < 2 || params.row_stride < 2 || params.n_columns < 1 then
-    invalid_arg "Workload_mem.matrix_conv: invalid parameters";
-  if params.pair_rows > params.matrix_rows then
-    invalid_arg "Workload_mem.matrix_conv: pair_rows exceeds matrix_rows";
+let matrix_conv ~pid () =
   let out_base = 1 lsl 28 in
   let out_buf = 32 in
   let ckpt_base = 1 lsl 29 in
   let ckpt_pos = ref 0 in
   let acc = ref [] in
   let push page = acc := mk pid page :: !acc in
-  for c = 0 to params.n_columns - 1 do
-    let base = c * params.col_advance in
-    for r = 0 to params.matrix_rows - 1 do
-      push (base + (r * params.row_stride));
-      if r < params.pair_rows then push (base + (r * params.row_stride) + 1)
+  for c = 0 to n_columns - 1 do
+    let base = c * col_advance in
+    for r = 0 to matrix_rows - 1 do
+      push (base + (r * row_stride));
+      if r < pair_rows then push (base + (r * row_stride) + 1)
     done;
-    for k = 0 to params.out_run - 1 do
-      push (out_base + (((c * params.out_run) + k) mod out_buf))
+    for k = 0 to out_run - 1 do
+      push (out_base + (((c * out_run) + k) mod out_buf))
     done;
-    if params.checkpoint_every > 0 && (c + 1) mod params.checkpoint_every = 0 then
-      for _ = 1 to params.checkpoint_run do
+    if (c + 1) mod checkpoint_every = 0 then
+      for _ = 1 to checkpoint_run do
         push (ckpt_base + !ckpt_pos);
         incr ckpt_pos
       done
@@ -167,47 +151,37 @@ let length = List.length
 
 type file_kind = Sequential_file | Strided_file of int | Reversed_file
 
-type file_streams_params = {
-  n_files : int;
-  pages_per_file : int;
-  burst : int;
-  kinds : file_kind array;
-}
+(* Six files of 1500 pages, read in bursts of 1 to 4 accesses; the kinds
+   are cycled over the files. *)
+let n_files = 6
+let pages_per_file = 1500
+let file_burst = 4
+let kinds = [| Sequential_file; Strided_file 7; Reversed_file |]
 
-let default_file_streams =
-  { n_files = 6;
-    pages_per_file = 1500;
-    burst = 4;
-    kinds = [| Sequential_file; Strided_file 7; Reversed_file |] }
-
-let file_streams ?(params = default_file_streams) ~rng () =
-  if params.n_files < 1 || params.pages_per_file < 1 || params.burst < 1 then
-    invalid_arg "Workload_mem.file_streams: invalid parameters";
-  if Array.length params.kinds = 0 then
-    invalid_arg "Workload_mem.file_streams: need at least one file kind";
+let file_streams ~rng () =
   let file_gap = 1 lsl 22 in
   (* Per-file cursor: how many of its accesses have been emitted. *)
-  let emitted = Array.make params.n_files 0 in
+  let emitted = Array.make n_files 0 in
   let page_of file i =
     let base = (file + 1) * file_gap in
-    match params.kinds.(file mod Array.length params.kinds) with
+    match kinds.(file mod Array.length kinds) with
     | Sequential_file -> base + i
     | Strided_file stride -> base + (i * stride)
-    | Reversed_file -> base + params.pages_per_file - 1 - i
+    | Reversed_file -> base + pages_per_file - 1 - i
   in
   let acc = ref [] in
-  let remaining = ref (params.n_files * params.pages_per_file) in
+  let remaining = ref (n_files * pages_per_file) in
   while !remaining > 0 do
     (* pick a file that still has pages, weighted uniformly *)
     let live =
       Array.to_list
         (Array.mapi (fun f n -> (f, n)) emitted)
-      |> List.filter (fun (_, n) -> n < params.pages_per_file)
+      |> List.filter (fun (_, n) -> n < pages_per_file)
       |> List.map fst
     in
     let file = List.nth live (Kml.Rng.int rng (List.length live)) in
     let burst =
-      Stdlib.min (1 + Kml.Rng.int rng params.burst) (params.pages_per_file - emitted.(file))
+      Stdlib.min (1 + Kml.Rng.int rng file_burst) (pages_per_file - emitted.(file))
     in
     for k = 0 to burst - 1 do
       acc := mk (file + 1) (page_of file (emitted.(file) + k)) :: !acc
@@ -219,10 +193,8 @@ let file_streams ?(params = default_file_streams) ~rng () =
 
 let retag trace ~pid = List.map (fun a -> { a with Mem_sim.pid }) trace
 
-let producer_consumer ~rng ?(n = 4000) ?(lag = 4) ?(delta = 1 lsl 20) ?(pages = 200_000)
-    ~producer ~consumer () =
-  if lag < 1 || n < 1 || pages < 1 then
-    invalid_arg "Workload_mem.producer_consumer: invalid parameters";
+let producer_consumer ~rng ~producer ~consumer () =
+  let n = 4000 and lag = 4 and delta = 1 lsl 20 and pages = 200_000 in
   let walk = Array.init n (fun _ -> Kml.Rng.int rng pages) in
   let acc = ref [] in
   for i = 0 to n - 1 do
@@ -237,7 +209,8 @@ let producer_consumer ~rng ?(n = 4000) ?(lag = 4) ?(delta = 1 lsl 20) ?(pages = 
    exactly what the serving layer's FIFO pinning preserves — while the
    global interleave is adversarial for any consumer that assumes
    contiguous per-tenant runs. *)
-let multi_tenant ~rng ~tenants ~events_per_tenant ?(pages = 4096) ?(burst = 8) () =
+let multi_tenant ~rng ~tenants ~events_per_tenant ?(burst = 8) () =
+  let pages = 4096 in
   if tenants < 1 || events_per_tenant < 1 then
     invalid_arg "Workload_mem.multi_tenant: invalid parameters";
   let stream tenant =

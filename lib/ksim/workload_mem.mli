@@ -39,18 +39,11 @@ val default_video : video_params
 val video_resize :
   ?params:video_params -> ?rng:Kml.Rng.t -> pid:int -> unit -> access list
 
-type conv_params = {
-  matrix_rows : int;      (** rows swept per column read *)
-  row_stride : int;       (** pages per matrix row (the column-walk stride) *)
-  n_columns : int;
-  col_advance : int;      (** page advance between column bases *)
-  pair_rows : int;        (** leading rows that gather two adjacent pages *)
-  out_run : int;          (** circular-buffer writes after each column *)
-  checkpoint_every : int; (** columns between sequential checkpoint flushes (0 = never) *)
-  checkpoint_run : int;   (** pages per checkpoint flush *)
-}
-
-val matrix_conv : ?params:conv_params -> pid:int -> unit -> access list
+val matrix_conv : pid:int -> unit -> access list
+(** 1200 column walks of 8 rows at a 64-page stride, the first 2 rows
+    reading two adjacent pages; columns 67 pages apart, 3 output-buffer
+    writes per column and an 8-page sequential checkpoint every 100
+    columns. *)
 
 val footprint : access list -> int
 (** Number of distinct pages touched. *)
@@ -59,19 +52,10 @@ val length : access list -> int
 
 type file_kind = Sequential_file | Strided_file of int | Reversed_file
 
-type file_streams_params = {
-  n_files : int;
-  pages_per_file : int;
-  burst : int;            (** consecutive accesses to one file before switching *)
-  kinds : file_kind array; (** cycled over files *)
-}
-
-val default_file_streams : file_streams_params
-
-val file_streams :
-  ?params:file_streams_params -> rng:Kml.Rng.t -> unit -> access list
-(** A multi-file workload: [n_files] files, each read with its own access
-    pattern, interleaved in randomly-ordered bursts.  The access [pid]
+val file_streams : rng:Kml.Rng.t -> unit -> access list
+(** A multi-file workload: 6 files of 1500 pages, each read with its own
+    access pattern (sequential, stride 7, reversed, cycled over the files),
+    interleaved in randomly-ordered bursts of 1 to 4 accesses.  The access [pid]
     field carries the {e inode} of the file touched — prefetchers keyed on
     it see clean per-file streams ("inode numbers for per-file entries",
     paper §3.1). *)
@@ -81,18 +65,10 @@ val retag : access list -> pid:int -> access list
     a single per-process stream to measure match-granularity effects. *)
 
 val producer_consumer :
-  rng:Kml.Rng.t ->
-  ?n:int ->
-  ?lag:int ->
-  ?delta:int ->
-  ?pages:int ->
-  producer:int ->
-  consumer:int ->
-  unit ->
-  access list
-(** A producer process touching an {e irregular} (seeded-random) page walk,
-    interleaved with a consumer that touches the producer's page + [delta]
-    exactly [lag] producer-steps later — two mappings of a shared buffer.
+  rng:Kml.Rng.t -> producer:int -> consumer:int -> unit -> access list
+(** A producer process touching an {e irregular} (seeded-random) walk of
+    4000 pages out of 200,000, interleaved with a consumer that touches the
+    producer's page + 2{^20} exactly 4 producer-steps later — two mappings of a shared buffer.
     Each stream is unpredictable from its own history; their correlation is
     perfect.  Exercises cross-application optimization (§2.1 #4). *)
 
@@ -100,12 +76,12 @@ val multi_tenant :
   rng:Kml.Rng.t ->
   tenants:int ->
   events_per_tenant:int ->
-  ?pages:int ->
   ?burst:int ->
   unit ->
   access list
 (** A serving-layer trace: [tenants] independent per-tenant streams —
-    pattern cycled by tenant id over sequential / strided / random /
+    pattern cycled by tenant id over sequential / strided / random (over
+    4096 pages) /
     periodic-with-jumps — interleaved in rng-ordered bursts.  The [pid]
     field carries the tenant id.  Per-tenant subsequences are each
     stream's own order, so any consumer that preserves per-tenant FIFO

@@ -1,6 +1,6 @@
 type scenario = {
   name : string;
-  config : Net_sim.config;
+  link : Link.config;
   flows : Flow.spec array;
 }
 
@@ -11,9 +11,7 @@ let ms = Sim_clock.ms
 let stream () =
   let flows = 6 and size_pkts = 1200 in
   { name = "stream";
-    config =
-      { Net_sim.link = { Link.default_config with queue_capacity = 128 };
-        horizon_ns = 60_000_000_000 };
+    link = { Link.queue_capacity = 128; ecn_threshold = 0 };
     flows =
       Array.init flows (fun i ->
           { Flow.id = i;
@@ -37,9 +35,7 @@ let mixed ~rng =
       base_rtt_ns = ms 8 + Sim_clock.us (Kml.Rng.int rng 8000) }
   in
   { name = "mixed";
-    config =
-      { Net_sim.link = { Link.default_config with queue_capacity = 256 };
-        horizon_ns = 60_000_000_000 };
+    link = { Link.queue_capacity = 256; ecn_threshold = 0 };
     flows = Array.append (Array.init elephants elephant) (Array.init mice mouse) }
 
 (* Synchronized short flows into a shallow ECN-marking queue: the incast
@@ -47,10 +43,7 @@ let mixed ~rng =
 let incast ~rng =
   let flows = 24 and size_pkts = 48 in
   { name = "incast";
-    config =
-      { Net_sim.link =
-          { Link.default_config with queue_capacity = 32; ecn_threshold = 8 };
-        horizon_ns = 60_000_000_000 };
+    link = { Link.queue_capacity = 32; ecn_threshold = 8 };
     flows =
       Array.init flows (fun i ->
           { Flow.id = i;

@@ -4,7 +4,7 @@
 
 type scenario = {
   name : string;
-  config : Net_sim.config;
+  link : Link.config;
   flows : Flow.spec array;
 }
 

@@ -173,19 +173,17 @@ let test_leap_majority () =
   Alcotest.(check (option (pair int int))) "empty" None (Ksim.Leap.majority [||])
 
 let test_leap_detects_stride () =
-  let leap =
-    Ksim.Leap.create ~params:{ Ksim.Leap.history = 8; depth = 4; min_support = 4 } ()
-  in
-  let issued = collect_prefetches leap (List.init 8 (fun i -> 1000 + (i * 7))) in
+  let leap = Ksim.Leap.create ~depth:4 () in
+  (* 12 deltas of +7: the support threshold *)
+  let issued = collect_prefetches leap (List.init 13 (fun i -> 1000 + (i * 7))) in
   Alcotest.(check bool) "prefetches along +7 trend" true
-    (List.mem (1000 + (7 * 7) + 7) issued)
+    (List.mem (1000 + (12 * 7) + 7) issued)
 
 let test_leap_silent_without_majority () =
-  let leap =
-    Ksim.Leap.create ~params:{ Ksim.Leap.history = 8; depth = 4; min_support = 5 } ()
-  in
-  (* alternate +1/+9: no delta reaches support 5 in window 8 *)
-  let pages = [ 0; 1; 10; 11; 20; 21; 30; 31; 40 ] in
+  let leap = Ksim.Leap.create ~depth:4 () in
+  (* deltas cycling +1/+9/+5: none reaches support 12 in the 32-delta
+     window *)
+  let pages = List.init 60 (fun i -> (i / 3 * 15) + [| 0; 1; 10 |].(i mod 3)) in
   let issued = collect_prefetches leap pages in
   Alcotest.(check (list int)) "no trend, no prefetch" [] issued
 
@@ -222,7 +220,7 @@ let test_mem_sim_metric_bounds () =
     [ Ksim.Prefetcher.none;
       Ksim.Prefetcher.next_n ~depth:4;
       Ksim.Readahead.create ();
-      Ksim.Leap.create () ]
+      Ksim.Leap.create ~depth:8 () ]
 
 (* ---------------- Workload generators ---------------- *)
 

@@ -124,18 +124,15 @@ let test_nested_rep_ok () =
 (* ---------------- readahead window growth ---------------- *)
 
 let test_readahead_window_doubles () =
-  let ra =
-    Ksim.Readahead.create
-      ~params:{ Ksim.Readahead.trigger = 1; initial_window = 2; max_window = 8 } ()
-  in
+  let ra = Ksim.Readahead.create () in
   let issue page = ra.Ksim.Prefetcher.on_access ~pid:1 ~page ~hit:false ~now:0 in
   ignore (issue 100);
   let w1 = issue 101 in
-  (* window 2 from page 101: 102, 103 *)
-  Alcotest.(check (list int)) "initial window" [ 102; 103 ] w1;
+  (* window 4 from page 101: 102..105 *)
+  Alcotest.(check (list int)) "initial window" [ 102; 103; 104; 105 ] w1;
   let w2 = issue 102 in
-  (* window 4 from page 102 -> up to 106, minus already requested *)
-  Alcotest.(check (list int)) "doubled, deduplicated" [ 104; 105; 106 ] w2
+  (* window 8 from page 102 -> up to 110, minus already requested *)
+  Alcotest.(check (list int)) "doubled, deduplicated" [ 106; 107; 108; 109; 110 ] w2
 
 (* ---------------- mem-sim in-flight prefetch stall ---------------- *)
 
@@ -165,8 +162,7 @@ let test_cfs_sleeper_cycles () =
     Ksim.Task.create ~id:1 ~burst_ns:3_000_000 ~sleep_ns:5_000_000
       ~total_work_ns:9_000_000 ()
   in
-  let params = { Ksim.Cfs.default_params with n_cpus = 1 } in
-  let sched = Ksim.Cfs.create ~params [ t ] in
+  let sched = Ksim.Cfs.create ~decider:Ksim.Cfs.heuristic_decider [ t ] in
   let makespan = Ksim.Cfs.run sched in
   (* 3 bursts of 3 ms with 2 sleeps of 5 ms in between; the wake tick
      overlaps the first tick of the next burst, so: 3 + 5 + 3 + 5 + 1 = 17ms *)

@@ -179,7 +179,7 @@ let fallbacks_of dp =
 
 let serve_trace () =
   let rng = Kml.Rng.create 0x5e4e in
-  Ksim.Workload_mem.multi_tenant ~rng ~tenants:12 ~events_per_tenant:40 ~pages:512 ()
+  Ksim.Workload_mem.multi_tenant ~rng ~tenants:12 ~events_per_tenant:40 ()
 
 (* Feed the same trace to a fleet of [shards] shards, inline or pinned,
    and report (served, digest). *)
