@@ -6,82 +6,52 @@ let c_transitions = Obs.Counter.make "rkd.adapt.transitions"
 let c_degrades = Obs.Counter.make "rkd.adapt.degrades"
 let c_recoveries = Obs.Counter.make "rkd.adapt.recoveries"
 
+(* The hysteresis band and the observation window.  Transitions happen
+   only when a window completes, so two transitions are always at least
+   one window apart: a tenant hovering around a band edge cannot change
+   mode (and trigger install machinery) more than once per window. *)
+let low = 0.62
+let high = 0.80
+let window = 48
+
 type t = {
-  low : float;
-  high : float;
-  window : int;
-  dwell : int;
-  on_degrade : unit -> unit;
-  on_recover : unit -> unit;
   mutable mode : mode;
   mutable seen : int;
   mutable correct : int;
   mutable last_rate : float;
   mutable transitions : int;
   mutable observations : int;
-  mutable last_transition_obs : int;
 }
 
-let create ?(low = 0.3) ?(high = 0.6) ?(window = 256) ?(dwell = 0) ?(on_degrade = ignore)
-    ?(on_recover = ignore) ?breaker ?(now = fun () -> 0) () =
-  if not (0.0 <= low && low <= high && high <= 1.0) then
-    invalid_arg "Adapt.create: need 0 <= low <= high <= 1";
-  if window <= 0 then invalid_arg "Adapt.create: window must be positive";
-  if dwell < 0 then invalid_arg "Adapt.create: dwell must be non-negative";
-  (* An accuracy collapse is a datapath health signal, not just a tuning
-     event: when a breaker is wired in, degrading force-opens it so the
-     hook falls back to the stock heuristic until probes pass. *)
-  let on_degrade =
-    match breaker with
-    | None -> on_degrade
-    | Some b ->
-      fun () ->
-        Rmt.Breaker.trip b ~now:(now ());
-        on_degrade ()
-  in
-  { low;
-    high;
-    window;
-    dwell;
-    on_degrade;
-    on_recover;
-    mode = Normal;
+let create () =
+  { mode = Normal;
     seen = 0;
     correct = 0;
     last_rate = 1.0;
     transitions = 0;
-    observations = 0;
-    last_transition_obs = min_int / 2 }
+    observations = 0 }
 
 let observe t ~correct =
   t.observations <- t.observations + 1;
   t.seen <- t.seen + 1;
   if correct then t.correct <- t.correct + 1;
-  if t.seen >= t.window then begin
+  if t.seen >= window then begin
     let rate = float_of_int t.correct /. float_of_int t.seen in
     t.last_rate <- rate;
     t.seen <- 0;
     t.correct <- 0;
-    (* The dwell floor is the anti-flap half of the hysteresis story: a
-       tenant whose accuracy hovers around a band edge cannot change mode
-       (and hence trigger install machinery) more than once per dwell
-       observations, no matter how the windows land. *)
-    let settled = t.observations - t.last_transition_obs >= t.dwell in
     let transition mode =
       t.mode <- mode;
       t.transitions <- t.transitions + 1;
-      t.last_transition_obs <- t.observations;
       Obs.Counter.incr c_transitions
     in
     match t.mode with
-    | Normal when rate < t.low && settled ->
+    | Normal when rate < low ->
       transition Conservative;
-      Obs.Counter.incr c_degrades;
-      t.on_degrade ()
-    | Conservative when rate > t.high && settled ->
+      Obs.Counter.incr c_degrades
+    | Conservative when rate > high ->
       transition Normal;
-      Obs.Counter.incr c_recoveries;
-      t.on_recover ()
+      Obs.Counter.incr c_recoveries
     | Normal | Conservative -> ()
   end
 

@@ -3,45 +3,22 @@
     will recompute ML decisions to be more conservative […] and reconfigure
     the RMT tables to reflect the workload changes."
 
-    A windowed accuracy monitor with hysteresis: when the rolling accuracy
-    drops below [low] the monitor enters [Conservative] mode and fires
-    [on_degrade]; when it recovers above [high] it returns to [Normal] and
-    fires [on_recover].  {!Prefetch_rmt} embeds one instance to scale its
-    prefetch depth; the ablation-D experiment uses another to trigger
-    retraining across a workload shift. *)
+    A windowed accuracy monitor with hysteresis: when the accuracy of a
+    48-observation window drops below 0.62 the monitor enters
+    [Conservative] mode; when a window recovers above 0.80 it returns to
+    [Normal].  {!Fleet} keeps one per tenant and starts a drift episode
+    on a degrade. *)
 
 type mode = Normal | Conservative
 
 type t
 
-val create :
-  ?low:float ->
-  ?high:float ->
-  ?window:int ->
-  ?dwell:int ->
-  ?on_degrade:(unit -> unit) ->
-  ?on_recover:(unit -> unit) ->
-  ?breaker:Rmt.Breaker.t ->
-  ?now:(unit -> int) ->
-  unit ->
-  t
-(** Defaults: [low] = 0.3, [high] = 0.6, [window] = 256 observations.
-    Raises [Invalid_argument] unless [0 <= low <= high <= 1].
-
-    Band crossings use strict inequalities, so a stream sitting {e exactly}
-    at [low] or [high] (including the degenerate [low = high] band) never
-    changes mode.  [dwell] (default 0, observations) is a minimum spacing
-    between transitions on top of that: after a mode change the monitor
-    refuses further transitions until [dwell] more observations have been
-    seen, so a tenant oscillating around a band edge cannot flap — the
-    fleet control plane sets it to a full window and adds its own episode
-    cooldown on top (DESIGN.md section 17).
-
-    When [breaker] is given, entering [Conservative] additionally trips
-    it ({!Rmt.Breaker.trip}, timestamped with [now], default constant 0)
-    before running [on_degrade] — an accuracy collapse then also routes
-    the protected hook to its stock-heuristic fallback (DESIGN.md
-    section 12). *)
+val create : unit -> t
+(** Band crossings use strict inequalities and are judged only when a
+    window completes, so transitions are at least 48 observations apart
+    and a tenant oscillating around a band edge cannot flap — the fleet
+    control plane adds its own episode cooldown on top (DESIGN.md
+    section 17). *)
 
 val observe : t -> correct:bool -> unit
 val mode : t -> mode

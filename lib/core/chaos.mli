@@ -34,12 +34,11 @@ type summary = {
 val run :
   ?seed:int ->
   ?events:int ->
-  ?pool:Par.pool ->
   scenarios:int ->
   unit ->
   summary * scenario_report array
 (** Run [scenarios] seeded fault scenarios of [events] (default 200)
-    faulted events each, sequentially or fanned out over [pool].  A
+    faulted events each, fanned out over the global pool ({!Par.global}).  A
     healthy datapath yields [total_uncaught = 0] and [not_reclosed = 0],
     and the same [seed] yields the same [digest] at any pool width. *)
 

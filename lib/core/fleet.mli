@@ -29,37 +29,22 @@
 type params = {
   tenants : int;
   shards : int;
-  events_per_tick : int;  (** per tenant per shard per tick *)
-  n_features : int;
-  feature_range : int;
   bootstrap_samples : int;  (** initial-model training set size *)
-  adapt_low : float;
-  adapt_high : float;
-  adapt_window : int;  (** also the {!Adapt} dwell floor *)
-  fresh_wait_ticks : int;
-      (** delay between degrade detection and retraining, so the take is
-          dominated by post-drift samples *)
-  cooldown_ticks : int;  (** between episodes of one tenant *)
-  backoff_base_ticks : int;  (** rollout retry backoff, doubling *)
-  max_rollout_attempts : int;  (** per episode; 2 = the no-thrash bound *)
-  stage_ticks : int;  (** per-stage promotion deadline *)
-  canary_invocations : int;
-  canary_grace : int;
   window_capacity : int;  (** per-tenant sample ring *)
-  min_retrain_samples : int;
-  retrain_take : int;  (** newest samples fed to the candidate search *)
-  teacher_depth : int;
-  student_depths : int list;
-  candidate_floor_milli : int;
-      (** a candidate below this held-out accuracy is not installed *)
-  model_budget : Kml.Model_cost.budget;
-  resource_budget : Rmt.Resource.budget;
   drift_start : int;  (** first concept change, in ticks *)
-  drift_period : int;  (** between changes; ignored when [drift_count <= 1] *)
-  drift_count : int;  (** changes per tenant over the soak *)
+  drift_count : int;  (** changes per tenant over the soak, 70 ticks apart *)
   drift_stagger : int;  (** per-tenant offset; 0 = simultaneous storm *)
-  tick_ns : int;  (** simulated time per tick; breaker backoffs resolve in it *)
 }
+(** Fixed for every fleet: 4 events per tenant per shard per tick over 4
+    features in [0, 1024); {!Adapt}'s monitor; a 6-tick wait between
+    degrade detection and retraining and a 24-tick cooldown between one
+    tenant's episodes; at most 2 rollout attempts per episode with a
+    2-tick doubling backoff and a 12-tick stage deadline; canaries of 8
+    invocations with a 256-invocation grace; retraining on the newest 96
+    samples once 96 are held, a depth-8 teacher distilled to depth-3 and
+    depth-5 students, and a 70% held-out accuracy floor; installs within
+    {!Kml.Model_cost.default_budget} and {!Rmt.Resource.default_budget};
+    64 ms of simulated time per tick. *)
 
 val default_params : params
 (** 12 tenants x 4 shards, two staggered drifts per tenant. *)
@@ -188,10 +173,10 @@ val report_json : report -> string
 val soak :
   ?params:params ->
   ?fault_specs:(Rmt.Fault.point * float) list ->
-  ?pool:Par.pool ->
   ?ticks:int ->
   seed:int ->
   unit ->
   report
-(** [create] + [ticks] (default 160) iterations + {!recover} + {!report}:
-    the [rkdctl fleet] / chaos-flavor entry point. *)
+(** [create] + [ticks] (default 160) iterations on the global pool
+    ({!Par.global}) + {!recover} + {!report}: the [rkdctl fleet] entry
+    point. *)

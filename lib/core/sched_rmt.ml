@@ -33,7 +33,7 @@ let build_program ~keep =
   Builder.emit b Insn.Exit;
   Builder.finish b ()
 
-let create ?(engine = Rmt.Vm.Jit_compiled) ?keep ~model () =
+let create ?keep ~model () =
   let keep =
     match keep with
     | Some k -> Array.copy k
@@ -46,14 +46,14 @@ let create ?(engine = Rmt.Vm.Jit_compiled) ?keep ~model () =
     keep;
   if Rmt.Model_store.n_features model <> Array.length keep then
     invalid_arg "Sched_rmt.create: model arity must match the kept feature count";
-  let control = Rmt.Control.create ~engine () in
+  let control = Rmt.Control.create () in
   let (_ : Rmt.Model_store.handle) =
     Rmt.Control.register_model control ~name:"lb_model" model
   in
   let vm =
     match
       Rmt.Control.install control ~model_names:[ "lb_model" ]
-        ~budget:Kml.Model_cost.default_budget (build_program ~keep)
+        (build_program ~keep)
     with
     | Ok vm -> vm
     | Error e -> invalid_arg ("Sched_rmt: program rejected: " ^ e)

@@ -16,12 +16,7 @@ val build_program : keep:int array -> Rmt.Program.t
 (** The [lb_migrate] program over feature indices [keep]: one vector
     load when they are contiguous, one context read each otherwise. *)
 
-val create :
-  ?engine:Rmt.Vm.engine ->
-  ?keep:int array ->
-  model:Rmt.Model_store.model ->
-  unit ->
-  t
+val create : ?keep:int array -> model:Rmt.Model_store.model -> unit -> t
 (** [keep] selects which of the {!Ksim.Lb_features} indices the program
     reads (default: all 15, in order).  The model's feature arity must
     equal [Array.length keep]; class 1 = migrate.  Raises

@@ -5,7 +5,7 @@ type t = {
   mutable busy_ns : int;
 }
 
-let create ?(service_time_ns = 50_000) () =
+let create ~service_time_ns () =
   if service_time_ns <= 0 then invalid_arg "Swap_device.create: service time must be positive";
   { service_time_ns; busy_until = 0; reads = 0; busy_ns = 0 }
 

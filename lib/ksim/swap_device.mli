@@ -9,9 +9,10 @@
 
 type t
 
-val create : ?service_time_ns:int -> unit -> t
-(** Default service time: 50 µs per page (fast-SSD swap, in the range the
-    Leap paper reports for remote memory). *)
+val create : service_time_ns:int -> unit -> t
+(** {!Mem_sim} passes its config's per-page service time (50 µs in every
+    experiment: fast-SSD swap, in the range the Leap paper reports for
+    remote memory). *)
 
 val read : t -> now:int -> int
 (** Enqueue one page read issued at [now]; returns its completion time. *)

@@ -261,8 +261,8 @@ let parse ?(helpers = Helper.with_defaults ()) source =
          (List.rev !code))
   with Err e -> Error e
 
-let parse_exn ?helpers source =
-  match parse ?helpers source with
+let parse_exn source =
+  match parse source with
   | Ok prog -> prog
   | Error e -> failwith (Format.asprintf "%a" pp_error e)
 

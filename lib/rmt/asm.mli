@@ -31,8 +31,9 @@ val parse : ?helpers:Helper.t -> string -> (Program.t, error) result
 (** [helpers] (default {!Helper.with_defaults}) resolves symbolic helper
     names in [call] instructions. *)
 
-val parse_exn : ?helpers:Helper.t -> string -> Program.t
-(** Raises [Failure] with a located message. *)
+val parse_exn : string -> Program.t
+(** {!parse} with the default helpers; raises [Failure] with a located
+    message. *)
 
 val print : Program.t -> string
 val pp_error : Format.formatter -> error -> unit

@@ -6,30 +6,20 @@
     probe successes, or back to [Open] (with doubled backoff) on a probe
     failure.
 
-    Deterministic under the simulated clock: backoff grows exponentially
-    from [backoff_base_ns] to [backoff_max_ns], plus jitter drawn from the
-    breaker's own seeded rng, so a fault schedule replays to the same
-    transition sequence at any pool width. *)
+    It opens after 3 consecutive failures and closes after 2 probe
+    successes.  Deterministic under the simulated clock: backoff grows
+    exponentially from 1 ms to 1 s, plus up to 10% jitter drawn from the
+    breaker's own rng (seeded from its name), so a fault schedule replays
+    to the same transition sequence at any pool width. *)
 
 type state = Closed | Open | Half_open
 
-type config = {
-  failure_threshold : int;  (** consecutive failures (Closed) before opening *)
-  success_threshold : int;  (** probe successes (Half_open) before closing *)
-  backoff_base_ns : int;    (** first open-interval length *)
-  backoff_max_ns : int;     (** backoff growth cap *)
-  jitter_pct : int;         (** random extra backoff, percent of the interval *)
-  guardrail_rate : float;   (** windowed violation rate treated as a failure *)
-  saturation_streak : int;  (** consecutive throttled firings treated as a failure *)
-}
-
 type t
 
-val create : ?config:config -> ?seed:int -> string -> t
+val create : string -> t
 (** A fresh closed breaker named for telemetry. *)
 
 val name : t -> string
-val config : t -> config
 val state : t -> state
 val state_code : state -> int
 (** 0 = Closed, 1 = Open, 2 = Half_open (registry encoding). *)

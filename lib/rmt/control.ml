@@ -9,7 +9,6 @@ type t = {
   mutable program_order : string list;
   mutable table_order : string list;
   default_engine : Vm.engine;
-  limits : Verifier.limits;
   rng : Kml.Rng.t;
   mutable installs : int; (* indexes per-install Rng substreams *)
   retries : (string, retry) Hashtbl.t; (* update_model_checked backoff, per model *)
@@ -56,8 +55,7 @@ let register_program_views ~view_ns name vm =
   view "throttled_units" Vm.throttled_units;
   view "guardrail_violations" Vm.guardrail_violations
 
-let create ?(engine = Vm.Jit_compiled) ?(limits = Verifier.default_limits) ?(seed = 0x5eed)
-    ?(view_ns = "rmt") () =
+let create ?(engine = Vm.Jit_compiled) ?(seed = 0x5eed) ?(view_ns = "rmt") () =
   { helpers = Helper.with_defaults ();
     store = Model_store.create ();
     pipeline = Pipeline.create ~view_ns ();
@@ -68,7 +66,6 @@ let create ?(engine = Vm.Jit_compiled) ?(limits = Verifier.default_limits) ?(see
     program_order = [];
     table_order = [];
     default_engine = engine;
-    limits;
     rng = Kml.Rng.create seed;
     installs = 0;
     retries = Hashtbl.create 8;
@@ -133,7 +130,7 @@ let prepare t ?(budget = Kml.Model_cost.default_budget) ?resource_budget ?(model
       let model_costs =
         Array.map (fun h -> Model_store.cost (Model_store.model t.store h)) handles
       in
-      (match Verifier.check ~limits:t.limits ~budget ~helpers:t.helpers ~model_costs prog with
+      (match Verifier.check ~budget ~helpers:t.helpers ~model_costs prog with
        | Error v ->
          Obs.Counter.incr c_install_rejected;
          Error (Printf.sprintf "verifier rejected %s: %s" prog.name
@@ -254,36 +251,33 @@ let update_model_checked t ~name ?(samples = []) ?lo ?hi model =
          in
          probe samples)
 
-let protect t ~hook ?config ?breaker ?programs ~fallback () =
+let protect t ~hook ?breaker ~programs ~fallback () =
   let vms =
-    match programs with
-    | None -> [||]
-    | Some names ->
-      Array.of_list
-        (List.filter_map (fun name -> Hashtbl.find_opt t.programs name) names)
+    Array.of_list (List.filter_map (fun name -> Hashtbl.find_opt t.programs name) programs)
   in
-  Pipeline.protect t.pipeline ~hook ?config ?breaker ~vms ~fallback ()
+  Pipeline.protect t.pipeline ~hook ?breaker ~vms ~fallback ()
 
-let install t ?budget ?resource_budget ?model_names (prog : Program.t) =
-  match prepare t ?budget ?resource_budget ?model_names prog with
-  | Error _ as e -> e
-  | Ok loaded ->
-    let vm = Vm.create ~engine:t.default_engine loaded in
-    if not (Hashtbl.mem t.programs prog.name) then
-      t.program_order <- t.program_order @ [ prog.name ];
-    Hashtbl.replace t.programs prog.name vm;
-    Obs.Counter.incr c_installs;
-    register_program_views ~view_ns:t.view_ns prog.name vm;
-    Ok vm
+(* Serve a verified and linked program under its name. *)
+let register t (prog : Program.t) loaded =
+  let vm = Vm.create ~engine:t.default_engine loaded in
+  if not (Hashtbl.mem t.programs prog.name) then
+    t.program_order <- t.program_order @ [ prog.name ];
+  Hashtbl.replace t.programs prog.name vm;
+  Obs.Counter.incr c_installs;
+  register_program_views ~view_ns:t.view_ns prog.name vm;
+  vm
 
-let install_canary t ?budget ?resource_budget ?model_names ?invocations
-    ?max_divergences ?grace (prog : Program.t) =
+let install t ?resource_budget ?model_names (prog : Program.t) =
+  Result.map (register t prog) (prepare t ?resource_budget ?model_names prog)
+
+let install_canary t ?resource_budget ?model_names ?invocations ?max_divergences ?grace
+    (prog : Program.t) =
   match Hashtbl.find_opt t.programs prog.name with
   | None ->
     (* Nothing to canary against: a first install is immediate. *)
-    install t ?budget ?resource_budget ?model_names prog
+    install t ?resource_budget ?model_names prog
   | Some vm ->
-    (match prepare t ?budget ?resource_budget ?model_names prog with
+    (match prepare t ?resource_budget ?model_names prog with
      | Error _ as e -> e
      | Ok loaded ->
        Vm.stage_canary vm ?invocations ?max_divergences ?grace loaded;
@@ -295,11 +289,12 @@ let install_canary t ?budget ?resource_budget ?model_names ?invocations
    incumbent's Vm with {!Vm.swap} so every table entry holding a direct
    reference to that Vm serves the new build immediately — no canary
    window, no new Vm object.  A fresh name falls back to {!install}. *)
-let swap_program t ?budget ?resource_budget ?model_names (prog : Program.t) =
+let swap_program t ~model_names (prog : Program.t) =
+  let resource_budget = Resource.default_budget in
   match Hashtbl.find_opt t.programs prog.name with
-  | None -> install t ?budget ?resource_budget ?model_names prog
+  | None -> install t ~resource_budget ~model_names prog
   | Some vm ->
-    (match prepare t ?budget ?resource_budget ?model_names prog with
+    (match prepare t ~resource_budget ~model_names prog with
      | Error _ as e -> e
      | Ok loaded ->
        Vm.swap vm loaded;
@@ -316,15 +311,16 @@ let rollback_program t name =
   | None -> false
   | Some vm -> Vm.cancel_canary vm || Vm.rollback vm
 
-let install_asm t ?budget ?resource_budget ?model_names source =
+let install_asm t source =
   match Asm.parse ~helpers:t.helpers source with
   | Error e -> Error (Format.asprintf "%a" Asm.pp_error e)
-  | Ok prog -> install t ?budget ?resource_budget ?model_names prog
+  | Ok prog -> install t prog
 
 let install_bytes t ?budget ?resource_budget ?model_names data =
   match Encoding.decode data with
   | Error e -> Error ("decode: " ^ e)
-  | Ok prog -> install t ?budget ?resource_budget ?model_names prog
+  | Ok prog ->
+    Result.map (register t prog) (prepare t ?budget ?resource_budget ?model_names prog)
 
 let find_program t name = Hashtbl.find_opt t.programs name
 

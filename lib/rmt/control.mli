@@ -11,7 +11,7 @@
 type t
 
 val create :
-  ?engine:Vm.engine -> ?limits:Verifier.limits -> ?seed:int -> ?view_ns:string -> unit -> t
+  ?engine:Vm.engine -> ?seed:int -> ?view_ns:string -> unit -> t
 (** Fresh kernel-side state: default helper registry, empty model store,
     empty pipeline.  Every program it installs runs on [engine] (default
     [Jit_compiled]).  [seed] drives DP noise and any program randomness.
@@ -58,14 +58,11 @@ val update_model_checked :
 (** {2 Programs} *)
 
 val install :
-  t ->
-  ?budget:Kml.Model_cost.budget ->
-  ?resource_budget:Resource.budget ->
-  ?model_names:string list ->
-  Program.t ->
+  t -> ?resource_budget:Resource.budget -> ?model_names:string list -> Program.t ->
   (Vm.t, string) result
 (** The install syscall: bind model slots (by registered name, in slot
-    order), run {!Verifier.check} with the bound models' costs, link and
+    order), run {!Verifier.check} with the bound models' costs against
+    {!Kml.Model_cost.default_budget}, link and
     wrap in a {!Vm}.  The program is registered under its name; reinstalling
     a name replaces it.
 
@@ -76,13 +73,9 @@ val install :
     available through {!resource_report} whether or not a budget was
     supplied. *)
 
-val install_asm :
-  t ->
-  ?budget:Kml.Model_cost.budget ->
-  ?resource_budget:Resource.budget ->
-  ?model_names:string list ->
-  string ->
-  (Vm.t, string) result
+val install_asm : t -> string -> (Vm.t, string) result
+(** Assemble ({!Asm.parse} with this control plane's helpers) a program
+    that binds no model, then {!install} it. *)
 
 val install_bytes :
   t ->
@@ -92,11 +85,11 @@ val install_bytes :
   bytes ->
   (Vm.t, string) result
 (** The wire-format install syscall: decode ({!Encoding}), then verify and
-    link exactly as {!install}. *)
+    link as {!install}, against [budget] (default
+    {!Kml.Model_cost.default_budget}). *)
 
 val install_canary :
   t ->
-  ?budget:Kml.Model_cost.budget ->
   ?resource_budget:Resource.budget ->
   ?model_names:string list ->
   ?invocations:int ->
@@ -113,15 +106,9 @@ val install_canary :
     Vm is the {e incumbent's}; observe the transaction with
     {!canary_status} and abort it with {!rollback_program}. *)
 
-val swap_program :
-  t ->
-  ?budget:Kml.Model_cost.budget ->
-  ?resource_budget:Resource.budget ->
-  ?model_names:string list ->
-  Program.t ->
-  (Vm.t, string) result
-(** Forced in-place replacement: verify and link exactly as {!install},
-    then splice the result into the incumbent's Vm ({!Vm.swap}) so table
+val swap_program : t -> model_names:string list -> Program.t -> (Vm.t, string) result
+(** Forced in-place replacement: verify and link as {!install} within
+    {!Resource.default_budget}, then splice the result into the incumbent's Vm ({!Vm.swap}) so table
     entries holding direct Vm references serve the new build immediately —
     no canary window, and any in-flight canary or grace slot is dropped.
     This is the restore path for a rollout whose grace window has already
@@ -188,9 +175,8 @@ val fire : t -> hook:string -> ctxt:Ctxt.t -> int option
 val protect :
   t ->
   hook:string ->
-  ?config:Breaker.config ->
   ?breaker:Breaker.t ->
-  ?programs:string list ->
+  programs:string list ->
   fallback:(Ctxt.t -> int) ->
   unit ->
   Breaker.t

@@ -91,7 +91,7 @@ let run ?fuel (loaded : Loaded.t) ~ctxt ~now =
   let fuel =
     match fuel with
     | Some f -> f
-    | None -> Verifier.default_limits.Verifier.max_steps * (max_tail_depth + 1)
+    | None -> Verifier.max_steps * (max_tail_depth + 1)
   in
   if Fault.active () && Fault.fire Fault.Engine_trap then raise (Trap Trap_injected);
   let st = { regs = Array.make Insn.n_registers 0; fuel; steps = 0; denied = 0 } in

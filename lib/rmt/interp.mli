@@ -40,5 +40,4 @@ type outcome = {
 }
 
 val run : ?fuel:int -> Loaded.t -> ctxt:Ctxt.t -> now:(unit -> int) -> outcome
-(** Default fuel: {!Verifier.default_limits}[.max_steps × (tail-call depth
-    limit + 1)]. *)
+(** Default fuel: {!Verifier.max_steps} × (tail-call depth limit + 1). *)

@@ -8,8 +8,6 @@ type protection = {
   breaker : Breaker.t;
   fallback : Ctxt.t -> int;
   guard_vms : Vm.t array;
-  guardrail_rate : float; (* windowed violation rate that counts as failure *)
-  saturation_streak : int; (* consecutive throttled firings that count as failure *)
   mutable fallback_served : int;
   mutable last_throttled : int; (* sum of vm throttled_units at last firing *)
   mutable throttle_streak : int;
@@ -55,19 +53,19 @@ let hooks t = List.filter (fun h -> tables_at t ~hook:h <> []) t.order
 let c_fallback = Obs.Counter.make "rmt.pipeline.fallback_served"
 let c_trap_fallback = Obs.Counter.make "rmt.pipeline.trap_fallbacks"
 
-let protect t ~hook ?config ?breaker ?(vms = [||]) ~fallback () =
+(* The windowed guardrail-violation rate, and the run of consecutive
+   throttled firings, that count as a breaker failure. *)
+let guardrail_rate = 0.5
+let saturation_streak = 8
+
+let protect t ~hook ?breaker ~vms ~fallback () =
   let s = state t hook in
-  let breaker =
-    match breaker with Some b -> b | None -> Breaker.create ?config hook
-  in
-  let cfg = Breaker.config breaker in
+  let breaker = match breaker with Some b -> b | None -> Breaker.create hook in
   s.protection <-
     Some
       { breaker;
         fallback;
         guard_vms = vms;
-        guardrail_rate = cfg.Breaker.guardrail_rate;
-        saturation_streak = cfg.Breaker.saturation_streak;
         fallback_served = 0;
         last_throttled = 0;
         throttle_streak = 0 };
@@ -108,9 +106,9 @@ let observe_health p ~now_ns =
   if throttled > p.last_throttled then p.throttle_streak <- p.throttle_streak + 1
   else p.throttle_streak <- 0;
   p.last_throttled <- throttled;
-  let saturated = p.throttle_streak >= p.saturation_streak in
+  let saturated = p.throttle_streak >= saturation_streak in
   if saturated then p.throttle_streak <- 0;
-  if saturated || any_guardrail_storm p.guard_vms p.guardrail_rate 0 then
+  if saturated || any_guardrail_storm p.guard_vms guardrail_rate 0 then
     Breaker.record_failure p.breaker ~now:now_ns
   else Breaker.record_success p.breaker ~now:now_ns
 

@@ -47,9 +47,8 @@ val fire_batch : t -> hook:string -> Batch.t -> now:(unit -> int) -> bool
 val protect :
   t ->
   hook:string ->
-  ?config:Breaker.config ->
   ?breaker:Breaker.t ->
-  ?vms:Vm.t array ->
+  vms:Vm.t array ->
   fallback:(Ctxt.t -> int) ->
   unit ->
   Breaker.t
@@ -60,14 +59,13 @@ val protect :
     after the backoff.  Failures recorded against the breaker: a
     contained engine trap during dispatch (which also rolls back any
     [vms] still inside a canary grace window), a guardrail-violation
-    storm on any of [vms] (windowed rate >= [config.guardrail_rate]),
-    or [config.saturation_streak] consecutive firings in which the
-    [vms]' rate limiters refused units.  Everything else records a
+    storm on any of [vms] (windowed rate >= 0.5), or 8 consecutive
+    firings in which the [vms]' rate limiters refused units.  Everything else records a
     success.
 
     [?breaker] shares an existing breaker across hooks (e.g. both stages
     of the prefetch pipeline trip together); otherwise a fresh one is
-    created from [?config] and named after the hook.  Registers registry
+    created, named after the hook.  Registers registry
     views [<view_ns>.breaker.<hook>.state] and
     [<view_ns>.breaker.<hook>.fallback_served].  Returns the armed
     breaker. *)

@@ -9,8 +9,7 @@ type t = {
 type budget = { max_steps : int; max_scratch_words : int; max_table_slots : int }
 
 let default_budget =
-  { max_steps = Verifier.default_limits.Verifier.max_steps;
-    max_scratch_words = Verifier.default_limits.Verifier.max_vmem;
+  { max_steps = Verifier.max_steps; max_scratch_words = Verifier.max_vmem;
     max_table_slots = 16 }
 
 let of_report (report : Verifier.report) (prog : Program.t) =

@@ -1,19 +1,8 @@
-type limits = {
-  max_code_len : int;
-  max_vmem : int;
-  max_rep_count : int;
-  max_steps : int;
-  max_const_words : int;
-  max_tail_call_depth : int;
-}
-
-let default_limits =
-  { max_code_len = 4096;
-    max_vmem = 1024;
-    max_rep_count = 4096;
-    max_steps = 1_000_000;
-    max_const_words = 1 lsl 20;
-    max_tail_call_depth = 32 }
+let max_code_len = 4096
+let max_vmem = 1024
+let max_rep_count = 4096
+let max_steps = 1_000_000
+let max_const_words = 1 lsl 20
 
 type report = {
   worst_case_steps : int;
@@ -144,7 +133,7 @@ let uses_defs helpers pc (insn : Insn.t) =
 (* Structural checks per instruction.                                  *)
 (* ------------------------------------------------------------------ *)
 
-let check_operands limits ~helpers (prog : Program.t) =
+let check_operands ~helpers (prog : Program.t) =
   let module I = Insn in
   let n_maps = Array.length prog.map_specs in
   let n_models = Array.length prog.model_arity in
@@ -166,7 +155,7 @@ let check_operands limits ~helpers (prog : Program.t) =
       | I.Ring_push (slot, _) ->
         if slot < 0 || slot >= n_maps then reject (Bad_map_slot { pc; slot })
       | I.Rep (count, body_len) ->
-        if count < 1 || count > limits.max_rep_count || body_len < 1 then
+        if count < 1 || count > max_rep_count || body_len < 1 then
           reject (Bad_rep { pc; count; body_len });
         if pc + 1 + body_len > Array.length prog.code then
           reject (Bad_rep { pc; count; body_len })
@@ -206,7 +195,7 @@ let check_operands limits ~helpers (prog : Program.t) =
 (* multiplicity (product of enclosing trip counts) per pc.             *)
 (* ------------------------------------------------------------------ *)
 
-let loop_structure limits (code : Insn.t array) =
+let loop_structure (code : Insn.t array) =
   let n = Array.length code in
   let body_end = Array.make n (n - 1) in
   (* default: top level — may branch anywhere up to the last insn *)
@@ -223,8 +212,8 @@ let loop_structure limits (code : Insn.t array) =
         let b_end = pc + body_len in
         if b_end > limit then reject (Bad_rep { pc; count; body_len });
         let inner_mult = mult * count in
-        if inner_mult > limits.max_steps then
-          reject (Steps_exceeded { worst_case = inner_mult; allowed = limits.max_steps });
+        if inner_mult > max_steps then
+          reject (Steps_exceeded { worst_case = inner_mult; allowed = max_steps });
         scan (pc + 1) b_end inner_mult;
         scan (b_end + 1) limit mult
       | _ -> scan (pc + 1) limit mult
@@ -305,23 +294,23 @@ let sum_saturating a b =
 (* Main entry points.                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let run_checks ~limits ~budget ~strict ~helpers ~model_costs (prog : Program.t) =
+let run_checks ~budget ~strict ~helpers ~model_costs (prog : Program.t) =
   let n = Array.length prog.code in
   if n = 0 then reject Empty_program;
-  if n > limits.max_code_len then reject (Code_too_long n);
-  if prog.vmem_size < 0 || prog.vmem_size > limits.max_vmem then
+  if n > max_code_len then reject (Code_too_long n);
+  if prog.vmem_size < 0 || prog.vmem_size > max_vmem then
     reject (Vmem_too_large prog.vmem_size);
   let const_words =
     Array.fold_left (fun acc c -> acc + Array.length c.Program.data) 0 prog.consts
   in
-  if const_words > limits.max_const_words then reject (Const_pool_too_large const_words);
+  if const_words > max_const_words then reject (Const_pool_too_large const_words);
   Array.iter
     (fun (c : Program.const) ->
       if Array.length c.data <> c.rows * c.cols then
         invalid_arg "Verifier: malformed constant (data length <> rows * cols)")
     prog.consts;
-  check_operands limits ~helpers prog;
-  let body_end, weight = loop_structure limits prog.code in
+  check_operands ~helpers prog;
+  let body_end, weight = loop_structure prog.code in
   (* Validate all successor edges eagerly (also catches fall-off / backward
      jumps on unreachable code, which we reject as malformed). *)
   Array.iteri (fun pc _ -> ignore (successors prog.code body_end pc)) prog.code;
@@ -353,8 +342,8 @@ let run_checks ~limits ~budget ~strict ~helpers ~model_costs (prog : Program.t) 
         worst_case_steps := sum_saturating !worst_case_steps w)
     weight;
   let worst_case_steps = !worst_case_steps in
-  if worst_case_steps > limits.max_steps then
-    reject (Steps_exceeded { worst_case = worst_case_steps; allowed = limits.max_steps });
+  if worst_case_steps > max_steps then
+    reject (Steps_exceeded { worst_case = worst_case_steps; allowed = max_steps });
   (* Capability + ML admission. *)
   let uses_privacy = ref false in
   let model_slots = ref [] and helper_ids = ref [] in
@@ -391,12 +380,12 @@ let run_checks ~limits ~budget ~strict ~helpers ~model_costs (prog : Program.t) 
     helper_ids_used = List.sort compare !helper_ids;
     facts = ai.Absint.facts }
 
-let check ?(limits = default_limits) ?(budget = Kml.Model_cost.default_budget)
-    ?(strict = false) ~helpers ~model_costs prog =
-  match run_checks ~limits ~budget ~strict ~helpers ~model_costs prog with
+let check ?(budget = Kml.Model_cost.default_budget) ?(strict = false) ~helpers ~model_costs
+    prog =
+  match run_checks ~budget ~strict ~helpers ~model_costs prog with
   | report -> Ok report
   | exception Reject v -> Error v
 
-let check_structure_only ?(limits = default_limits) ?strict ~helpers prog =
+let check_structure_only ?strict ~helpers prog =
   let model_costs = Array.map (fun _ -> Kml.Model_cost.zero) prog.Program.model_arity in
-  check ~limits ~budget:Kml.Model_cost.default_budget ?strict ~helpers ~model_costs prog
+  check ~budget:Kml.Model_cost.default_budget ?strict ~helpers ~model_costs prog

@@ -26,16 +26,13 @@
     arithmetic is total (division by zero yields 0), all memory operands
     were bounds-checked statically, and execution length is bounded. *)
 
-type limits = {
-  max_code_len : int;
-  max_vmem : int;
-  max_rep_count : int;
-  max_steps : int;            (** worst-case dynamic instructions *)
-  max_const_words : int;
-  max_tail_call_depth : int;
-}
+val max_steps : int
+(** 1,000,000: the worst-case dynamic instructions a program may take. *)
 
-val default_limits : limits
+val max_vmem : int
+(** 1024: the largest scratchpad a program may declare, in words.
+    Programs are also limited to 4096 instructions, [REP] counts of 4096
+    and 2{^20} constant-pool words. *)
 
 type report = {
   worst_case_steps : int;
@@ -84,7 +81,6 @@ val pp_violation : Format.formatter -> violation -> unit
 val violation_to_string : violation -> string
 
 val check :
-  ?limits:limits ->
   ?budget:Kml.Model_cost.budget ->
   ?strict:bool ->
   helpers:Helper.t ->
@@ -102,6 +98,6 @@ val check :
     [Privacy_flow] is enforced regardless of [strict]. *)
 
 val check_structure_only :
-  ?limits:limits -> ?strict:bool -> helpers:Helper.t -> Program.t -> (report, violation) result
+  ?strict:bool -> helpers:Helper.t -> Program.t -> (report, violation) result
 (** Structure, control-flow and dataflow checks with model slots assumed
     zero-cost — usable before models are bound. *)

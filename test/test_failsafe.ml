@@ -71,10 +71,10 @@ let test_fault_scoping () =
 (* ---------------- Circuit breaker ---------------- *)
 
 let test_breaker_state_machine () =
-  let b = Rmt.Breaker.create ~seed:42 "test" in
-  let cfg = Rmt.Breaker.config b in
+  let b = Rmt.Breaker.create "test" in
   Alcotest.(check bool) "closed admits" true (Rmt.Breaker.allow b ~now:0);
-  for _ = 1 to cfg.Rmt.Breaker.failure_threshold - 1 do
+  (* it opens on the third consecutive failure *)
+  for _ = 1 to 2 do
     Rmt.Breaker.record_failure b ~now:0
   done;
   Alcotest.(check bool) "still closed below threshold" true
@@ -89,7 +89,8 @@ let test_breaker_state_machine () =
   Alcotest.(check bool) "admits a probe after deadline" true
     (Rmt.Breaker.allow b ~now:(deadline + 1));
   Alcotest.(check bool) "half-open" true (Rmt.Breaker.state b = Rmt.Breaker.Half_open);
-  for _ = 1 to cfg.Rmt.Breaker.success_threshold do
+  (* two probe successes close it *)
+  for _ = 1 to 2 do
     Rmt.Breaker.record_success b ~now:(deadline + 1)
   done;
   Alcotest.(check bool) "closed after probes" true
@@ -98,7 +99,7 @@ let test_breaker_state_machine () =
   Alcotest.(check int) "one close" 1 (Rmt.Breaker.closes b)
 
 let test_breaker_backoff_growth () =
-  let b = Rmt.Breaker.create ~seed:7 "growth" in
+  let b = Rmt.Breaker.create "growth" in
   Rmt.Breaker.trip b ~now:0;
   let first_interval = Rmt.Breaker.retry_at b in
   let probe_at = first_interval + 1 in
@@ -112,15 +113,15 @@ let test_breaker_backoff_growth () =
   Alcotest.(check int) "counters preserved" 2 (Rmt.Breaker.opens b)
 
 let test_breaker_jitter_determinism () =
-  let run seed =
-    let b = Rmt.Breaker.create ~seed "det" in
+  let run () =
+    let b = Rmt.Breaker.create "det" in
     Rmt.Breaker.trip b ~now:0;
     let d1 = Rmt.Breaker.retry_at b in
     ignore (Rmt.Breaker.allow b ~now:(d1 + 1));
     Rmt.Breaker.record_failure b ~now:(d1 + 1);
     (d1, Rmt.Breaker.retry_at b)
   in
-  Alcotest.(check (pair int int)) "same seed, same deadlines" (run 5) (run 5)
+  Alcotest.(check (pair int int)) "same name, same deadlines" (run ()) (run ())
 
 (* ---------------- Guardrail window ---------------- *)
 
@@ -415,8 +416,7 @@ let test_pipeline_fallback_on_open () =
   Alcotest.(check bool) "fallback count advanced" true (served >= 5);
   (* Fault-free probes after the backoff deadline re-close the breaker. *)
   now := Rmt.Breaker.retry_at breaker + 1;
-  let cfg = Rmt.Breaker.config breaker in
-  for _ = 1 to cfg.Rmt.Breaker.success_threshold do
+  for _ = 1 to 2 do
     Alcotest.(check (option int)) "probe serves the learned path" (Some 11) (fire ())
   done;
   Alcotest.(check bool) "re-closed" true (Rmt.Breaker.state breaker = Rmt.Breaker.Closed);
@@ -438,7 +438,7 @@ let test_chaos_width_determinism () =
   let scenarios = 6 and events = 120 and seed = 0x5eed in
   let runs =
     Par.replay ~widths:[ 1; 4 ] (fun () ->
-        fst (Rkd.Chaos.run ~seed ~events ~pool:(Par.global ()) ~scenarios ()))
+        fst (Rkd.Chaos.run ~seed ~events ~scenarios ()))
   in
   let seq = List.assoc 1 runs and par = List.assoc 4 runs in
   Alcotest.(check int) "no uncaught (seq)" 0 seq.Rkd.Chaos.total_uncaught;
