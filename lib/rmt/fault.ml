@@ -211,13 +211,15 @@ let parse_spec spec =
   in
   go [] parts
 
-let () =
+let env_plan =
   match Sys.getenv_opt "RKD_FAULTS" with
-  | None | Some "" -> ()
+  | None | Some "" -> []
   | Some spec -> (
     match parse_spec spec with
-    | Ok points -> set_global points
+    | Ok points -> points
     | Error msg ->
       (* A typo must not turn a faulted run into a clean one that passes. *)
       prerr_endline msg;
       exit 2)
+
+let () = if env_plan <> [] then set_global env_plan

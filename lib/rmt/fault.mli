@@ -98,6 +98,10 @@ val parse_spec : string -> ((point * float) list, string) result
     Empty entries are rejected.  A process whose [RKD_FAULTS] does not
     parse prints the error and exits with status 2 at start-up. *)
 
+val env_plan : (point * float) list
+(** The [RKD_FAULTS] plan, parsed once at start-up and armed as the
+    global plan; [[]] when the variable is unset or empty. *)
+
 (** {2 Perturbation helpers}
 
     Value generators for the seams, drawing from the active plan's rng
