@@ -609,6 +609,16 @@ let serve_cmd =
           ~events_per_tenant:events ()
       in
       let fleet, dps = Serve.Serving.create_datapath ~config () in
+      (* Dispatches and slots over every shard's [batch_slots]; the
+         histograms are process-wide, so a pass reads its own delta. *)
+      let slots () =
+        Array.fold_left
+          (fun (count, sum) dp ->
+            let h = Serve.Shard.Datapath.batch_slots dp in
+            (count + Obs.Histo.count h, sum + Obs.Histo.sum h))
+          (0, 0) dps
+      in
+      let dispatches0, slots0 = slots () in
       if pinned then Serve.Serving.start fleet;
       let tick = ref 0 in
       List.iter
@@ -634,6 +644,10 @@ let serve_cmd =
          are served too and must not fold into the replayed digest. *)
       let served = Serve.Serving.served fleet in
       let digest = Serve.Serving.digest fleet in
+      let dispatches, slots =
+        let count, sum = slots () in
+        (count - dispatches0, sum - slots0)
+      in
       (* Faults (e.g. RKD_FAULTS=all:...) may leave shard breakers open
          at stream end; every one must re-close under fault-free probe
          traffic within its backoff — the chaos invariant. *)
@@ -667,22 +681,31 @@ let serve_cmd =
                      probe 64))
               (Serve.Serving.shards fleet))
       in
-      (served, digest, reclosed, Array.map Serve.Shard.Datapath.tenant_count dps)
+      ( served,
+        digest,
+        reclosed,
+        Array.map Serve.Shard.Datapath.tenant_count dps,
+        (dispatches, slots) )
     in
     let expected = tenants * events in
-    let served, digest, reclosed, per_shard = run_once ~pinned:(pinned && not soak) in
+    let served, digest, reclosed, per_shard, (dispatches, slots) =
+      run_once ~pinned:(pinned && not soak)
+    in
     Format.printf "serve: %d events, %d tenants over %d shard%s (%s)@." served tenants shards
       (if shards = 1 then "" else "s")
       (if pinned && not soak then "pinned workers" else "inline");
     Array.iteri (fun i n -> Format.printf "  shard %d: %d tenants@." i n) per_shard;
     Format.printf "  digest %016x  breakers %s@." digest
       (if reclosed then "re-closed" else "STUCK OPEN");
+    if dispatches > 0 then
+      Format.printf "  batch_slots: %d dispatches, %.2f slots per dispatch@." dispatches
+        (float_of_int slots /. float_of_int dispatches);
     (* The pool width never reaches inline serving, so the soak's two
        passes are labelled by pass number. *)
     let replayed =
       (not soak)
       ||
-      let served2, digest2, reclosed2, _ = run_once ~pinned:false in
+      let served2, digest2, reclosed2, _, _ = run_once ~pinned:false in
       same_digests ~label:"pass" "serve" [ (1, digest); (2, digest2) ]
       && served2 = served && reclosed2
     in

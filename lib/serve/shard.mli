@@ -95,6 +95,13 @@ module Datapath : sig
 
   val tenant_count : dp -> int
 
+  val batch_slots : dp -> Obs.Histo.t
+  (** [<view_ns>.batch_slots]: slots per {!Rmt.Control.fire_batch}
+      dispatch, observed once per dispatch (one-slot ones included), so
+      its sum is the events served and its count the dispatches made.
+      Process-wide, like every registered metric: sinks created under
+      the same [view_ns] share it. *)
+
   val hook : string
   (** The hook the serve table is attached to ([lookup_swap_cache]). *)
 
