@@ -102,8 +102,7 @@ let update_model t ~name model =
    registry: the shared front half of {!install} (which wraps the result
    in a fresh Vm) and {!install_canary} (which stages it as the candidate
    slot of an already-running Vm). *)
-let prepare t ?(budget = Kml.Model_cost.default_budget) ?resource_budget ?(model_names = [])
-    (prog : Program.t) =
+let prepare t ?resource_budget ?(model_names = []) (prog : Program.t) =
   let n_slots = Array.length prog.model_arity in
   if List.length model_names <> n_slots then
     Error
@@ -130,7 +129,7 @@ let prepare t ?(budget = Kml.Model_cost.default_budget) ?resource_budget ?(model
       let model_costs =
         Array.map (fun h -> Model_store.cost (Model_store.model t.store h)) handles
       in
-      (match Verifier.check ~budget ~helpers:t.helpers ~model_costs prog with
+      (match Verifier.check ~helpers:t.helpers ~model_costs prog with
        | Error v ->
          Obs.Counter.incr c_install_rejected;
          Error (Printf.sprintf "verifier rejected %s: %s" prog.name
@@ -316,11 +315,11 @@ let install_asm t source =
   | Error e -> Error (Format.asprintf "%a" Asm.pp_error e)
   | Ok prog -> install t prog
 
-let install_bytes t ?budget ?resource_budget ?model_names data =
+let install_bytes t ?resource_budget ?model_names data =
   match Encoding.decode data with
   | Error e -> Error ("decode: " ^ e)
   | Ok prog ->
-    Result.map (register t prog) (prepare t ?budget ?resource_budget ?model_names prog)
+    Result.map (register t prog) (prepare t ?resource_budget ?model_names prog)
 
 let find_program t name = Hashtbl.find_opt t.programs name
 

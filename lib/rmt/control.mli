@@ -78,15 +78,10 @@ val install_asm : t -> string -> (Vm.t, string) result
     that binds no model, then {!install} it. *)
 
 val install_bytes :
-  t ->
-  ?budget:Kml.Model_cost.budget ->
-  ?resource_budget:Resource.budget ->
-  ?model_names:string list ->
-  bytes ->
+  t -> ?resource_budget:Resource.budget -> ?model_names:string list -> bytes ->
   (Vm.t, string) result
 (** The wire-format install syscall: decode ({!Encoding}), then verify and
-    link as {!install}, against [budget] (default
-    {!Kml.Model_cost.default_budget}). *)
+    link as {!install}. *)
 
 val install_canary :
   t ->

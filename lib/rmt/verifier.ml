@@ -4,6 +4,9 @@ let max_rep_count = 4096
 let max_steps = 1_000_000
 let max_const_words = 1 lsl 20
 
+(* Every install's per-invocation model cost fits this one budget. *)
+let model_budget = Kml.Model_cost.default_budget
+
 type report = {
   worst_case_steps : int;
   ml_cost : Kml.Model_cost.t;
@@ -294,7 +297,7 @@ let sum_saturating a b =
 (* Main entry points.                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let run_checks ~budget ~strict ~helpers ~model_costs (prog : Program.t) =
+let run_checks ~strict ~helpers ~model_costs (prog : Program.t) =
   let n = Array.length prog.code in
   if n = 0 then reject Empty_program;
   if n > max_code_len then reject (Code_too_long n);
@@ -371,7 +374,7 @@ let run_checks ~budget ~strict ~helpers ~model_costs (prog : Program.t) =
         end
       | _ -> ())
     prog.code;
-  if not (Kml.Model_cost.within !ml_cost budget) then
+  if not (Kml.Model_cost.within !ml_cost model_budget) then
     reject (Ml_cost_exceeded { cost = !ml_cost });
   { worst_case_steps;
     ml_cost = !ml_cost;
@@ -380,12 +383,11 @@ let run_checks ~budget ~strict ~helpers ~model_costs (prog : Program.t) =
     helper_ids_used = List.sort compare !helper_ids;
     facts = ai.Absint.facts }
 
-let check ?(budget = Kml.Model_cost.default_budget) ?(strict = false) ~helpers ~model_costs
-    prog =
-  match run_checks ~budget ~strict ~helpers ~model_costs prog with
+let check ?(strict = false) ~helpers ~model_costs prog =
+  match run_checks ~strict ~helpers ~model_costs prog with
   | report -> Ok report
   | exception Reject v -> Error v
 
 let check_structure_only ?strict ~helpers prog =
   let model_costs = Array.map (fun _ -> Kml.Model_cost.zero) prog.Program.model_arity in
-  check ~budget:Kml.Model_cost.default_budget ?strict ~helpers ~model_costs prog
+  check ?strict ~helpers ~model_costs prog

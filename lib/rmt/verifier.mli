@@ -19,8 +19,8 @@
       request additionally require [Guarded] and [Rate_limited]
       (enforced by {!Control} at attach time using {!report});
     + {b ML admission} — with models bound, the total per-invocation model
-      cost (weighted by loop multiplicity) must fit the hook's
-      {!Kml.Model_cost.budget}.
+      cost (weighted by loop multiplicity) must fit
+      {!Kml.Model_cost.default_budget}.
 
     A program accepted by [check] cannot trap in {!Interp} or {!Jit}: all
     arithmetic is total (division by zero yields 0), all memory operands
@@ -81,7 +81,6 @@ val pp_violation : Format.formatter -> violation -> unit
 val violation_to_string : violation -> string
 
 val check :
-  ?budget:Kml.Model_cost.budget ->
   ?strict:bool ->
   helpers:Helper.t ->
   model_costs:Kml.Model_cost.t array ->
