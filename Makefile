@@ -33,7 +33,7 @@ fleet:
 
 # Micro harness: one Bechamel pass writes BENCH_micro.json and fails if
 # a within-run ratio (loop64/b64 batch amortization, Figure 1 collect
-# interp/jit) falls below its floor.
+# interp/jit, serving collect loop8/b8) falls below its floor.
 perf-check:
 	dune exec bench/main.exe micro BENCH_micro.json
 

@@ -89,6 +89,19 @@ let single ctxt =
   b.Rmt.Batch.ctxts.(0) <- ctxt;
   b
 
+(* Serving-program fixture (DESIGN.md section 14): eight tenants'
+   contexts for the prefetch collect program, as one 8-slot batch and
+   as eight one-slot batches over the same contexts — one serving round
+   dispatched at once or event by event. *)
+let serve_collect_fixture () =
+  let b8 = Rmt.Batch.create ~capacity:8 in
+  Array.iteri
+    (fun s c ->
+      Rmt.Ctxt.set c Rkd.Hooks.key_page (1234 + (64 * s));
+      Rmt.Ctxt.set c Rkd.Hooks.key_last_page (1230 + (64 * s)))
+    b8.Rmt.Batch.ctxts;
+  (b8, Array.map single b8.Rmt.Batch.ctxts)
+
 (* Batched-invocation fixture (DESIGN.md section 13): a qMLP prefetch
    program — vector-load the feature block, one CALL_ML inference, store
    the predicted class — run either as 64 batches of one or as one
@@ -188,6 +201,7 @@ let micro_tests () =
   in
   let table_one = single (Rmt.Ctxt.of_list [ (0, 40) ]) in
   let bvm, bone, batch = batch_fixture () in
+  let serve_b8, serve_ones = serve_collect_fixture () in
   let fs_control, fs_breaker, fs_one = failsafe_fixture () in
   let obs_counter = Obs.Counter.make "bench.obs.counter" in
   let obs_histo = Obs.Histo.make "bench.obs.histo" in
@@ -262,6 +276,16 @@ let micro_tests () =
       (Staged.stage (fun () ->
            Rmt.Batch.set_n batch 256;
            Rmt.Vm.invoke_batch bvm batch ~now));
+    (* The serving program (DESIGN.md section 14): eight one-slot runs
+       of pf_collect against one 8-slot run, the VM share of what a
+       serving round saves over event-by-event dispatch. *)
+    Test.make ~name:"serve/collect/loop8"
+      (Staged.stage (fun () ->
+           for s = 0 to 7 do
+             Rmt.Vm.invoke_batch fig1_j.collect serve_ones.(s) ~now
+           done));
+    Test.make ~name:"serve/collect/b8"
+      (Staged.stage (fun () -> Rmt.Vm.invoke_batch fig1_j.collect serve_b8 ~now));
     (* Failsafe rows (DESIGN.md section 12): hook dispatch bare vs
        breaker-protected on the healthy path (closed breaker, no faults),
        plus the breaker admission check itself. *)
@@ -334,11 +358,13 @@ let verdict mode ok =
    each the median of its per-round ratios: the two rows of a round are
    measured moments apart, so the host's speed cancels out.  On a shared
    2-vCPU host 21 runs read 1.57-2.14 for loop64/b64 and 1.45-1.86 for
-   fig1 collect (DESIGN.md section 8), so a pass needs the win to hold,
-   not the host to be fast. *)
+   fig1 collect (DESIGN.md section 8), and 20 runs read 1.20-1.61 for
+   serve collect loop8/b8, so a pass needs the win to hold, not the host
+   to be fast. *)
 let micro_gates =
   [ ("batch amortization", "batch/qmlp/loop64", "batch/qmlp/b64", 1.35);
-    ("fig1 jit speedup", "fig1/collect/interp", "fig1/collect/jit", 1.15) ]
+    ("fig1 jit speedup", "fig1/collect/interp", "fig1/collect/jit", 1.15);
+    ("serving batch amortization", "serve/collect/loop8", "serve/collect/b8", 1.05) ]
 
 let run_micro path =
   let tests = micro_tests () in
