@@ -71,7 +71,10 @@ analyze:
 # width 1, replayed at width 4 — rkdctl exits non-zero unless there are
 # zero uncaught exceptions, every breaker re-closed, and the digests are
 # bit-identical across the two widths.  Every replay below goes through
-# Par.replay (DESIGN.md section 9).  Then the serving fleet (DESIGN.md section 14) at 2
+# Par.replay (DESIGN.md section 9).  A 200-scenario soak under a 1%
+# everything-fault RKD_FAULTS plan must replay just as exactly: each
+# scenario runs under its own plan, so an ambient one cannot reach it.
+# Then the serving fleet (DESIGN.md section 14) at 2
 # and 4 shards under a 1% everything-fault plan: --soak replays the
 # trace twice and exits non-zero unless decision digests are
 # bit-identical and every tripped breaker re-closed.  Then the net
@@ -85,6 +88,7 @@ analyze:
 # faulted net and fleet reports are kept as CI artifacts.
 chaos:
 	dune exec bin/rkdctl.exe -- chaos -n 1000 -d 1 --snapshot chaos_obs.json
+	RKD_FAULTS=all:0.01 dune exec bin/rkdctl.exe -- chaos -n 200 -d 1
 	RKD_FAULTS=all:0.01 dune exec bin/rkdctl.exe -- serve --soak --shards 2
 	RKD_FAULTS=all:0.01 dune exec bin/rkdctl.exe -- serve --soak --shards 4
 	RKD_FAULTS=all:0.01 dune exec bin/rkdctl.exe -- net --json net_report_faulted.json

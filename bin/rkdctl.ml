@@ -327,12 +327,11 @@ let mc_cmd =
             (Analysis.Mc_models.ring ~bug:Analysis.Mc_models.No_drain_refresh ~capacity:2
                ~pushes:3 ~max_batch:2 ());
           check true
-            (Analysis.Mc_models.shard ~bug:Analysis.Mc_models.Dropped_wake ~pushes:2
-               ~posts:1 ()) ]
+            (Analysis.Mc_models.shard ~bug:Analysis.Mc_models.Dropped_wake ~pushes:2 ()) ]
       else
         [ check false (Analysis.Mc_models.ring ~capacity:2 ~pushes:4 ~max_batch:2 ());
           check false (Analysis.Mc_models.ring ~capacity:4 ~pushes:6 ~max_batch:2 ());
-          check false (Analysis.Mc_models.shard ~pushes:3 ~posts:1 ()) ]
+          check false (Analysis.Mc_models.shard ~pushes:3 ()) ]
     in
     Option.iter (fun p -> write_json_lines p (List.rev !json)) json_path;
     if List.for_all Fun.id results then 0 else 1
@@ -355,7 +354,7 @@ let mc_cmd =
   in
   let doc =
     "exhaustively model-check the serving-plane protocols (SPSC ring push/drain, shard \
-     park/wake + pending CAS) at small scope: FIFO order, no lost push, no lost wake, \
+     park/wake) at small scope: FIFO order, no lost push, no lost wake, \
      cursor monotonicity, quiescent-drain completeness"
   in
   Cmd.v (Cmd.info "mc" ~doc)
@@ -590,7 +589,6 @@ let serve_cmd =
         ring_capacity = 1024;
         max_batch = 64 }
     in
-    let hook = Serve.Shard.Datapath.hook in
     (* One full pass of the multi-tenant trace through a fresh fleet;
        inline (single-consumer) mode is fully deterministic — batch
        boundaries, fault draws and clock reads replay exactly — so the
@@ -654,32 +652,25 @@ let serve_cmd =
       let reclosed =
         Rmt.Fault.without (fun () ->
             Array.for_all
-              (fun shard ->
-                match Serve.Shard.control shard with
-                | None -> true
-                | Some control ->
-                  (match Rmt.Pipeline.breaker (Rmt.Control.pipeline control) ~hook with
-                   | None -> true
-                   | Some breaker ->
-                     let rec probe k =
-                       Rmt.Breaker.state breaker = Rmt.Breaker.Closed
-                       ||
-                       if k = 0 then false
-                       else begin
-                         tick := !tick + 2_000_000;
-                         Serve.Serving.set_now fleet (!tick * 1000);
-                         for t = 0 to tenants - 1 do
-                           (match
-                              Serve.Serving.submit fleet ~producer:0 ~tenant:t ~page:t
-                            with
-                           | `Admitted | `Throttled | `Backpressure -> ());
-                           Serve.Serving.drain_until_idle fleet
-                         done;
-                         probe (k - 1)
-                       end
-                     in
-                     probe 64))
-              (Serve.Serving.shards fleet))
+              (fun dp ->
+                let breaker = Serve.Shard.Datapath.breaker dp in
+                let rec probe k =
+                  Rmt.Breaker.state breaker = Rmt.Breaker.Closed
+                  ||
+                  if k = 0 then false
+                  else begin
+                    tick := !tick + 2_000_000;
+                    Serve.Serving.set_now fleet (!tick * 1000);
+                    for t = 0 to tenants - 1 do
+                      (match Serve.Serving.submit fleet ~producer:0 ~tenant:t ~page:t with
+                       | `Admitted | `Throttled | `Backpressure -> ());
+                      Serve.Serving.drain_until_idle fleet
+                    done;
+                    probe (k - 1)
+                  end
+                in
+                probe 64)
+              dps)
       in
       ( served,
         digest,

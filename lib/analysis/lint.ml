@@ -390,16 +390,6 @@ let analyze ~helpers prog =
   | Error v -> Error (Rmt.Verifier.violation_to_string v)
   | Ok report -> Ok (of_report report prog)
 
-let install_gate ~mode () : Rmt.Control.install_gate =
- fun report prog ->
-  match of_report report prog with
-  | [] -> Rmt.Control.Gate_ok
-  | findings ->
-    let msgs = List.map (Format.asprintf "%a" pp_finding) findings in
-    (match mode with
-     | `Warn -> Rmt.Control.Gate_warn msgs
-     | `Deny -> Rmt.Control.Gate_deny msgs)
-
 let resource_waste report prog ~(budget : Rmt.Resource.budget) =
   let r = Rmt.Resource.of_report report prog in
   [ ("steps", r.Rmt.Resource.steps, budget.Rmt.Resource.max_steps);

@@ -48,13 +48,6 @@ val analyze : helpers:Rmt.Helper.t -> Rmt.Program.t -> (finding list, string) re
     then {!of_report}.  [Error] when the program does not verify at all
     — lint findings are only meaningful for installable programs. *)
 
-val install_gate : mode:[ `Warn | `Deny ] -> unit -> Rmt.Control.install_gate
-(** A {!Rmt.Control.set_install_gate} hook: lints every program at
-    install time from the verifier report the install already produced.
-    [`Warn] surfaces findings through the [rmt.control.gate_warnings]
-    counter and proceeds; [`Deny] fails the install when any finding is
-    raised. *)
-
 val resource_waste :
   Rmt.Verifier.report -> Rmt.Program.t -> budget:Rmt.Resource.budget ->
   (string * int * int) list

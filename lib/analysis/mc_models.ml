@@ -268,86 +268,53 @@ let ring ?bug ~capacity ~pushes ~max_batch () =
   (module M : Mc.MODEL)
 
 (* ------------------------------------------------------------------ *)
-(* Shard park/wake + pending CAS                                       *)
+(* Shard park/wake                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let shard ?bug ~pushes ~posts () =
-  if pushes < 0 || posts < 0 then invalid_arg "Mc_models.shard: bad scope";
+let shard ?bug ~pushes () =
+  if pushes < 0 then invalid_arg "Mc_models.shard: bad scope";
   let module M = struct
-    (* The rings are abstracted to an event count [q] (their granularity
-       is covered by the ring model above); the pending list is a
-       versioned cell: CAS push bumps the version, exchange drain bumps
-       it again — exactly the ABA discipline of the real list head. *)
+    (* The rings are abstracted to an event count [q]: their granularity
+       is covered by the ring model above. *)
     type state = {
       q : int; (* events visible in the rings *)
       parked : bool; (* shared flag, consumer-published *)
       lock : int; (* park mutex: 0 free, 1 producer, 2 consumer *)
       waiting : bool; (* consumer blocked in Condition.wait *)
-      pend : int; (* queued commands *)
-      pend_v : int; (* pending-cell version (CAS witness) *)
-      posted : int; (* commands successfully posted *)
-      ran : int; (* commands run by the consumer *)
       pushes : int; (* producer pushes remaining *)
-      posts : int; (* producer posts remaining *)
       pp : int; (* producer phase *)
-      cas_snap : int; (* producer's pending-version snapshot *)
       cp : int; (* consumer phase *)
-      saw_rings_empty : bool; (* consumer's mutex-held ring re-check *)
       served : int; (* events drained *)
     }
 
     let name =
-      Printf.sprintf "shard%s(pushes=%d posts=%d)"
+      Printf.sprintf "shard%s(pushes=%d)"
         (match bug with None -> "" | Some Dropped_wake -> "[dropped-wake]")
-        pushes posts
+        pushes
 
     let initial =
-      { q = 0;
-        parked = false;
-        lock = 0;
-        waiting = false;
-        pend = 0;
-        pend_v = 0;
-        posted = 0;
-        ran = 0;
-        pushes;
-        posts;
-        pp = 0;
-        cas_snap = 0;
-        cp = 0;
-        saw_rings_empty = false;
-        served = 0 }
+      { q = 0; parked = false; lock = 0; waiting = false; pushes; pp = 0; cp = 0; served = 0 }
 
     let key s =
-      Printf.sprintf "%d,%b,%d,%b,%d,%d,%d,%d,%d,%d,%d,%d,%d,%b,%d" s.q s.parked s.lock
-        s.waiting s.pend s.pend_v s.posted s.ran s.pushes s.posts s.pp s.cas_snap s.cp
-        s.saw_rings_empty s.served
+      Printf.sprintf "%d,%b,%d,%b,%d,%d,%d,%d" s.q s.parked s.lock s.waiting s.pushes s.pp
+        s.cp s.served
 
     let render s =
-      Printf.sprintf
-        "q=%d parked=%b lock=%d waiting=%b pend=%d posted=%d ran=%d pushes=%d posts=%d pp=%d cp=%d served=%d"
-        s.q s.parked s.lock s.waiting s.pend s.posted s.ran s.pushes s.posts s.pp s.cp
-        s.served
+      Printf.sprintf "q=%d parked=%b lock=%d waiting=%b pushes=%d pp=%d cp=%d served=%d" s.q
+        s.parked s.lock s.waiting s.pushes s.pp s.cp s.served
 
-    (* After a push or a successful post the producer either starts the
-       wake protocol (peek parked) or — in the broken variant — skips it
-       entirely. *)
-    let after_publish = match bug with Some Dropped_wake -> 0 | None -> 1
+    (* After a push the producer either starts the wake protocol (peek
+       parked) or, in the broken variant, skips it entirely. *)
+    let after_push = match bug with Some Dropped_wake -> 0 | None -> 1
 
     let producer s =
       match s.pp with
       | 0 ->
-        (* Choose the next operation (both orders explored). *)
-        (if s.pushes > 0 then
-           (* Shared RMW: ring publish, abstracted to q+1. *)
-           [ ({ Mc.label = "p:push"; tid = 0 },
-              { s with q = s.q + 1; pushes = s.pushes - 1; pp = after_publish }) ]
-         else [])
-        @
-        (if s.posts > 0 then
-           (* Shared load: snapshot the pending cell for the CAS. *)
-           [ ({ Mc.label = "p:post-snap"; tid = 0 }, { s with cas_snap = s.pend_v; pp = 10 }) ]
-         else [])
+        if s.pushes > 0 then
+          (* Shared RMW: ring publish, abstracted to q+1. *)
+          [ ({ Mc.label = "p:push"; tid = 0 },
+             { s with q = s.q + 1; pushes = s.pushes - 1; pp = after_push }) ]
+        else []
       | 1 ->
         (* Shared load: Shard.wake's single-atomic-load peek. *)
         [ ({ Mc.label = "p:peek-parked"; tid = 0 }, { s with pp = (if s.parked then 2 else 0) }) ]
@@ -359,71 +326,43 @@ let shard ?bug ~pushes ~posts () =
         (* Broadcast under the mutex: releases a waiting consumer. *)
         [ ({ Mc.label = "p:broadcast"; tid = 0 }, { s with waiting = false; pp = 4 }) ]
       | 4 -> [ ({ Mc.label = "p:unlock"; tid = 0 }, { s with lock = 0; pp = 0 }) ]
-      | 10 ->
-        (* Shared RMW: compare-and-set against the snapshot.  Failure
-           returns the current value (re-snapshot), as hardware CAS does;
-           only the consumer's exchange can interpose (single producer). *)
-        if s.pend_v = s.cas_snap then
-          [ ({ Mc.label = "p:post-cas"; tid = 0 },
-             { s with
-               pend = s.pend + 1;
-               pend_v = s.pend_v + 1;
-               posted = s.posted + 1;
-               posts = s.posts - 1;
-               pp = after_publish }) ]
-        else
-          [ ({ Mc.label = "p:post-cas"; tid = 0 }, { s with cas_snap = s.pend_v }) ]
       | _ -> []
 
     let consumer s =
       match s.cp with
       | 0 ->
-        (* Shared RMW: Shard.run_pending's exchange (a no-op load when
-           the cell is empty — same single shared access either way). *)
-        if s.pend > 0 then
-          [ ({ Mc.label = "c:run-pending"; tid = 1 },
-             { s with ran = s.ran + s.pend; pend = 0; pend_v = s.pend_v + 1; cp = 1 }) ]
-        else [ ({ Mc.label = "c:run-pending"; tid = 1 }, { s with cp = 1 }) ]
-      | 1 ->
         (* Shared RMW: drain the rings (abstracted).  Work found loops
            back to the sweep; an empty sweep heads for the park path. *)
         if s.q > 0 then
-          [ ({ Mc.label = "c:drain"; tid = 1 }, { s with served = s.served + s.q; q = 0; cp = 0 }) ]
-        else [ ({ Mc.label = "c:drain"; tid = 1 }, { s with cp = 2 }) ]
-      | 2 ->
+          [ ({ Mc.label = "c:drain"; tid = 1 }, { s with served = s.served + s.q; q = 0 }) ]
+        else [ ({ Mc.label = "c:drain"; tid = 1 }, { s with cp = 1 }) ]
+      | 1 ->
         if s.lock = 0 then
-          [ ({ Mc.label = "c:lock"; tid = 1 }, { s with lock = 2; cp = 3 }) ]
+          [ ({ Mc.label = "c:lock"; tid = 1 }, { s with lock = 2; cp = 2 }) ]
         else []
-      | 3 ->
+      | 2 ->
         (* Shared store: publish the parked flag (under the mutex). *)
-        [ ({ Mc.label = "c:set-parked"; tid = 1 }, { s with parked = true; cp = 4 }) ]
+        [ ({ Mc.label = "c:set-parked"; tid = 1 }, { s with parked = true; cp = 3 }) ]
+      | 3 ->
+        (* Shared load: the mutex-held re-check of the rings, decided by
+           the exact predicate Shard.park runs.  Sleeping atomically
+           releases the mutex (Condition.wait semantics): the release is
+           part of the wait, not a separate step the producer could
+           split. *)
+        if Serve.Protocol.should_sleep ~should_stop:false ~rings_empty:(s.q = 0) then
+          [ ({ Mc.label = "c:recheck-rings"; tid = 1 },
+             { s with waiting = true; lock = 0; cp = 4 }) ]
+        else [ ({ Mc.label = "c:recheck-rings"; tid = 1 }, { s with cp = 5 }) ]
       | 4 ->
-        (* Shared load: mutex-held re-check of the rings. *)
-        [ ({ Mc.label = "c:recheck-rings"; tid = 1 },
-           { s with saw_rings_empty = s.q = 0; cp = 5 }) ]
-      | 5 ->
-        (* Shared load: re-check pending, then decide with the exact
-           predicate Shard.park runs.  Sleeping atomically releases the
-           mutex (Condition.wait semantics) — the release is part of the
-           wait, not a separate step the producer could split. *)
-        let sleep =
-          Serve.Protocol.should_sleep ~should_stop:false ~rings_empty:s.saw_rings_empty
-            ~pending_empty:(s.pend = 0)
-        in
-        if sleep then
-          [ ({ Mc.label = "c:recheck-pending"; tid = 1 },
-             { s with waiting = true; lock = 0; cp = 6 }) ]
-        else [ ({ Mc.label = "c:recheck-pending"; tid = 1 }, { s with cp = 7 }) ]
-      | 6 ->
         (* Blocked in Condition.wait until a broadcast clears [waiting];
            waking re-acquires the mutex. *)
         if (not s.waiting) && s.lock = 0 then
-          [ ({ Mc.label = "c:wait-return"; tid = 1 }, { s with lock = 2; cp = 7 }) ]
+          [ ({ Mc.label = "c:wait-return"; tid = 1 }, { s with lock = 2; cp = 5 }) ]
         else []
-      | 7 ->
+      | 5 ->
         (* Shared store: clear the parked flag. *)
-        [ ({ Mc.label = "c:clear-parked"; tid = 1 }, { s with parked = false; cp = 8 }) ]
-      | 8 -> [ ({ Mc.label = "c:unlock"; tid = 1 }, { s with lock = 0; cp = 0 }) ]
+        [ ({ Mc.label = "c:clear-parked"; tid = 1 }, { s with parked = false; cp = 6 }) ]
+      | 6 -> [ ({ Mc.label = "c:unlock"; tid = 1 }, { s with lock = 0; cp = 0 }) ]
       | _ -> []
 
     let step s = producer s @ consumer s
@@ -433,26 +372,21 @@ let shard ?bug ~pushes ~posts () =
     let accept s =
       (* The only terminal: producer finished, consumer asleep with no
          broadcast in flight.  Legitimate exactly when nothing remains. *)
-      if s.q = 0 && s.pend = 0 && s.ran = s.posted then None
-      else
-        Some
-          (Printf.sprintf
-             "lost wake: consumer parked forever with q=%d pending=%d (ran %d of %d posts)"
-             s.q s.pend s.ran s.posted)
+      if s.q = 0 then None
+      else Some (Printf.sprintf "lost wake: consumer parked forever with q=%d" s.q)
 
     (* Variable-footprint independence: actions of different threads are
        independent iff their shared-variable footprints are disjoint
-       (enabledness conditions included — p:lock/c:lock read [lock],
-       c:wait-return reads [waiting] and [lock], the CAS reads [pend]). *)
+       (enabledness conditions included: p:lock/c:lock read [lock],
+       c:wait-return reads [waiting] and [lock]). *)
     let footprint = function
-      | "p:push" | "c:drain" | "c:recheck-rings" -> [ "q" ]
+      | "p:push" | "c:drain" -> [ "q" ]
       | "p:peek-parked" | "c:set-parked" | "c:clear-parked" -> [ "parked" ]
       | "p:lock" | "p:unlock" | "c:lock" | "c:unlock" -> [ "lock" ]
       | "p:broadcast" -> [ "waiting" ]
-      | "p:post-snap" | "p:post-cas" | "c:run-pending" -> [ "pend" ]
-      | "c:recheck-pending" -> [ "pend"; "waiting"; "lock" ]
+      | "c:recheck-rings" -> [ "q"; "waiting"; "lock" ]
       | "c:wait-return" -> [ "waiting"; "lock" ]
-      | _ -> [ "q"; "parked"; "lock"; "waiting"; "pend" ]
+      | _ -> [ "q"; "parked"; "lock"; "waiting" ]
 
     let independent a b =
       a.Mc.tid <> b.Mc.tid

@@ -23,8 +23,8 @@ type ring_bug =
 
 type shard_bug =
   | Dropped_wake
-      (** the producer never peeks the parked flag after a push/post:
-          the consumer can sleep forever on queued work (lost wake) *)
+      (** the producer never peeks the parked flag after a push: the
+          consumer can sleep forever on queued events (lost wake) *)
 
 val ring :
   ?bug:ring_bug -> capacity:int -> pushes:int -> max_batch:int -> unit -> (module Mc.MODEL)
@@ -40,14 +40,11 @@ val ring :
     is overwritten before it is drained; cached cursor snapshots never
     exceed the true cursors and cursors never retreat (monotonicity). *)
 
-val shard : ?bug:shard_bug -> pushes:int -> posts:int -> unit -> (module Mc.MODEL)
-(** Shard park/wake + pending-command CAS: one producer performing
-    [pushes] ring pushes and [posts] command posts (each followed by the
-    wake protocol: parked-flag peek, then mutex-serialized broadcast),
-    one consumer sweeping pending commands and ring events, then parking
-    (mutex, publish parked, re-check rings and pending via
-    {!Serve.Protocol.should_sleep}, condition wait).  The pending queue
-    is modeled as a versioned cell with a compare-and-set push and an
-    exchange drain.  Checked property: a terminal state with the
-    consumer blocked in [Condition.wait] is accepted only when no event
-    and no posted command remains unserved (no lost wake). *)
+val shard : ?bug:shard_bug -> pushes:int -> unit -> (module Mc.MODEL)
+(** Shard park/wake: one producer performing [pushes] ring pushes (each
+    followed by the wake protocol: parked-flag peek, then
+    mutex-serialized broadcast), one consumer sweeping the rings, then
+    parking (mutex, publish parked, re-check the rings via
+    {!Serve.Protocol.should_sleep}, condition wait).  Checked property:
+    a terminal state with the consumer blocked in [Condition.wait] is
+    accepted only when no event remains unserved (no lost wake). *)

@@ -291,13 +291,18 @@ let flavors =
      ("net", run_net);
      ("drift", run_drift) |]
 
+(* The faulted phase runs under the scenario's own domain-local plan;
+   creation, the recovery phase and the assertions run fault-free.  The
+   whole scenario sits inside {!Rmt.Fault.without}, so an ambient global
+   plan (RKD_FAULTS) cannot reach the fault-free phases: those would
+   draw from one process-wide rng in domain-interleaved order, and the
+   digest would then depend on the pool width. *)
 let run_scenario ~master ~events index =
+  Rmt.Fault.without @@ fun () ->
   let rng = Kml.Rng.split master index in
   let plan = plan_of rng in
   let flavor_name, runner = flavors.(index mod Array.length flavors) in
   let plan_seed = Kml.Rng.int rng 0x3fffffff in
-  (* The faulted phase runs under a domain-local plan; creation, the
-     recovery phase and the assertions run fault-free. *)
   let breaker, digest, uncaught, recover, fallbacks =
     Rmt.Fault.with_plan ~seed:plan_seed plan (fun () -> runner rng ~events)
   in

@@ -69,7 +69,6 @@ let tick_ns = 64_000_000
 
 module Rollout = struct
   type target = {
-    label : int;
     install : unit -> bool;
     status : unit -> [ `Pending | `Promoted | `Failed ];
     healthy : unit -> bool;
@@ -84,11 +83,8 @@ module Rollout = struct
     mutable waiting : int list;  (* target indices with an in-flight canary *)
     mutable promoted : int list;  (* newest first, for reverse-order restore *)
     mutable deadline : int;
-    mutable n_installs : int;
     mutable auto_rolled_back : int;  (* canaries the Vm itself rolled back *)
   }
-
-  type outcome = [ `In_flight | `Promoted | `Failed of int ]
 
   let stage_plan n =
     if n <= 1 then [| [| 0 |] |]
@@ -101,7 +97,6 @@ module Rollout = struct
       if Array.length s3 = 0 then [| s1; s2 |] else [| s1; s2; s3 |]
     end
 
-  let installs t = t.n_installs
   let healthy_stage t k = Array.for_all (fun i -> t.targets.(i).healthy ()) t.stages.(k)
 
   (* Restore everything this rollout touched: pending canaries first,
@@ -131,11 +126,7 @@ module Rollout = struct
       Array.iter
         (fun i ->
           if !ok then
-            if t.targets.(i).install () then begin
-              t.n_installs <- t.n_installs + 1;
-              t.waiting <- i :: t.waiting
-            end
-            else ok := false)
+            if t.targets.(i).install () then t.waiting <- i :: t.waiting else ok := false)
         t.stages.(k);
       if !ok then `Entered else `Fail
     end
@@ -149,7 +140,6 @@ module Rollout = struct
         waiting = [];
         promoted = [];
         deadline = now + stage_ticks;
-        n_installs = 0;
         auto_rolled_back = 0 }
     in
     if not (healthy_stage t 0) then `Unhealthy
@@ -161,8 +151,7 @@ module Rollout = struct
 
   (* Caller-initiated teardown: restore everything this rollout staged or
      promoted and finish it.  Used by fleet recovery before re-arming a
-     tripped shard, and by serving-layer callers that must abandon a
-     rollout mid-flight. *)
+     tripped shard. *)
   let abort t = fail_restore t
 
   let step t ~now =
@@ -584,8 +573,7 @@ let make_targets t tenant candidate =
       let vm = sh.vms.(tenant.id) in
       let pname = prog_name tenant.id in
       let before = ref (Rmt.Vm.loaded vm) in
-      { Rollout.label = s;
-        install =
+      { Rollout.install =
           (fun () ->
             before := Rmt.Vm.loaded vm;
             let name = model_name tenant.id v in

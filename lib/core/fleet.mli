@@ -53,59 +53,6 @@ val storm_params : params
 (** {!default_params} with one simultaneous drift across every tenant —
     the [drift] chaos flavor's schedule. *)
 
-(** Staged-rollout state machine, factored out of the per-tenant episode
-    loop so the serving layer ({!Serve.Serving.staged_rollout}) can drive
-    the same 1 -> 25% -> all progression over its shard datapaths.  Pure
-    poll-driven control: the caller owns the clock (ticks) and calls
-    {!Rollout.step} once per tick. *)
-module Rollout : sig
-  type target = {
-    label : int;  (** shard index, for accounting *)
-    install : unit -> bool;
-        (** begin the canary install; [false] = refused (verifier,
-            resource budget, injected fault) and the rollout fails *)
-    status : unit -> [ `Pending | `Promoted | `Failed ];
-        (** poll the canary: promoted, still shadowing, or rolled back *)
-    healthy : unit -> bool;  (** breaker closed; gates stage entry *)
-    restore : unit -> bool;
-        (** undo a promotion (or cancel a pending canary); [true] when
-            something was actually rolled back *)
-  }
-
-  type t
-
-  type outcome =
-    [ `In_flight  (** canaries shadowing, or waiting out an open breaker *)
-    | `Promoted  (** every stage promoted *)
-    | `Failed of int  (** rolled back; the int counts rollbacks performed *)
-    ]
-
-  val stage_plan : int -> int array array
-  (** [stage_plan n] partitions target indices [0..n-1] into the staged
-      fan-out: 1 target, then 25% (at least 1), then the rest; degenerate
-      stages are dropped for small [n]. *)
-
-  val start :
-    targets:target array ->
-    stages:int array array ->
-    now:int ->
-    stage_ticks:int ->
-    [ `Started of t | `Unhealthy | `Failed of int ]
-  (** Enter stage 0.  [`Unhealthy] when a stage-0 target's breaker is
-      open — nothing was installed, so the caller can defer without
-      consuming a rollout attempt.  [`Failed] when an install was refused
-      (the attempt is consumed and anything staged is restored). *)
-
-  val step : t -> now:int -> outcome
-  (** Poll canaries, fail the stage past its deadline or on an open
-      breaker, advance to the next stage when every canary of the current
-      one promoted.  On failure every promotion of this rollout is
-      restored (newest first) before [`Failed] is returned. *)
-
-  val installs : t -> int
-  (** Canary installs performed so far by this rollout. *)
-end
-
 type t
 
 val create :

@@ -71,11 +71,6 @@ let split t ~rng ~train_fraction =
   Array.iteri (fun i s -> add (if i < n_train then train else test) s) arr;
   (train, test)
 
-let subset t indices =
-  let out = create ~n_features:t.n_features ~n_classes:t.n_classes in
-  Array.iter (fun i -> add out (get t i)) indices;
-  out
-
 let project t ~keep =
   Array.iter
     (fun j -> if j < 0 || j >= t.n_features then invalid_arg "Dataset.project: column out of range")

@@ -27,9 +27,6 @@ val class_counts : t -> int array
 val split : t -> rng:Rng.t -> train_fraction:float -> t * t
 (** Shuffled split into (train, test). *)
 
-val subset : t -> int array -> t
-(** Dataset restricted to the given sample indices. *)
-
 val project : t -> keep:int array -> t
 (** Keep only the feature columns listed in [keep] (in that order). *)
 

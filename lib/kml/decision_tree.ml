@@ -299,30 +299,3 @@ let of_nodes ~n_features ~n_classes arr =
           invalid_arg "Decision_tree.of_nodes: child index must be a later node")
     arr;
   flatten ~n_features ~n_classes (Array.copy arr)
-
-let feature_importance t =
-  let importance = Array.make t.n_features 0.0 in
-  (* Recompute each node's sample count and impurity from leaf counts. *)
-  let rec counts_of i =
-    match t.nodes.(i) with
-    | Leaf { counts; _ } -> counts
-    | Split { left; right; _ } ->
-      let cl = counts_of left and cr = counts_of right in
-      Array.init (Array.length cl) (fun c -> cl.(c) + cr.(c))
-  in
-  let rec go i =
-    match t.nodes.(i) with
-    | Leaf _ -> ()
-    | Split { feature; left; right; _ } ->
-      let c = counts_of i and cl = counts_of left and cr = counts_of right in
-      let n = Array.fold_left ( + ) 0 c in
-      let nl = Array.fold_left ( + ) 0 cl in
-      let nr = Array.fold_left ( + ) 0 cr in
-      let decrease = float_of_int (cost c n - cost cl nl - cost cr nr) in
-      importance.(feature) <- importance.(feature) +. Float.max 0.0 decrease;
-      go left;
-      go right
-  in
-  go 0;
-  let total = Array.fold_left ( +. ) 0.0 importance in
-  if total > 0.0 then Array.map (fun x -> x /. total) importance else importance

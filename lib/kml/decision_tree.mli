@@ -72,8 +72,3 @@ val of_nodes : n_features:int -> n_classes:int -> node array -> t
     array is empty, a child index is out of range or not strictly greater
     than its parent (the tree must be topologically ordered), or a feature
     index is out of range. *)
-
-val feature_importance : t -> float array
-(** Impurity-based importance: total weighted Gini decrease contributed by
-    splits on each feature, normalized to sum to 1 (all-zero if the tree is
-    a single leaf). *)

@@ -34,8 +34,6 @@ let permutation ~rng ~predict ds =
   done;
   rank_of_scores scores
 
-let impurity tree = rank_of_scores (Decision_tree.feature_importance tree)
-
 let top_k ranking k =
   if k < 0 || k > Array.length ranking.order then invalid_arg "Feature_rank.top_k: bad k";
   Array.sub ranking.order 0 k

@@ -2,10 +2,9 @@
     (§2.1 benefit #1 and case study 2): rank the kernel monitors feeding a
     model, keep the top-k, and forego the rest.
 
-    Two rankers are provided.  [permutation] is model-agnostic: it measures
-    the accuracy lost when one feature column is shuffled (the scheme used
-    with scikit-learn in the paper's case study 2).  [impurity] reads the
-    Gini-decrease importances off a trained decision tree. *)
+    [permutation] is model-agnostic: it measures the accuracy lost when one
+    feature column is shuffled (the scheme used with scikit-learn in the
+    paper's case study 2). *)
 
 type ranking = { scores : float array; order : int array }
 (** [order] lists feature indices, most important first; ties broken by
@@ -14,8 +13,6 @@ type ranking = { scores : float array; order : int array }
 val permutation : rng:Rng.t -> predict:(int array -> int) -> Dataset.t -> ranking
 (** [permutation ~rng ~predict ds] permutes each feature column 3 times
     and scores features by mean accuracy drop. *)
-
-val impurity : Decision_tree.t -> ranking
 
 val top_k : ranking -> int -> int array
 (** The [k] most important feature indices, in importance order. *)

@@ -12,12 +12,6 @@ let max_val = (1 lsl 39) - 1
 let min_val = -(1 lsl 39)
 let saturate x = if x > max_val then max_val else if x < min_val then min_val else x
 let of_int n = saturate (n * scale)
-let to_int x = if x >= 0 then x asr frac_bits else -(-x asr frac_bits)
-
-let to_int_round x =
-  let half = scale / 2 in
-  if x >= 0 then (x + half) asr frac_bits else -((-x + half) asr frac_bits)
-
 let of_float f = saturate (int_of_float (Float.round (f *. float_of_int scale)))
 let to_float x = float_of_int x /. float_of_int scale
 let of_raw x = saturate x
@@ -65,52 +59,5 @@ let ( <= ) (a : t) b = Stdlib.( <= ) a b
 let ( > ) (a : t) b = Stdlib.( > ) a b
 let ( >= ) (a : t) b = Stdlib.( >= ) a b
 let relu x = max zero x
-
-let sigmoid_approx x =
-  (* N.B. the arithmetic operators are shadowed by their fixed-point
-     versions at this point; raw-int arithmetic below uses shifts or
-     Stdlib explicitly. *)
-  let quarter = scale asr 2 in
-  let half = scale asr 1 in
-  clamp ~lo:zero ~hi:one (add (mul x quarter) half)
-
-(* exp(x) for x in Q16.16.  Range-reduce by halving until |x| <= 1/2, apply a
-   4-term Taylor polynomial, then square back up.  Accurate to ~1e-3 relative
-   on [-8, 8], plenty for DP noise sampling. *)
-let exp_approx x =
-  let rec reduce x k =
-    if Stdlib.( > ) (Stdlib.abs x) (scale asr 1) then reduce (x asr 1) (Stdlib.( + ) k 1)
-    else (x, k)
-  in
-  let y, k = reduce x 0 in
-  (* 1 + y + y^2/2 + y^3/6 + y^4/24 *)
-  let y2 = mul y y in
-  let y3 = mul y2 y in
-  let y4 = mul y2 y2 in
-  let base =
-    add one (add y (add (div y2 (of_int 2)) (add (div y3 (of_int 6)) (div y4 (of_int 24)))))
-  in
-  let rec square v k = if Stdlib.( = ) k 0 then v else square (mul v v) (Stdlib.( - ) k 1) in
-  square base k
-
-let sqrt_approx x =
-  if Stdlib.( < ) x 0 then invalid_arg "Fixed.sqrt_approx: negative argument"
-  else if x = 0 then zero
-  else begin
-    (* Newton iteration on g <- (g + x/g)/2, seeded from the bit length. *)
-    let bits =
-      let rec go n acc = if n = 0 then acc else go (n lsr 1) (Stdlib.( + ) acc 1) in
-      go x 0
-    in
-    let seed = 1 lsl (Stdlib.( / ) (Stdlib.( + ) bits frac_bits) 2) in
-    let rec iter g n =
-      if Stdlib.( = ) n 0 then g
-      else begin
-        let g' = (Stdlib.( + ) g (div x g)) asr 1 in
-        if Stdlib.( = ) g' g then g else iter g' (Stdlib.( - ) n 1)
-      end
-    in
-    iter (Stdlib.max seed 1) 20
-  end
 
 let pp fmt x = Format.fprintf fmt "%.5f" (to_float x)

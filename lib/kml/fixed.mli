@@ -17,12 +17,6 @@ val zero : t
 val of_int : int -> t
 (** [of_int n] is the fixed-point value [n.0].  Saturates on overflow. *)
 
-val to_int : t -> int
-(** Truncation toward zero of the integer part. *)
-
-val to_int_round : t -> int
-(** Rounding to nearest integer, ties away from zero. *)
-
 val of_float : float -> t
 (** Userspace-only conversion used when quantizing trained models. *)
 
@@ -55,16 +49,5 @@ val ( >= ) : t -> t -> bool
 
 val relu : t -> t
 (** [relu x] is [max zero x]. *)
-
-val sigmoid_approx : t -> t
-(** Piecewise-linear "hard sigmoid": [clamp 0 1 (x/4 + 1/2)]; monotone
-    and within 0.06 of the real sigmoid on [-2.5, 2.5]. *)
-
-val exp_approx : t -> t
-(** Integer exponential for small arguments via 4-term Taylor with range
-    reduction. *)
-
-val sqrt_approx : t -> t
-(** Integer Newton iteration square root of a non-negative value. *)
 
 val pp : Format.formatter -> t -> unit

@@ -146,9 +146,3 @@ module Qmlp = struct
     | [] -> [ t.n_features ]
     | first :: _ -> Qmat.cols first.weights :: List.map (fun l -> Qmat.rows l.weights) t.layers
 end
-
-let accuracy_drop mlp ds =
-  let q = Qmlp.of_mlp mlp in
-  let acc_f = Metrics.accuracy_of ~predict:(Mlp.predict mlp) ds in
-  let acc_q = Metrics.accuracy_of ~predict:(Qmlp.predict q) ds in
-  acc_f -. acc_q

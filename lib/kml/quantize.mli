@@ -22,7 +22,3 @@ module Qmlp : sig
   val n_features : t -> int
   val architecture : t -> int list
 end
-
-val accuracy_drop : Mlp.t -> Dataset.t -> float
-(** [accuracy (float model) - accuracy (quantized model)] on the dataset:
-    the quantization penalty (ablation C). *)

@@ -31,14 +31,6 @@ let bool t = Int64.logand (next64 t) 1L = 1L
 let uniform t = float_of_int (next t) /. 4611686018427387904.0 (* 2^62 *)
 let float t bound = uniform t *. bound
 
-let gaussian t =
-  let rec nonzero () =
-    let u = uniform t in
-    if u > 0.0 then u else nonzero ()
-  in
-  let u1 = nonzero () and u2 = uniform t in
-  sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
-
 let geometric t ~p =
   if p <= 0.0 || p > 1.0 then invalid_arg "Rng.geometric: p must be in (0,1]";
   if p >= 1.0 then 0

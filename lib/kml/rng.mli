@@ -22,9 +22,6 @@ val float : t -> float -> float
 val uniform : t -> float
 (** Uniform in \[0, 1). *)
 
-val gaussian : t -> float
-(** Standard normal via Box–Muller. *)
-
 val geometric : t -> p:float -> int
 (** Number of failures before the first success; [p] in (0, 1]. *)
 

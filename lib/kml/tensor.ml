@@ -7,14 +7,6 @@ module Vec = struct
   let check_same_dim a b name =
     if Array.length a <> Array.length b then invalid_arg (name ^ ": dimension mismatch")
 
-  let dot a b =
-    check_same_dim a b "Vec.dot";
-    let acc = ref 0.0 in
-    for i = 0 to Array.length a - 1 do
-      acc := !acc +. (a.(i) *. b.(i))
-    done;
-    !acc
-
   let axpy ~alpha ~x ~y =
     check_same_dim x y "Vec.axpy";
     for i = 0 to Array.length x - 1 do
@@ -88,22 +80,6 @@ module Mat = struct
       done
     done;
     out
-
-  let mul a b =
-    if a.cols <> b.rows then invalid_arg "Mat.mul: dimension mismatch";
-    let out = create ~rows:a.rows ~cols:b.cols in
-    for i = 0 to a.rows - 1 do
-      for k = 0 to a.cols - 1 do
-        let aik = a.data.((i * a.cols) + k) in
-        if aik <> 0.0 then
-          for j = 0 to b.cols - 1 do
-            out.data.((i * b.cols) + j) <-
-              out.data.((i * b.cols) + j) +. (aik *. b.data.((k * b.cols) + j))
-          done
-      done
-    done;
-    out
-
 end
 
 module Qvec = struct
@@ -111,14 +87,6 @@ module Qvec = struct
 
   let create n = Array.make n Fixed.zero
   let of_vec v = Array.map Fixed.of_float v
-
-  let dot (a : t) (b : t) =
-    if Array.length a <> Array.length b then invalid_arg "Qvec.dot: dimension mismatch";
-    let acc = ref 0 in
-    for i = 0 to Array.length a - 1 do
-      acc := !acc + (((a.(i) :> int) * (b.(i) :> int)) asr Fixed.frac_bits)
-    done;
-    Fixed.of_raw !acc
 
   let add_inplace dst src =
     if Array.length dst <> Array.length src then invalid_arg "Qvec.add_inplace: dimension mismatch";

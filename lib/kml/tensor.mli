@@ -8,7 +8,6 @@ module Vec : sig
 
   val create : int -> t
   val dim : t -> int
-  val dot : t -> t -> float
   val axpy : alpha:float -> x:t -> y:t -> unit
   (** [axpy ~alpha ~x ~y] updates [y <- alpha * x + y] in place. *)
 
@@ -33,8 +32,6 @@ module Mat : sig
 
   val tmul_vec : t -> Vec.t -> Vec.t
   (** [tmul_vec m x] is [mᵀ * x]; requires [rows m = Vec.dim x]. *)
-
-  val mul : t -> t -> t
 end
 
 module Qvec : sig
@@ -42,7 +39,6 @@ module Qvec : sig
 
   val create : int -> t
   val of_vec : Vec.t -> t
-  val dot : t -> t -> Fixed.t
   val add_inplace : t -> t -> unit
   val relu_inplace : t -> unit
   val max_index : t -> int

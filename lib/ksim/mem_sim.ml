@@ -7,12 +7,6 @@ type config = {
   max_prefetch_per_access : int;
 }
 
-let default_config =
-  { cache_pages = 4096;
-    cpu_ns_per_access = 1_000;
-    swap_service_ns = 50_000;
-    max_prefetch_per_access = 32 }
-
 type result = {
   prefetcher : string;
   accesses : int;
@@ -76,7 +70,7 @@ let access config prefetcher st { pid; page } =
   issue st config.max_prefetch_per_access
     (prefetcher.Prefetcher.on_access ~pid ~page ~hit ~now:st.now)
 
-let run ?(config = default_config) ?(reset = true) ~prefetcher trace =
+let run ~config ?(reset = true) ~prefetcher trace =
   if reset then prefetcher.Prefetcher.reset ();
   let st =
     { cache = Page_cache.create ~capacity:config.cache_pages;

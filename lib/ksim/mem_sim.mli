@@ -39,6 +39,6 @@ type result = {
   device_reads : int;
 }
 
-val run : ?config:config -> ?reset:bool -> prefetcher:Prefetcher.t -> access list -> result
+val run : config:config -> ?reset:bool -> prefetcher:Prefetcher.t -> access list -> result
 (** The prefetcher is [reset] before the run unless [reset:false] is given
     (used to carry learned state across a workload shift). *)

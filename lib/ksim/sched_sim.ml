@@ -73,5 +73,3 @@ let collect ~workload () =
       decisions;
       agreement = 1.0;
       mean_task_ns = total_task_ns /. float_of_int (Stdlib.max 1 (List.length tasks)) } )
-
-let decider_of_predict predict ~features ~heuristic:_ = predict features = 1

@@ -21,6 +21,3 @@ val run : workload:string -> decider_name:string -> Cfs.decider -> result
 
 val collect : workload:string -> unit -> Kml.Dataset.t * result
 (** Heuristic run + dataset of (features → heuristic label). *)
-
-val decider_of_predict : (int array -> int) -> Cfs.decider
-(** Wrap a trained classifier (class 1 = migrate) as a decider. *)

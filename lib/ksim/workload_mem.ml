@@ -9,30 +9,6 @@ let random ~rng ~pid ~pages ~n =
   if pages <= 0 then invalid_arg "Workload_mem.random: pages must be positive";
   List.init n (fun _ -> mk pid (Kml.Rng.int rng pages))
 
-let zipf ~rng ~pid ~pages ~n =
-  let exponent = 1.1 in
-  if pages <= 0 then invalid_arg "Workload_mem.zipf: pages must be positive";
-  (* Inverse-CDF sampling over ranks 1..pages with P(r) ∝ r^-exponent. *)
-  let weights = Array.init pages (fun i -> 1.0 /. Float.pow (float_of_int (i + 1)) exponent) in
-  let cdf = Array.make pages 0.0 in
-  let acc = ref 0.0 in
-  Array.iteri
-    (fun i w ->
-      acc := !acc +. w;
-      cdf.(i) <- !acc)
-    weights;
-  let total = !acc in
-  let sample () =
-    let u = Kml.Rng.uniform rng *. total in
-    let lo = ref 0 and hi = ref (pages - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if cdf.(mid) < u then lo := mid + 1 else hi := mid
-    done;
-    !lo
-  in
-  List.init n (fun _ -> mk pid (sample ()))
-
 (* ------------------------------------------------------------------ *)
 (* Video resize                                                         *)
 (* ------------------------------------------------------------------ *)

@@ -24,9 +24,6 @@ val strided : pid:int -> start:int -> stride:int -> n:int -> access list
 val random : rng:Kml.Rng.t -> pid:int -> pages:int -> n:int -> access list
 (** Uniform over [0, pages). *)
 
-val zipf : rng:Kml.Rng.t -> pid:int -> pages:int -> n:int -> access list
-(** Zipf-distributed hot/cold accesses (rank-1 hottest, exponent 1.1). *)
-
 type video_params = {
   frames : int;
   frame_pages : int;  (** input pages per plane per frame *)

@@ -191,23 +191,6 @@ module Histo = struct
   let count t = cells_sum t.h_counts
   let sum t = cells_sum t.h_sums
   let buckets t = Array.map Atomic.get t.h_counts
-
-  let percentile t p =
-    let total = count t in
-    if total = 0 then 0
-    else begin
-      let p = if p < 0.0 then 0.0 else if p > 1.0 then 1.0 else p in
-      let rank = Stdlib.max 1 (int_of_float (ceil (p *. float_of_int total))) in
-      let rec walk k seen =
-        if k >= n_buckets then bucket_hi (n_buckets - 1)
-        else begin
-          let seen = seen + Atomic.get t.h_counts.(k) in
-          if seen >= rank then bucket_hi k else walk (k + 1) seen
-        end
-      in
-      walk 0 0
-    end
-
 end
 
 module Trace = struct
@@ -341,11 +324,6 @@ module Snapshot = struct
     | Counter -> "counter"
     | View -> "view"
 
-  let kind_of_string = function
-    | "counter" -> Some Counter
-    | "view" -> Some View
-    | _ -> None
-
   let scalar t name =
     Array.fold_left
       (fun acc (n, _, v) -> if n = name then Some v else acc)
@@ -462,7 +440,7 @@ module Snapshot = struct
          t.trace_emitted t.trace_dropped);
     Buffer.contents buf
 
-  (* One record per line so [of_json] can stay Scanf-only. *)
+  (* One record per line. *)
   let to_json t =
     let buf = Buffer.create 2048 in
     Buffer.add_string buf "{\n  \"schema\": \"rkd-obs-snapshot/1\",\n  \"scalars\": [\n";
@@ -488,71 +466,11 @@ module Snapshot = struct
          "  ],\n  \"trace\": { \"emitted\": %d, \"dropped\": %d, \"capacity\": %d }\n}\n"
          t.trace_emitted t.trace_dropped t.trace_capacity);
     Buffer.contents buf
-
-  let of_json s =
-    let scalars = ref [] in
-    let histos = ref [] in
-    let trace = ref (0, 0, 0) in
-    let ok = ref true in
-    let err = ref "" in
-    String.split_on_char '\n' s
-    |> List.iter (fun line ->
-           (match
-              Scanf.sscanf line " { \"name\": %S, \"kind\": %S, \"value\": %d"
-                (fun name kind v -> (name, kind, v))
-            with
-           | name, kind, v ->
-             (match kind_of_string kind with
-              | Some k -> scalars := (name, k, v) :: !scalars
-              | None ->
-                ok := false;
-                err := "unknown kind " ^ kind)
-           | exception _ -> (
-             match
-               Scanf.sscanf line " { \"name\": %S, \"buckets\": %S" (fun name b -> (name, b))
-             with
-             | name, bstr ->
-               let parts =
-                 String.split_on_char ' ' bstr |> List.filter (fun p -> p <> "")
-               in
-               (match List.map int_of_string parts with
-                | buckets when List.length buckets = histo_buckets ->
-                  histos := (name, Array.of_list buckets) :: !histos
-                | _ ->
-                  ok := false;
-                  err := "histogram " ^ name ^ ": bucket count mismatch"
-                | exception _ ->
-                  ok := false;
-                  err := "histogram " ^ name ^ ": bad bucket list")
-             | exception _ -> (
-               match
-                 Scanf.sscanf line
-                   " \"trace\": { \"emitted\": %d, \"dropped\": %d, \"capacity\": %d"
-                   (fun e d c -> (e, d, c))
-               with
-               | t -> trace := t
-               | exception _ -> ()))));
-    if not !ok then Error !err
-    else begin
-      let e, d, c = !trace in
-      let scalars = Array.of_list (List.rev !scalars) in
-      let histos = Array.of_list (List.rev !histos) in
-      Array.sort by_name scalars;
-      Array.sort by_name_h histos;
-      Ok
-        { scalars;
-          histos;
-          trace_emitted = e;
-          trace_dropped = d;
-          trace_capacity = c }
-    end
 end
 
 module Registry = struct
   let register_view name f =
     with_lock registry_lock (fun () -> Hashtbl.replace views name f)
-
-  let unregister_view name = with_lock registry_lock (fun () -> Hashtbl.remove views name)
 
   let snapshot () =
     with_lock registry_lock (fun () ->

@@ -11,7 +11,7 @@
       cells, so multicore experiment fan-out never contends on a shared
       cache line.  Summed only at snapshot time.
     - {!Histo}: fixed 64-bucket log2 histograms with a zero-alloc
-      [observe] and read-time percentile estimation.
+      [observe]; counts, sums and buckets are read at snapshot time.
     - {!Trace}: a bounded power-of-two ring buffer of fixed-size
       invocation events (a flight recorder): overwrites the oldest event
       under steady load, drops (and counts drops) while a reader has the
@@ -103,12 +103,6 @@ module Histo : sig
   val sum : t -> int
   val buckets : t -> int array
   (** Copy of the 64 per-bucket counts. *)
-
-  val percentile : t -> float -> int
-  (** [percentile h p] for [p] in [0, 1]: upper bound of the bucket that
-      contains the [ceil (p * count)]-th smallest observation; 0 when the
-      histogram is empty.  A read-time estimate: resolution is the bucket
-      width (a factor of 2). *)
 end
 
 module Trace : sig
@@ -211,11 +205,7 @@ module Snapshot : sig
       [_count].  Metric names have [.] mapped to [_]. *)
 
   val to_json : t -> string
-  (** One scalar/histogram per line ([rkd-obs-snapshot/1] schema), so the
-      reader below can stay Scanf-only. *)
-
-  val of_json : string -> (t, string) result
-  (** Parses {!to_json} output; round-trips exactly. *)
+  (** One scalar/histogram per line ([rkd-obs-snapshot/1] schema). *)
 end
 
 module Registry : sig
@@ -224,8 +214,6 @@ module Registry : sig
       [Ctxt.reads] or [Vm.invocations]) into snapshots without moving its
       storage.  Re-registering a name replaces the previous view, so
       reinstalling a program keeps its view current. *)
-
-  val unregister_view : string -> unit
 
   val snapshot : unit -> Snapshot.t
   (** Point-in-time snapshot of every counter, histogram and view.

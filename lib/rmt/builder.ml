@@ -2,7 +2,6 @@ type label = int
 
 type pending =
   | Fixed of Insn.t
-  | Jmp_to of label
   | Jcond_imm_to of Insn.cond * Insn.reg * int * label
 
 type t = {
@@ -46,7 +45,6 @@ let push t p =
   t.len <- t.len + 1
 
 let emit t insn = push t (Fixed insn)
-let jump t ~target = push t (Jmp_to target)
 let jump_if t cond ~reg ~imm ~target = push t (Jcond_imm_to (cond, reg, imm, target))
 
 let add_const t c =
@@ -77,7 +75,6 @@ let finish t () =
       (fun pc pending ->
         match pending with
         | Fixed insn -> insn
-        | Jmp_to l -> Insn.Jmp (resolve pc l)
         | Jcond_imm_to (c, ra, imm, l) -> Insn.Jcond_imm (c, ra, imm, resolve pc l))
       (List.rev t.code)
   in

@@ -29,7 +29,6 @@ val place : t -> label -> unit
 (** Raises [Invalid_argument] when placed twice. *)
 
 val emit : t -> Insn.t -> unit
-val jump : t -> target:label -> unit
 val jump_if : t -> Insn.cond -> reg:Insn.reg -> imm:int -> target:label -> unit
 
 val add_const : t -> Program.const -> int

@@ -11,34 +11,14 @@ type t = {
   default_engine : Vm.engine;
   rng : Kml.Rng.t;
   mutable installs : int; (* indexes per-install Rng substreams *)
-  retries : (string, retry) Hashtbl.t; (* update_model_checked backoff, per model *)
   view_ns : string; (* registry namespace for per-control-plane views *)
-  mutable gate : install_gate option; (* optional analysis gate on installs *)
   single : Batch.t; (* the one-slot batch {!fire} runs an event through *)
 }
-
-and gate_verdict = Gate_ok | Gate_warn of string list | Gate_deny of string list
-and install_gate = Verifier.report -> Program.t -> gate_verdict
-
-(* Retry-with-backoff state for {!update_model_checked}: consecutive
-   probe failures and the earliest clock at which the next attempt is
-   admitted. *)
-and retry = { mutable failures : int; mutable next_allowed : int }
 
 (* Control-plane activity totals (DESIGN.md section 11). *)
 let c_installs = Obs.Counter.make "rmt.control.installs"
 let c_install_rejected = Obs.Counter.make "rmt.control.install_rejected"
 let c_model_updates = Obs.Counter.make "rmt.control.model_updates"
-
-(* Model-update failsafe totals (DESIGN.md section 12). *)
-let c_update_rollbacks = Obs.Counter.make "rmt.control.model_update_rollbacks"
-let c_update_deferred = Obs.Counter.make "rmt.control.model_update_deferred"
-
-(* Findings surfaced (but not enforced) by a [Gate_warn] install gate. *)
-let c_gate_warnings = Obs.Counter.make "rmt.control.gate_warnings"
-
-let update_backoff_base_ns = 1_000_000 (* 1 ms *)
-let update_backoff_max_ns = 1_000_000_000 (* 1 s *)
 
 (* Folds a program's pre-existing per-VM counters (invocations, steps,
    throttled units, guardrail violations) into registry views through the
@@ -68,15 +48,12 @@ let create ?(engine = Vm.Jit_compiled) ?(seed = 0x5eed) ?(view_ns = "rmt") () =
     default_engine = engine;
     rng = Kml.Rng.create seed;
     installs = 0;
-    retries = Hashtbl.create 8;
     view_ns;
-    gate = None;
     single = Batch.create ~capacity:1 }
 
 let helpers t = t.helpers
 let models t = t.store
 let pipeline t = t.pipeline
-let set_install_gate t gate = t.gate <- gate
 
 (* Fault seam: clock skew perturbs every timestamp the datapath sees —
    rate limiters, breakers and backoff schedules must tolerate a clock
@@ -151,104 +128,18 @@ let prepare t ?resource_budget ?(model_names = []) (prog : Program.t) =
                 (String.concat "; " over_budget))
          end
          else begin
-           (* Optional analysis gate: runs on the verifier report after all
-              mandatory checks pass. *)
-           let gate_verdict =
-             match t.gate with None -> Gate_ok | Some gate -> gate report prog
-           in
-           match gate_verdict with
-           | Gate_deny msgs ->
-             Obs.Counter.incr c_install_rejected;
-             Error
-               (Printf.sprintf "analysis gate rejected %s: %s" prog.name
-                  (String.concat "; " msgs))
-           | Gate_ok | Gate_warn _ ->
-             (match gate_verdict with
-              | Gate_warn msgs -> Obs.Counter.add c_gate_warnings (List.length msgs)
-              | _ -> ());
-             let maps = Array.map Map_store.create prog.map_specs in
-             let rng = Kml.Rng.split t.rng t.installs in
-             t.installs <- t.installs + 1;
-             (match
-                Loaded.link ~rng ~store:t.store ~helpers:t.helpers ~maps ~models:handles prog
-              with
-              | loaded ->
-                Hashtbl.replace t.resources prog.name resource;
-                Ok loaded
-              | exception Invalid_argument msg -> Error msg)
+           let maps = Array.map Map_store.create prog.map_specs in
+           let rng = Kml.Rng.split t.rng t.installs in
+           t.installs <- t.installs + 1;
+           match
+             Loaded.link ~rng ~store:t.store ~helpers:t.helpers ~maps ~models:handles prog
+           with
+           | loaded ->
+             Hashtbl.replace t.resources prog.name resource;
+             Ok loaded
+           | exception Invalid_argument msg -> Error msg
          end)
   end
-
-let retry_for t name =
-  match Hashtbl.find_opt t.retries name with
-  | Some r -> r
-  | None ->
-    let r = { failures = 0; next_allowed = min_int } in
-    Hashtbl.replace t.retries name r;
-    r
-
-(* Transactional model update (DESIGN.md section 12): swap the retrained
-   model in, probe it against [samples], and roll the incumbent back if
-   any probe escapes or lands outside [lo, hi].  Failures arm an
-   exponential backoff gated on the simulated clock, so a crash-looping
-   trainer cannot hot-swap garbage at line rate. *)
-let update_model_checked t ~name ?(samples = []) ?lo ?hi model =
-  let r = retry_for t name in
-  let now = t.clock () in
-  if now < r.next_allowed then begin
-    Obs.Counter.incr c_update_deferred;
-    Error
-      (Printf.sprintf "update_model %s: backing off after %d failed updates (retry in %dns)"
-         name r.failures (r.next_allowed - now))
-  end
-  else
-    match Model_store.find t.store name with
-    | None -> Error (Printf.sprintf "update_model: no model named %s" name)
-    | Some handle ->
-      let incumbent = Model_store.model t.store handle in
-      let fail msg =
-        (* Roll back before arming the backoff: the datapath keeps
-           serving the incumbent model throughout. *)
-        Model_store.replace t.store handle incumbent;
-        r.failures <- r.failures + 1;
-        let backoff =
-          Stdlib.min update_backoff_max_ns
-            (update_backoff_base_ns * (1 lsl Stdlib.min 30 (r.failures - 1)))
-        in
-        r.next_allowed <- now + backoff;
-        Obs.Counter.incr c_update_rollbacks;
-        Error msg
-      in
-      (match Model_store.replace t.store handle model with
-       | exception Invalid_argument msg ->
-         r.failures <- r.failures + 1;
-         r.next_allowed <- now + update_backoff_base_ns * (1 lsl Stdlib.min 30 (r.failures - 1));
-         Error msg
-       | () ->
-         let rec probe = function
-           | [] ->
-             r.failures <- 0;
-             r.next_allowed <- min_int;
-             Obs.Counter.incr c_model_updates;
-             Ok ()
-           | features :: rest ->
-             (* Probes must see the model itself, not the fault
-                injector's perturbations of it. *)
-             (match Fault.without (fun () -> Model_store.predict t.store handle features) with
-              | v ->
-                let low_ok = match lo with Some l -> v >= l | None -> true in
-                let high_ok = match hi with Some h -> v <= h | None -> true in
-                if low_ok && high_ok then probe rest
-                else
-                  fail
-                    (Printf.sprintf "update_model %s: probe predicted %d outside guard range"
-                       name v)
-              | exception exn ->
-                fail
-                  (Printf.sprintf "update_model %s: probe raised %s" name
-                     (Printexc.to_string exn)))
-         in
-         probe samples)
 
 let protect t ~hook ?breaker ~programs ~fallback () =
   let vms =
@@ -315,27 +206,9 @@ let install_asm t source =
   | Error e -> Error (Format.asprintf "%a" Asm.pp_error e)
   | Ok prog -> install t prog
 
-let install_bytes t ?resource_budget ?model_names data =
-  match Encoding.decode data with
-  | Error e -> Error ("decode: " ^ e)
-  | Ok prog ->
-    Result.map (register t prog) (prepare t ?resource_budget ?model_names prog)
-
 let find_program t name = Hashtbl.find_opt t.programs name
 
 let resource_report t name = Hashtbl.find_opt t.resources name
-
-let remove_program t name =
-  if Hashtbl.mem t.programs name then begin
-    Hashtbl.remove t.programs name;
-    Hashtbl.remove t.resources name;
-    t.program_order <- List.filter (fun n -> n <> name) t.program_order;
-    List.iter
-      (fun suffix -> Obs.Registry.unregister_view (t.view_ns ^ ".program." ^ name ^ "." ^ suffix))
-      [ "invocations"; "steps"; "throttled_units"; "guardrail_violations" ];
-    true
-  end
-  else false
 
 let bind_tail_call t ~caller ~slot ~callee =
   match (find_program t caller, find_program t callee) with

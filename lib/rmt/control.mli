@@ -34,27 +34,6 @@ val update_model : t -> name:string -> Model_store.model -> (unit, string) resul
 (** Swap a retrained model into its slot; programs referencing the slot pick
     it up on their next invocation (no reinstall). *)
 
-val update_model_checked :
-  t ->
-  name:string ->
-  ?samples:int array list ->
-  ?lo:int ->
-  ?hi:int ->
-  Model_store.model ->
-  (unit, string) result
-(** Transactional {!update_model}: after the swap, every feature vector in
-    [samples] is probed through the new model; a probe that raises or
-    predicts outside [lo, hi] rolls the incumbent model back and the call
-    fails.  Consecutive failures arm an exponential backoff (1ms doubling
-    to 1s of simulated clock) during which further updates of this name
-    are refused outright (DESIGN.md section 12).
-
-    Backoff state is keyed by model [name] alone: a crash-looping update
-    of tenant A's model never defers updates of tenant B's (two programs
-    sharing one model name intentionally share its backoff — it is the
-    same model).  Canary/grace state is likewise per-{!Vm}, so staged
-    rollouts of different programs cannot leak backoff either way. *)
-
 (** {2 Programs} *)
 
 val install :
@@ -76,12 +55,6 @@ val install :
 val install_asm : t -> string -> (Vm.t, string) result
 (** Assemble ({!Asm.parse} with this control plane's helpers) a program
     that binds no model, then {!install} it. *)
-
-val install_bytes :
-  t -> ?resource_budget:Resource.budget -> ?model_names:string list -> bytes ->
-  (Vm.t, string) result
-(** The wire-format install syscall: decode ({!Encoding}), then verify and
-    link as {!install}. *)
 
 val install_canary :
   t ->
@@ -117,33 +90,12 @@ val rollback_program : t -> string -> bool
 (** Abort an in-flight canary, or undo a promotion whose grace window is
     still open.  [false] when there is nothing to roll back. *)
 
-type gate_verdict =
-  | Gate_ok
-  | Gate_warn of string list
-      (** surfaced through the [<view_ns>.control.gate_warnings] counter;
-          the install proceeds *)
-  | Gate_deny of string list  (** the install is refused *)
-
-type install_gate = Verifier.report -> Program.t -> gate_verdict
-(** An optional analysis pass run on every install path ({!install},
-    {!install_asm}, {!install_bytes}, {!install_canary}) after the
-    verifier and resource-budget checks succeed and before the program is
-    linked.  It sees the same {!Verifier.report} the engines link
-    against — e.g. [Analysis.Lint.install_gate] flags dead stores,
-    redundant guards and taint-laundering map reads at install time. *)
-
-val set_install_gate : t -> install_gate option -> unit
-(** Install (or with [None] remove) the analysis gate.  Denied installs
-    count toward [rmt.control.install_rejected] like verifier
-    rejections. *)
-
 val find_program : t -> string -> Vm.t option
 
 val resource_report : t -> string -> Resource.t option
 (** Compile-time resource report of an installed program (recorded at
     install time); [None] for unknown names. *)
 
-val remove_program : t -> string -> bool
 val bind_tail_call : t -> caller:string -> slot:int -> callee:string -> (unit, string) result
 
 (** {2 Tables and hooks} *)

@@ -17,7 +17,6 @@
 type t
 
 val create : unit -> t
-val clear : t -> unit
 val set : t -> int -> int -> unit
 (** Raises [Invalid_argument] on a negative key. *)
 
@@ -28,16 +27,8 @@ val dense_bound : int
 (** Keys in [0, dense_bound) live on the dense fast path.  Hooks that
     pick their own context keys assert they stay below it. *)
 
-val mem : t -> int -> bool
-val remove : t -> int -> unit
-val set_range : t -> base:int -> int array -> unit
-(** [set_range t ~base values] sets keys [base..base + len - 1]. *)
-
-val get_range : t -> base:int -> len:int -> int array
 val reads : t -> int
-(** Number of [get]/[get_range] key reads since [reset_reads]. *)
-
-val reset_reads : t -> unit
+(** Number of [get] key reads since the context was created. *)
 
 val watch : name:string -> t -> unit
 (** Registers a registry view [rmt.ctxt.<name>.reads] over this

@@ -62,9 +62,3 @@ let violations t = t.violations
 let violation_rate_ge t rate =
   if t.w_seen >= 8 then float_of_int t.w_viol >= rate *. float_of_int t.w_seen
   else t.last_rate >= rate
-
-let reset t =
-  t.violations <- 0;
-  t.w_seen <- 0;
-  t.w_viol <- 0;
-  t.last_rate <- 0.0

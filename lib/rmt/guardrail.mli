@@ -25,6 +25,3 @@ val violation_rate_ge : t -> float -> bool
     observations, the last completed window before that (0 initially).
     A 100%-violation storm is visible within ~8 calls.  Returns no float,
     so it is usable on allocation-free hot paths. *)
-
-val reset : t -> unit
-(** Zero the lifetime count and the rolling window. *)

@@ -16,7 +16,7 @@ type entry = {
   priority : int;
   seq : int; (* insertion order; earlier wins among equal priorities *)
   patterns : pattern array;
-  mutable action : action;
+  action : action;
   mutable hits : int;
 }
 
@@ -95,18 +95,6 @@ let insert t ?(priority = 0) ~patterns action =
   t.entries <- List.sort entry_order (entry :: t.entries);
   Obs.Counter.incr c_inserts;
   entry.id
-
-let remove t id =
-  let before = List.length t.entries in
-  t.entries <- List.filter (fun e -> e.id <> id) t.entries;
-  List.length t.entries < before
-
-let set_action t id action =
-  match List.find_opt (fun e -> e.id = id) t.entries with
-  | Some e ->
-    e.action <- action;
-    true
-  | None -> false
 
 let entry_count t = List.length t.entries
 

@@ -5,9 +5,9 @@
     carries one pattern per field, a priority, and an action.  Lookup reads
     the declared fields from the {!Ctxt}, selects the highest-priority
     matching entry (insertion order breaks ties), and runs its action.
-    Entries can be inserted and removed at runtime through the control
-    plane — "statically encoded in the RMT program or dynamically inserted
-    or removed via an API at runtime".
+    Entries are inserted at runtime through the control plane (the paper's
+    entries are "statically encoded in the RMT program or dynamically
+    inserted or removed via an API at runtime"; nothing here removes one).
 
     Lookup scans the entries in priority order and stops at the first
     match, so its cost grows with the entry count; the tables the
@@ -38,8 +38,6 @@ val insert : t -> ?priority:int -> patterns:pattern array -> action -> entry_id
 (** Default priority 0; higher wins.  Raises [Invalid_argument] if the
     pattern arity differs from the table's match keys. *)
 
-val remove : t -> entry_id -> bool
-val set_action : t -> entry_id -> action -> bool
 val entry_count : t -> int
 val lookup_batch : t -> Batch.t -> now:(unit -> int) -> unit
 (** Match and run the action for slots [0 .. b.n - 1]; a slot with no

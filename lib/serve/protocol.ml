@@ -11,8 +11,7 @@ let drain_batch ~cached_tail ~head ~max =
   let avail = cached_tail - head in
   if avail <= 0 then 0 else if avail < max then avail else max
 
-let should_sleep ~should_stop ~rings_empty ~pending_empty =
-  (not should_stop) && rings_empty && pending_empty
+let should_sleep ~should_stop ~rings_empty = (not should_stop) && rings_empty
 
 module type SPSC = sig
   type t

@@ -35,14 +35,13 @@ val drain_batch : cached_tail:int -> head:int -> max:int -> int
 
 (** {1 Shard park/wake} *)
 
-val should_sleep : should_stop:bool -> rings_empty:bool -> pending_empty:bool -> bool
+val should_sleep : should_stop:bool -> rings_empty:bool -> bool
 (** The consumer, holding the park mutex with its parked flag published,
     may block on the condition variable: it is not shutting down and the
-    mutex-protected re-check found no ring events and no posted
-    commands.  Producers observe the parked flag {e after} their push /
-    post and serialize on the same mutex to broadcast, so a [true]
-    verdict here can never strand published work (machine-checked by
-    {!Analysis.Mc_models.shard}). *)
+    mutex-protected re-check found no ring events.  Producers observe
+    the parked flag {e after} their push and serialize on the same mutex
+    to broadcast, so a [true] verdict here can never strand a published
+    event (machine-checked by {!Analysis.Mc_models.shard}). *)
 
 (** {1 Conformance} *)
 

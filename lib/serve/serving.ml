@@ -64,7 +64,6 @@ let create ?(config = default_config) ~make_sink () =
     c_backpressure = Obs.Counter.make "rmt.serve.backpressure" }
 
 let shards t = t.shards
-let now_ns t = Atomic.get t.now_ns
 
 (* The clock is advanced by whoever owns time in the host program (the
    bench's producer loop, the simulator tick, a timer domain): monotone
@@ -178,8 +177,6 @@ let stop t =
 let served t = Array.fold_left (fun acc s -> acc + Shard.served s) 0 t.shards
 let digest t = Array.fold_left (fun acc s -> acc lxor Shard.digest s) 0 t.shards
 
-let post_tenant t ~tenant f = Shard.post t.shards.(shard_of_tenant t tenant) f
-
 (* ------------------------------------------------------------------ *)
 (* Standard fleets                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -198,47 +195,3 @@ let create_datapath ?(config = default_config) () =
     Array.map (function Some dp -> dp | None -> assert false) dps
   in
   (t, dps)
-
-(* --- staged rollout over shard datapaths ------------------------------ *)
-
-(* One {!Rkd.Fleet.Rollout.target} per shard: the same poll-driven
-   1 -> 25% -> all progression the fleet control plane uses, applied to a
-   serving fleet's per-shard controls.  [install] stages the candidate as
-   a canary on the shard's pinned program; [status] detects promotion by
-   physical identity of the Vm's loaded slot; [restore] takes the
-   transactional rollback path (the canary is cancelled, or the grace
-   window unwinds the promotion).  Inline-mode serving only: with domains
-   running, control commands must go through [post] instead. *)
-let rollout_targets ?invocations ?max_divergences ?grace ~dps ~program () =
-  Array.mapi
-    (fun i dp ->
-      let vm = Shard.Datapath.vm dp in
-      let before = ref (Rmt.Vm.loaded vm) in
-      { Rkd.Fleet.Rollout.label = i;
-        install =
-          (fun () ->
-            before := Rmt.Vm.loaded vm;
-            match
-              Rmt.Control.install_canary (Shard.Datapath.control dp) ?invocations
-                ?max_divergences ?grace program
-            with
-            | Ok _ -> true
-            | Error _ -> false);
-        status =
-          (fun () ->
-            match Rmt.Vm.canary_status vm with
-            | `Canary _ -> `Pending
-            | `Idle | `Grace _ ->
-              if Rmt.Vm.loaded vm != !before then `Promoted else `Failed);
-        healthy =
-          (fun () -> Rmt.Breaker.state (Shard.Datapath.breaker dp) = Rmt.Breaker.Closed);
-        restore =
-          (fun () -> Rmt.Control.rollback_program (Shard.Datapath.control dp) program.Rmt.Program.name) })
-    dps
-
-let staged_rollout ?invocations ?max_divergences ?grace t ~dps ~program () =
-  let stage_ticks_ns = 1_000_000_000 in
-  let targets = rollout_targets ?invocations ?max_divergences ?grace ~dps ~program () in
-  Rkd.Fleet.Rollout.start ~targets
-    ~stages:(Rkd.Fleet.Rollout.stage_plan (Array.length dps))
-    ~now:(now_ns t) ~stage_ticks:stage_ticks_ns

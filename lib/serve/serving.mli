@@ -59,8 +59,8 @@ val admitted : t -> int
 (** {2 Inline mode} *)
 
 val drain : t -> int
-(** One sweep over every shard on the calling domain (control commands,
-    then up to [max_batch] events per ring).  Single-domain mode — must
+(** One sweep over every shard on the calling domain (up to [max_batch]
+    events per ring).  Single-domain mode — must
     not be mixed with {!start}; a shard has exactly one consumer. *)
 
 val drain_until_idle : t -> unit
@@ -72,8 +72,8 @@ val start : t -> unit
     fault-injection scope is captured once and split per worker
     ({!Rmt.Fault.capture_for}), so a chaos plan armed on the control
     domain reaches every shard datapath with an independent rng stream.
-    Workers spin briefly when idle, then park until {!submit} or
-    {!post} wakes them. *)
+    Workers spin briefly when idle, then park until {!submit} wakes
+    them. *)
 
 val stop : t -> unit
 (** Publish stop, wake and join every worker.  Events admitted before
@@ -89,28 +89,3 @@ val served : t -> int
 val digest : t -> int
 (** Xor of the shards' sink digests: identical for any shard count and
     any batch boundaries when fed the same per-tenant event streams. *)
-
-val post_tenant : t -> tenant:int -> (unit -> unit) -> unit
-(** {!post} addressed by tenant. *)
-
-(** {2 Staged rollout}
-
-    The fleet control plane's staged canary progression ({!Rkd.Fleet.Rollout},
-    DESIGN.md section 17) applied to a serving fleet: 1 shard, then 25%,
-    then all, each stage shadow-running the candidate under its
-    divergence budget and gated on the shard breakers. *)
-
-val staged_rollout :
-  ?invocations:int ->
-  ?max_divergences:int ->
-  ?grace:int ->
-  t ->
-  dps:Shard.Datapath.dp array ->
-  program:Rmt.Program.t ->
-  unit ->
-  [ `Started of Rkd.Fleet.Rollout.t | `Unhealthy | `Failed of int ]
-(** Begin a staged rollout of [program] across [dps] on the serving
-    clock.  Drive it with {!Rkd.Fleet.Rollout.step} between inline
-    drains, passing the time last given to {!set_now}; stages time out
-    after 1 s.  Inline mode only — with consumer domains running, route
-    installs through {!post_tenant}. *)

@@ -1,11 +1,10 @@
 (* One serving shard: a tenant partition's rings, drain scratch, pinned
    datapath state and telemetry.  The shard itself is sink-agnostic — the
-   [sink] record is the per-batch datapath callback plus the optional
-   control plane the serving front-end routes canary installs and breaker
-   commands through.  [Datapath] below is the standard sink: a
-   shard-private {!Rmt.Control} with the prefetch collect program behind
-   a per-shard circuit breaker, per-tenant execution-context slabs and a
-   rolling per-tenant decision digest. *)
+   [sink] record is the per-batch datapath callback and its digest.
+   [Datapath] below is the standard sink: a shard-private {!Rmt.Control}
+   with the prefetch collect program behind a per-shard circuit breaker,
+   per-tenant execution-context slabs and a rolling per-tenant decision
+   digest. *)
 
 (* Compile-time conformance: the real ring presents exactly the surface
    the protocol module specifies, so the model checker's small-scope ring
@@ -15,7 +14,6 @@ module _ : Protocol.SPSC = Ring
 
 type sink = {
   run : n:int -> tenants:int array -> pages:int array -> now:int -> unit;
-  control : Rmt.Control.t option;
   digest : unit -> int;
 }
 
@@ -27,10 +25,6 @@ type t = {
   d_pages : int array;
   d_stamps : int array;
   sink : sink;
-  (* Control-plane commands (canary installs, breaker trips/resets)
-     posted from other domains; drained between batches so they run on
-     the shard's own domain.  Steady state is one atomic load. *)
-  pending : (unit -> unit) list Atomic.t;
   (* Park protocol: the worker takes the mutex, publishes [parked],
      re-checks its rings and only then waits; producers that observe
      [parked] after a push serialize on the mutex, so the wakeup cannot
@@ -54,7 +48,6 @@ let create ~index ~producers ~ring_capacity ~max_batch sink =
     d_pages = Array.make max_batch 0;
     d_stamps = Array.make max_batch 0;
     sink;
-    pending = Atomic.make [];
     park_mutex = Mutex.create ();
     park_cond = Condition.create ();
     parked = Atomic.make false;
@@ -64,26 +57,8 @@ let create ~index ~producers ~ring_capacity ~max_batch sink =
     served = 0 }
 
 let ring t producer = t.rings.(producer)
-let control t = t.sink.control
 let digest t = t.sink.digest ()
 let served t = t.served
-
-(* ------------------------------------------------------------------ *)
-(* Cross-domain control commands                                       *)
-(* ------------------------------------------------------------------ *)
-
-let rec push_pending t f =
-  let cur = Atomic.get t.pending in
-  if not (Atomic.compare_and_set t.pending cur (f :: cur)) then push_pending t f
-
-(* Run queued commands on the shard's own domain, oldest first.  The
-   empty-queue probe is a single atomic load and a branch. *)
-let run_pending t =
-  match Atomic.get t.pending with
-  | [] -> ()
-  | _ :: _ ->
-    let cmds = Atomic.exchange t.pending [] in
-    List.iter (fun f -> f ()) (List.rev cmds)
 
 (* ------------------------------------------------------------------ *)
 (* Draining                                                            *)
@@ -109,13 +84,10 @@ let rec drain_rings t ~now i acc =
   if i >= Array.length t.rings then acc
   else drain_rings t ~now (i + 1) (acc + drain_ring t t.rings.(i) ~now)
 
-(* One sweep: control commands first (so a posted canary install applies
-   to the batches that follow), then up to [max_batch] events from each
-   producer ring.  Returns the number of events served; zero-allocation
-   when the queues are empty or the sink's steady state is. *)
-let drain_once t ~now =
-  run_pending t;
-  drain_rings t ~now 0 0
+(* One sweep: up to [max_batch] events from each producer ring.  Returns
+   the number of events served; zero-allocation when the rings are empty
+   or the sink's steady state is. *)
+let drain_once t ~now = drain_rings t ~now 0 0
 
 (* ------------------------------------------------------------------ *)
 (* Parking                                                             *)
@@ -139,11 +111,7 @@ let park t ~should_stop =
       (* Re-check after publishing [parked]: a producer that pushed before
          it could observe the flag left work we must not sleep on.  A
          spurious wakeup just returns to the drain loop. *)
-      if
-        Protocol.should_sleep ~should_stop:(should_stop ())
-          ~rings_empty:(rings_empty_from t 0)
-          ~pending_empty:
-            (match Atomic.get t.pending with [] -> true | _ :: _ -> false)
+      if Protocol.should_sleep ~should_stop:(should_stop ()) ~rings_empty:(rings_empty_from t 0)
       then Condition.wait t.park_cond t.park_mutex)
 
 (* Producer-side nudge after a push: a single atomic load unless the
@@ -161,10 +129,6 @@ let wake_force t =
   Mutex.lock t.park_mutex;
   Condition.broadcast t.park_cond;
   Mutex.unlock t.park_mutex
-
-let post t f =
-  push_pending t f;
-  wake t
 
 (* ------------------------------------------------------------------ *)
 (* Standard datapath sink                                              *)
@@ -354,7 +318,6 @@ module Datapath = struct
       d.ctxts 0
 
   let tenant_count d = Hashtbl.length d.ctxts
-  let control d = d.control
   let table d = d.table
   let vm d = d.vm
   let breaker d = d.breaker
@@ -362,6 +325,5 @@ module Datapath = struct
 
   let sink d =
     { run = (fun ~n ~tenants ~pages ~now -> run d ~n ~tenants ~pages ~now);
-      control = Some d.control;
       digest = (fun () -> digest d) }
 end

@@ -12,9 +12,6 @@ type sink = {
       (** Serve the first [n] slots of the column arrays.  Called only
           from the shard's consumer domain; the arrays are the shard's
           scratch and are overwritten by the next batch. *)
-  control : Rmt.Control.t option;
-      (** The shard-private control plane, when the sink has one — the
-          front-end routes canary installs and breaker commands here. *)
   digest : unit -> int;
       (** Order-insensitive fleet digest of the decisions served so far
           (0 when the sink does not track one). *)
@@ -25,33 +22,32 @@ type t
 val create :
   index:int -> producers:int -> ring_capacity:int -> max_batch:int -> sink -> t
 (** Registers per-shard counters [rmt.serve.<index>.{invocations,batches}]
-    and histogram [rmt.serve.<index>.queue_ns]. *)
+    and histogram [rmt.serve.<index>.queue_ns].  [invocations] counts the
+    events handed to the sink; [batches] counts the non-empty ring
+    drains, each one call of the sink's [run], not the datapath's
+    dispatches: {!Datapath} may split one drain into several
+    {!Rmt.Control.fire_batch} rounds, and the count of
+    [<view_ns>.batch_slots] ({!Datapath.batch_slots}) is the number of
+    those. *)
 
 val ring : t -> int -> Ring.t
 (** [ring t producer] — the SPSC ring producer [producer] pushes to. *)
 
-val control : t -> Rmt.Control.t option
 val digest : t -> int
 val served : t -> int
 (** Events drained into the sink so far.  Worker-owned; exact once the
     shard's consumer is quiescent. *)
 
 val drain_once : t -> now:int -> int
-(** One sweep on the consumer domain: run posted control commands, then
-    drain up to [max_batch] events from each producer ring into the
-    sink.  Returns the number of events served.  Allocation-free in the
-    steady state (warm tenants, no pending commands). *)
-
-val post : t -> (unit -> unit) -> unit
-(** Queue a control command (canary install, breaker trip, …) to run on
-    the shard's consumer domain before its next batch; wakes the worker
-    if parked.  Safe from any domain. *)
+(** One sweep on the consumer domain: drain up to [max_batch] events
+    from each producer ring into the sink.  Returns the number of events
+    served.  Allocation-free in the steady state (warm tenants). *)
 
 val park : t -> should_stop:(unit -> bool) -> unit
 (** Block the consumer until woken.  Publishes the parked flag, then
-    re-checks [should_stop], the rings and the command queue under the
-    park mutex ({!Protocol.should_sleep}) before sleeping, so a
-    concurrent push or {!post} cannot be lost.  Exception-safe: a raise
+    re-checks [should_stop] and the rings under the park mutex
+    ({!Protocol.should_sleep}) before sleeping, so a concurrent push
+    cannot be lost.  Exception-safe: a raise
     out of [should_stop] (or a spurious-wakeup path) still clears the
     parked flag and releases the mutex.  Consumer domain only. *)
 
@@ -81,13 +77,13 @@ module Datapath : sig
       ([<view_ns>.breaker.*], [<view_ns>.program.*]). *)
 
   val sink : dp -> sink
-  val control : dp -> Rmt.Control.t
   val table : dp -> Rmt.Table.t
   val vm : dp -> Rmt.Vm.t
 
-  (** The shard's circuit breaker; open = the shard is serving the stock
-      fallback marker and a staged rollout must not enter it. *)
   val breaker : dp -> Rmt.Breaker.t
+  (** The shard's circuit breaker; open = the shard is serving the stock
+      fallback marker. *)
+
   val digest : dp -> int
   (** Xor over tenants of their rolling decision digests: identical for
       any shard count and any batch boundaries (per-tenant FIFO is
@@ -104,6 +100,4 @@ module Datapath : sig
 
   val hook : string
   (** The hook the serve table is attached to ([lookup_swap_cache]). *)
-
-  val program_name : string
 end

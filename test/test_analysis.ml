@@ -3,8 +3,7 @@
    pass, deliberately broken variants yield counterexample traces, the
    sleep-set reduction preserves verdicts and state counts), the
    absint-powered lint (zero findings on every shipped program, every
-   seeded-defect mutant caught by its expected rule), and the
-   Control.install analysis gate in both warn and deny modes. *)
+   seeded-defect mutant caught by its expected rule). *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -24,7 +23,7 @@ module Corpus = Analysis.Corpus
 let real_models () =
   [ Models.ring ~capacity:2 ~pushes:4 ~max_batch:2 ();
     Models.ring ~capacity:4 ~pushes:6 ~max_batch:2 ();
-    Models.shard ~pushes:3 ~posts:1 () ]
+    Models.shard ~pushes:3 () ]
 
 let test_mc_real_protocols_pass () =
   List.iter
@@ -64,7 +63,7 @@ let broken_variants =
      fun () -> Models.ring ~bug:Models.Stale_cached_head ~capacity:2 ~pushes:3 ~max_batch:2 ());
     ("quiescent drain incomplete",
      fun () -> Models.ring ~bug:Models.No_drain_refresh ~capacity:2 ~pushes:3 ~max_batch:2 ());
-    ("lost wake", fun () -> Models.shard ~bug:Models.Dropped_wake ~pushes:2 ~posts:1 ()) ]
+    ("lost wake", fun () -> Models.shard ~bug:Models.Dropped_wake ~pushes:2 ()) ]
 
 let test_mc_broken_variants_fail () =
   List.iter
@@ -147,44 +146,6 @@ let test_lint_severity_and_json () =
     check_bool "json carries the rule" true (contains ~needle:{|"rule":"dead-store"|} json)
   | Error e -> Alcotest.failf "m01: %s" e
 
-(* ---------------- Control.install gate ---------------- *)
-
-(* m02 passes the full verifier (no models, no maps) but carries a dead
-   store: deny mode must refuse the install, warn mode must admit it
-   and count the findings, and clearing the gate restores stock
-   behavior. *)
-let test_install_gate_modes () =
-  let prog = find_mutant "m02_dead_store_overwrite" in
-  let control = Rmt.Control.create () in
-  Rmt.Control.set_install_gate control (Some (Lint.install_gate ~mode:`Deny ()));
-  (match Rmt.Control.install control prog with
-   | Ok _ -> Alcotest.fail "deny gate admitted a program with findings"
-   | Error e ->
-     check_bool "deny error names the gate" true
-       (contains ~needle:"analysis gate rejected" e));
-  check_bool "denied program is not registered" true
-    (Rmt.Control.find_program control prog.Rmt.Program.name = None);
-  Rmt.Control.set_install_gate control (Some (Lint.install_gate ~mode:`Warn ()));
-  (match Rmt.Control.install control prog with
-   | Ok _ -> ()
-   | Error e -> Alcotest.failf "warn gate refused the install: %s" e);
-  Rmt.Control.set_install_gate control None;
-  match Rmt.Control.install control prog with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "ungated install failed: %s" e
-
-(* A clean program sails through a deny gate. *)
-let test_install_gate_clean_program () =
-  let control = Rmt.Control.create () in
-  Rmt.Control.set_install_gate control (Some (Lint.install_gate ~mode:`Deny ()));
-  let prog =
-    let _, p = List.find (fun (n, _) -> n = "chaos_prog") (Corpus.clean ()) in
-    p
-  in
-  match Rmt.Control.install control prog with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "deny gate refused a clean program: %s" e
-
 let suite =
   [ ( "analysis",
       [ Alcotest.test_case "mc: real protocols pass exhaustively" `Quick
@@ -202,8 +163,4 @@ let suite =
       Alcotest.test_case "lint: every seeded defect is caught" `Quick
         test_lint_mutation_corpus;
       Alcotest.test_case "lint: severity and JSON export" `Quick
-        test_lint_severity_and_json;
-      Alcotest.test_case "gate: deny refuses, warn admits, none restores" `Quick
-        test_install_gate_modes;
-      Alcotest.test_case "gate: clean programs pass a deny gate" `Quick
-        test_install_gate_clean_program ] ) ]
+        test_lint_severity_and_json ] ) ]

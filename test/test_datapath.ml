@@ -20,19 +20,15 @@ let prop_ctxt_matches_oracle =
       let ok = ref true in
       for _ = 1 to 400 do
         let key = ri 300 in
-        match ri 5 with
-        | 0 | 1 ->
+        if ri 2 = 0 then begin
           let v = ri 1000 - 500 in
           Rmt.Ctxt.set ctxt key v;
           Hashtbl.replace oracle key v
-        | 2 ->
+        end
+        else begin
           let expected = match Hashtbl.find_opt oracle key with Some v -> v | None -> 0 in
           if Rmt.Ctxt.get ctxt key <> expected then ok := false
-        | 3 ->
-          if Rmt.Ctxt.mem ctxt key <> Hashtbl.mem oracle key then ok := false
-        | _ ->
-          Rmt.Ctxt.remove ctxt key;
-          Hashtbl.remove oracle key
+        end
       done;
       let bindings t = List.sort compare (Rmt.Ctxt.fold (fun k v acc -> (k, v) :: acc) t []) in
       let oracle_bindings =
@@ -40,16 +36,19 @@ let prop_ctxt_matches_oracle =
       in
       !ok && bindings ctxt = oracle_bindings)
 
+(* Keys 120..139 straddle the dense region boundary; a copy holds the
+   same bindings and shares no storage with the original on either side. *)
 let test_ctxt_range_across_boundary () =
   let ctxt = Rmt.Ctxt.create () in
   let values = Array.init 20 (fun i -> i * 3 - 10) in
-  (* base 120, len 20: keys 120..139 straddle the dense region boundary *)
-  Rmt.Ctxt.set_range ctxt ~base:120 values;
-  Alcotest.(check (array int)) "range round-trips across dense boundary" values
-    (Rmt.Ctxt.get_range ctxt ~base:120 ~len:20);
-  Rmt.Ctxt.clear ctxt;
-  Alcotest.(check int) "cleared" 0 (Rmt.Ctxt.get ctxt 125);
-  Alcotest.(check bool) "cleared mem" false (Rmt.Ctxt.mem ctxt 125)
+  Array.iteri (fun i v -> Rmt.Ctxt.set ctxt (120 + i) v) values;
+  let read c = Array.init 20 (fun i -> Rmt.Ctxt.get c (120 + i)) in
+  Alcotest.(check (array int)) "range round-trips across dense boundary" values (read ctxt);
+  let clone = Rmt.Ctxt.copy ctxt in
+  Alcotest.(check (array int)) "copy holds the range" values (read clone);
+  Rmt.Ctxt.set clone 125 1;
+  Rmt.Ctxt.set clone 135 1;
+  Alcotest.(check (array int)) "original untouched by writes to the copy" values (read ctxt)
 
 (* ---------------- Table vs. priority spec model ---------------- *)
 
@@ -77,18 +76,16 @@ let prop_table_matches_spec =
       (* The spec: live entries as (id, priority, patterns), in insertion
          order; of those that match, the highest priority wins, then the
          earliest insert. *)
-      let live =
-        ref
-          (List.init
-             (ri 16)
-             (fun _ ->
-               let priority = ri 3 in
-               let patterns = Array.init arity (fun _ -> random_pattern ri) in
-               let id =
-                 Rmt.Table.insert table ~priority ~patterns (Rmt.Table.Const (ri 100))
-               in
-               (id, priority, patterns)))
+      let live = ref [] in
+      let insert_random () =
+        let priority = ri 3 in
+        let patterns = Array.init arity (fun _ -> random_pattern ri) in
+        let id = Rmt.Table.insert table ~priority ~patterns (Rmt.Table.Const (ri 100)) in
+        live := !live @ [ (id, priority, patterns) ]
       in
+      for _ = 1 to ri 16 do
+        insert_random ()
+      done;
       let spec fields =
         List.fold_left
           (fun best (id, priority, patterns) ->
@@ -112,10 +109,10 @@ let prop_table_matches_spec =
       for _ = 1 to 20 do
         if not (agree ()) then ok := false
       done;
-      live :=
-        List.filteri
-          (fun i (id, _, _) -> not (i mod 3 = 0 && Rmt.Table.remove table id))
-          !live;
+      (* Entries inserted after lookups have run take effect at once. *)
+      for _ = 1 to 1 + ri 4 do
+        insert_random ()
+      done;
       for _ = 1 to 20 do
         if not (agree ()) then ok := false
       done;
@@ -128,28 +125,20 @@ let test_table_priority_and_ties () =
   let table =
     Rmt.Table.create ~name:"prio" ~match_keys:[| 0; 1 |] ~default:(Rmt.Table.Const (-1))
   in
-  let e_any = Rmt.Table.insert table ~priority:1 ~patterns:[| Rmt.Table.Any; Rmt.Table.Any |]
-      (Rmt.Table.Const 10) in
-  let e_eq = Rmt.Table.insert table ~priority:2
-      ~patterns:[| Rmt.Table.Eq 5; Rmt.Table.Any |] (Rmt.Table.Const 20) in
-  let e_eq2 = Rmt.Table.insert table ~priority:2
-      ~patterns:[| Rmt.Table.Eq 5; Rmt.Table.Eq 7 |] (Rmt.Table.Const 30) in
-  let e_mask = Rmt.Table.insert table ~priority:3
-      ~patterns:[| Rmt.Table.Mask { value = 1; mask = 1 }; Rmt.Table.Any |]
-      (Rmt.Table.Const 40) in
   let ctxt = Rmt.Ctxt.of_list [ (0, 5); (1, 7) ] in
-  Alcotest.(check int) "mask entry wins on priority" 40
-    (Single.lookup table ~ctxt ~now:now0);
-  ignore (Rmt.Table.remove table e_mask);
-  Alcotest.(check int) "earlier insertion breaks the tie" 20
-    (Single.lookup table ~ctxt ~now:now0);
-  ignore (Rmt.Table.remove table e_eq);
-  Alcotest.(check int) "other wildcard shape found" 30
-    (Single.lookup table ~ctxt ~now:now0);
-  ignore (Rmt.Table.remove table e_eq2);
-  Alcotest.(check int) "falls back to any/any" 10 (Single.lookup table ~ctxt ~now:now0);
-  ignore (Rmt.Table.remove table e_any);
-  Alcotest.(check int) "default" (-1) (Single.lookup table ~ctxt ~now:now0)
+  let look () = Single.lookup table ~ctxt ~now:now0 in
+  let insert priority patterns v =
+    ignore (Rmt.Table.insert table ~priority ~patterns (Rmt.Table.Const v) : Rmt.Table.entry_id)
+  in
+  Alcotest.(check int) "default" (-1) (look ());
+  insert 1 [| Rmt.Table.Any; Rmt.Table.Any |] 10;
+  Alcotest.(check int) "any/any" 10 (look ());
+  insert 2 [| Rmt.Table.Eq 5; Rmt.Table.Eq 7 |] 30;
+  Alcotest.(check int) "higher priority wins" 30 (look ());
+  insert 2 [| Rmt.Table.Eq 5; Rmt.Table.Any |] 20;
+  Alcotest.(check int) "earlier insertion breaks the tie" 30 (look ());
+  insert 3 [| Rmt.Table.Mask { value = 1; mask = 1 }; Rmt.Table.Any |] 40;
+  Alcotest.(check int) "mask entry wins on priority" 40 (look ())
 
 (* ---------------- Structured interpreter/JIT differential ----------- *)
 

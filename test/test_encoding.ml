@@ -1,6 +1,6 @@
 (* Tests for the binary bytecode wire format: exact round-trips (including
-   on random verified programs), rejection of corrupted inputs, and the
-   install_bytes syscall path. *)
+   on random verified programs), rejection of corrupted inputs, and
+   installing a decoded program. *)
 
 let sample_program =
   Rmt.Asm.parse_exn
@@ -90,22 +90,19 @@ let test_decode_never_raises_on_fuzz () =
     | Ok _ | Error _ -> ()
   done
 
-let test_install_bytes () =
+let test_install_decoded () =
   let control = Rmt.Control.create () in
   let model =
     Rmt.Model_store.Fn { n_features = 4; cost = Kml.Model_cost.zero; f = (fun _ -> 3) }
   in
   let (_ : Rmt.Model_store.handle) = Rmt.Control.register_model control ~name:"m" model in
-  let encoded = Rmt.Encoding.encode sample_program in
-  (match Rmt.Control.install_bytes control ~model_names:[ "m" ] encoded with
-   | Ok vm ->
-     let ctxt = Rmt.Ctxt.of_list [ (0, 1) ] in
-     Alcotest.(check int) "runs decoded program" 3
-       (Single.run vm ~ctxt ~now:(fun () -> 0)).Rmt.Interp.result
-   | Error e -> Alcotest.fail e);
-  (match Rmt.Control.install_bytes control ~model_names:[ "m" ] (Bytes.of_string "garbage") with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.fail "garbage accepted")
+  let decoded = decode_ok (Rmt.Encoding.encode sample_program) in
+  match Rmt.Control.install control ~model_names:[ "m" ] decoded with
+  | Ok vm ->
+    let ctxt = Rmt.Ctxt.of_list [ (0, 1) ] in
+    Alcotest.(check int) "runs decoded program" 3
+      (Single.run vm ~ctxt ~now:(fun () -> 0)).Rmt.Interp.result
+  | Error e -> Alcotest.fail e
 
 (* Property: round-trip over random verified programs (reuses the fuzz
    generator from the VM tests). *)
@@ -129,5 +126,5 @@ let suite =
         Alcotest.test_case "negative operands" `Quick test_negative_operands_roundtrip;
         Alcotest.test_case "corruption rejected" `Quick test_corruption_rejected;
         Alcotest.test_case "fuzz never raises" `Quick test_decode_never_raises_on_fuzz;
-        Alcotest.test_case "install_bytes syscall" `Quick test_install_bytes;
+        Alcotest.test_case "decoded program installs" `Quick test_install_decoded;
         QCheck_alcotest.to_alcotest prop_roundtrip_random ] ) ]

@@ -1,7 +1,7 @@
 (* Tests for the failsafe layer (DESIGN.md section 12): fault injection,
    circuit breaker, trap containment at the Vm boundary, transactional
-   canary installs, checked model updates, decode fuzzing, and the chaos
-   soak's pool-width determinism. *)
+   canary installs, decode fuzzing, and the chaos soak's pool-width
+   determinism and isolation from an ambient fault plan. *)
 
 let now0 () = 0
 
@@ -134,9 +134,22 @@ let test_guardrail_window_and_reset () =
   done;
   Alcotest.(check int) "violations counted" 12 (Rmt.Guardrail.violations g);
   Alcotest.(check bool) "storm visible in window" true (Rmt.Guardrail.violation_rate_ge g 0.8);
-  Rmt.Guardrail.reset g;
-  Alcotest.(check int) "reset zeroes lifetime" 0 (Rmt.Guardrail.violations g);
-  Alcotest.(check bool) "reset zeroes window" false (Rmt.Guardrail.violation_rate_ge g 1e-9)
+  (* The 16th application completes the window (12 of 16 violated) and
+     resets it; until 8 fresh observations arrive the completed window's
+     rate stands in. *)
+  for _ = 1 to 3 do
+    Alcotest.(check int) "in range passes" 3 (Rmt.Guardrail.apply g 3)
+  done;
+  Alcotest.(check bool) "completed window stands in" true
+    (Rmt.Guardrail.violation_rate_ge g 0.75);
+  Alcotest.(check bool) "at its own rate" false (Rmt.Guardrail.violation_rate_ge g 0.76);
+  for _ = 1 to 8 do
+    ignore (Rmt.Guardrail.apply g 3 : int)
+  done;
+  Alcotest.(check bool) "fresh window speaks for itself" false
+    (Rmt.Guardrail.violation_rate_ge g 1e-9);
+  Alcotest.(check int) "lifetime count survives the window reset" 12
+    (Rmt.Guardrail.violations g)
 
 (* ---------------- Trap containment at the Vm boundary ---------------- *)
 
@@ -327,61 +340,6 @@ let test_canary_trapping_candidate_contained () =
   Alcotest.(check int) "no fallback served" 0
     (Rmt.Pipeline.fallback_served (Rmt.Control.pipeline control) ~hook:"h")
 
-(* ---------------- Checked model updates ---------------- *)
-
-let constant_model v =
-  Rmt.Model_store.Fn { n_features = 1; cost = Kml.Model_cost.zero; f = (fun _ -> v) }
-
-let test_update_model_checked () =
-  let control = Rmt.Control.create () in
-  let now = ref 0 in
-  Rmt.Control.set_clock control (fun () -> !now);
-  let (_ : Rmt.Model_store.handle) =
-    Rmt.Control.register_model control ~name:"m" (constant_model 1)
-  in
-  let program =
-    Rmt.Program.make ~name:"mp" ~vmem_size:2 ~model_arity:[ 1 ]
-      [ Rmt.Insn.Vec_ld_ctxt (0, 0, 1); Rmt.Insn.Call_ml (0, 0, 1); Rmt.Insn.Exit ]
-  in
-  let vm = Result.get_ok (Rmt.Control.install control ~model_names:[ "m" ] program) in
-  let run () = Single.result vm ~ctxt:(Rmt.Ctxt.create ()) ~now:now0 in
-  Alcotest.(check int) "initial" 1 (run ());
-  let samples = [ [| 5 |] ] in
-  (* Out-of-range probe: swap must be rolled back. *)
-  (match
-     Rmt.Control.update_model_checked control ~name:"m" ~samples ~lo:0 ~hi:10
-       (constant_model 50)
-   with
-   | Error _ -> ()
-   | Ok () -> Alcotest.fail "out-of-range model must be rejected");
-  Alcotest.(check int) "incumbent model restored" 1 (run ());
-  (* Raising probe: also rolled back. *)
-  now := 10_000_000;
-  (match
-     Rmt.Control.update_model_checked control ~name:"m" ~samples ~lo:0 ~hi:10
-       (Rmt.Model_store.Fn
-          { n_features = 1; cost = Kml.Model_cost.zero; f = (fun _ -> failwith "boom") })
-   with
-   | Error _ -> ()
-   | Ok () -> Alcotest.fail "raising model must be rejected");
-  Alcotest.(check int) "still the incumbent" 1 (run ());
-  (* Backoff: a good update right after a failure is deferred. *)
-  (match
-     Rmt.Control.update_model_checked control ~name:"m" ~samples ~lo:0 ~hi:10
-       (constant_model 2)
-   with
-   | Error _ -> ()
-   | Ok () -> Alcotest.fail "update inside the backoff window must be deferred");
-  (* After the backoff expires the good update lands. *)
-  now := !now + 2_000_000_000;
-  (match
-     Rmt.Control.update_model_checked control ~name:"m" ~samples ~lo:0 ~hi:10
-       (constant_model 2)
-   with
-   | Ok () -> ()
-   | Error e -> Alcotest.fail e);
-  Alcotest.(check int) "good update applied" 2 (run ())
-
 (* ---------------- Protected pipeline dispatch ---------------- *)
 
 let test_pipeline_fallback_on_open () =
@@ -457,6 +415,24 @@ let test_chaos_pinned_digest () =
   Alcotest.(check string) "digest" "3c78ab2702c40d2f"
     (Printf.sprintf "%016x" summary.Rkd.Chaos.digest)
 
+(* A plan armed around the soak (as RKD_FAULTS arms one around rkdctl
+   chaos) must not reach a scenario: each runs its faulted phase under its
+   own plan and everything else fault-free, so the digest is the clean
+   one.  At width 1 the scenarios run on the caller's domain, inside the
+   caller's plan. *)
+let test_chaos_ignores_ambient_plan () =
+  let soak () = (fst (Rkd.Chaos.run ~scenarios:50 ())).Rkd.Chaos.digest in
+  let clean = List.assoc 1 (Par.replay ~widths:[ 1 ] soak) in
+  let ambient =
+    List.assoc 1
+      (Par.replay ~widths:[ 1 ] (fun () ->
+           Rmt.Fault.with_plan ~seed:7
+             (List.map (fun p -> (p, 0.05)) Rmt.Fault.all_points)
+             soak))
+  in
+  Alcotest.(check string) "digest under an ambient plan"
+    (Printf.sprintf "%016x" clean) (Printf.sprintf "%016x" ambient)
+
 let suite =
   [ ( "fault",
       [ Alcotest.test_case "parse spec" `Quick test_fault_parse_spec;
@@ -479,13 +455,12 @@ let suite =
         Alcotest.test_case "cancel" `Quick test_canary_cancel;
         Alcotest.test_case "trapping candidate contained" `Quick
           test_canary_trapping_candidate_contained ] );
-    ( "model_update",
-      [ Alcotest.test_case "checked swap, rollback, backoff" `Quick
-          test_update_model_checked ] );
     ( "protected_pipeline",
       [ Alcotest.test_case "fallback on open" `Quick test_pipeline_fallback_on_open ] );
     ( "decode_fuzz",
       [ Alcotest.test_case "mutations never escape" `Quick test_decode_fuzz ] );
     ( "chaos",
       [ Alcotest.test_case "width determinism" `Slow test_chaos_width_determinism;
-        Alcotest.test_case "pinned digest" `Quick test_chaos_pinned_digest ] ) ]
+        Alcotest.test_case "pinned digest" `Quick test_chaos_pinned_digest;
+        Alcotest.test_case "ambient plan does not reach scenarios" `Quick
+          test_chaos_ignores_ambient_plan ] ) ]

@@ -4,7 +4,9 @@ let check_fix = Alcotest.testable Fixed.pp Fixed.equal
 
 let test_of_int_roundtrip () =
   List.iter
-    (fun n -> Alcotest.(check int) (string_of_int n) n (Fixed.to_int (Fixed.of_int n)))
+    (fun n ->
+      Alcotest.(check (float 0.0)) (string_of_int n) (float_of_int n)
+        (Fixed.to_float (Fixed.of_int n)))
     [ 0; 1; -1; 42; -42; 65535; -65536; 1000000 ]
 
 let test_add_sub () =
@@ -26,14 +28,6 @@ let test_div () =
   Alcotest.check_raises "div by zero" Division_by_zero (fun () ->
       ignore (Fixed.div a Fixed.zero))
 
-let test_rounding () =
-  (* to_int truncates toward zero; to_int_round rounds to nearest. *)
-  Alcotest.(check int) "trunc 1.9" 1 (Fixed.to_int (Fixed.of_float 1.9));
-  Alcotest.(check int) "trunc -1.9" (-1) (Fixed.to_int (Fixed.of_float (-1.9)));
-  Alcotest.(check int) "round 1.9" 2 (Fixed.to_int_round (Fixed.of_float 1.9));
-  Alcotest.(check int) "round -1.9" (-2) (Fixed.to_int_round (Fixed.of_float (-1.9)));
-  Alcotest.(check int) "round 1.4" 1 (Fixed.to_int_round (Fixed.of_float 1.4))
-
 let test_relu_clamp () =
   Alcotest.check check_fix "relu neg" Fixed.zero (Fixed.relu (Fixed.of_float (-3.0)));
   Alcotest.check check_fix "relu pos" (Fixed.of_float 3.0) (Fixed.relu (Fixed.of_float 3.0));
@@ -43,43 +37,6 @@ let test_relu_clamp () =
   Alcotest.check check_fix "clamp below"
     (Fixed.of_int 0)
     (Fixed.clamp ~lo:(Fixed.of_int 0) ~hi:(Fixed.of_int 5) (Fixed.of_int (-9)))
-
-let test_sigmoid_monotone () =
-  let xs = List.init 41 (fun i -> Fixed.of_float ((float_of_int i /. 5.0) -. 4.0)) in
-  let ys = List.map Fixed.sigmoid_approx xs in
-  let rec monotone = function
-    | a :: (b :: _ as rest) -> Fixed.( <= ) a b && monotone rest
-    | [ _ ] | [] -> true
-  in
-  Alcotest.(check bool) "monotone" true (monotone ys);
-  List.iter
-    (fun y ->
-      Alcotest.(check bool) "in [0,1]" true (Fixed.( >= ) y Fixed.zero && Fixed.( <= ) y Fixed.one))
-    ys
-
-let test_exp_approx () =
-  List.iter
-    (fun x ->
-      let got = Fixed.to_float (Fixed.exp_approx (Fixed.of_float x)) in
-      let expected = exp x in
-      let rel = Float.abs (got -. expected) /. expected in
-      Alcotest.(check bool)
-        (Printf.sprintf "exp %.2f: got %.4f want %.4f" x got expected)
-        true (rel < 0.02))
-    [ -4.0; -2.0; -1.0; -0.5; 0.0; 0.5; 1.0; 2.0; 4.0 ]
-
-let test_sqrt_approx () =
-  List.iter
-    (fun x ->
-      let got = Fixed.to_float (Fixed.sqrt_approx (Fixed.of_float x)) in
-      let expected = sqrt x in
-      Alcotest.(check bool)
-        (Printf.sprintf "sqrt %.2f: got %.4f want %.4f" x got expected)
-        true
-        (Float.abs (got -. expected) < 0.01 +. (0.001 *. expected)))
-    [ 0.0; 0.25; 1.0; 2.0; 100.0; 65536.0 ];
-  Alcotest.check_raises "sqrt negative" (Invalid_argument "Fixed.sqrt_approx: negative argument")
-    (fun () -> ignore (Fixed.sqrt_approx (Fixed.of_int (-1))))
 
 (* Property tests *)
 
@@ -125,11 +82,7 @@ let suite =
         Alcotest.test_case "add/sub" `Quick test_add_sub;
         Alcotest.test_case "mul" `Quick test_mul;
         Alcotest.test_case "div" `Quick test_div;
-        Alcotest.test_case "rounding" `Quick test_rounding;
         Alcotest.test_case "relu/clamp" `Quick test_relu_clamp;
-        Alcotest.test_case "sigmoid monotone bounded" `Quick test_sigmoid_monotone;
-        Alcotest.test_case "exp approx" `Quick test_exp_approx;
-        Alcotest.test_case "sqrt approx" `Quick test_sqrt_approx;
         QCheck_alcotest.to_alcotest prop_add_commutative;
         QCheck_alcotest.to_alcotest prop_mul_commutative;
         QCheck_alcotest.to_alcotest prop_mul_close_to_float;

@@ -1,7 +1,6 @@
 (* Fleet control plane (DESIGN.md section 17): width-deterministic soaks,
    drift-to-recovery behaviour, storm thrash bounds, telemetry views,
-   Adapt band-edge regressions, cross-tenant backoff isolation and the
-   serving layer's staged rollout. *)
+   Adapt band-edge regressions and per-program canary isolation. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -159,44 +158,6 @@ let test_adapt_dwell () =
 
 (* ---------------- Two-tenant interleaved failures ---------------- *)
 
-let tree_of rng =
-  let ds = Kml.Dataset.create ~n_features:1 ~n_classes:2 in
-  for _ = 1 to 32 do
-    let x = Kml.Rng.int rng 100 in
-    Kml.Dataset.add ds { Kml.Dataset.features = [| x |]; label = (if x >= 50 then 1 else 0) }
-  done;
-  Rmt.Model_store.Tree (Kml.Decision_tree.train ds)
-
-(* Regression for the audit in {!Rmt.Control.update_model_checked}:
-   backoff state is keyed per model name, so tenant A crash-looping its
-   updates must never defer tenant B's, and each backoff expires on its
-   own clock. *)
-let test_backoff_isolation () =
-  let rng = Kml.Rng.create 7 in
-  let control = Rmt.Control.create ~seed:7 () in
-  let now = ref 0 in
-  Rmt.Control.set_clock control (fun () -> !now);
-  ignore (Rmt.Control.register_model control ~name:"ta" (tree_of rng) : Rmt.Model_store.handle);
-  ignore (Rmt.Control.register_model control ~name:"tb" (tree_of rng) : Rmt.Model_store.handle);
-  let fail_update name =
-    (* The probe demands predictions in [5, 9]; a binary tree cannot
-       satisfy it, so the update rolls back and arms the backoff. *)
-    Rmt.Control.update_model_checked control ~name ~samples:[ [| 10 |]; [| 90 |] ] ~lo:5
-      ~hi:9 (tree_of rng)
-  in
-  let ok_update name =
-    Rmt.Control.update_model_checked control ~name ~samples:[ [| 10 |]; [| 90 |] ] ~lo:0
-      ~hi:1 (tree_of rng)
-  in
-  check_bool "A: bad update refused" true (Result.is_error (fail_update "ta"));
-  check_bool "B: clean update unaffected by A's backoff" true (Result.is_ok (ok_update "tb"));
-  check_bool "A: still in backoff" true (Result.is_error (ok_update "ta"));
-  check_bool "B: bad update refused" true (Result.is_error (fail_update "tb"));
-  now := 5_000_000;
-  (* 5 ms of simulated clock clears both 1 ms first-failure backoffs. *)
-  check_bool "A: recovers after its backoff" true (Result.is_ok (ok_update "ta"));
-  check_bool "B: recovers after its backoff" true (Result.is_ok (ok_update "tb"))
-
 let build_named name bias =
   let open Rmt in
   let b = Builder.create ~name ~vmem_size:1 () in
@@ -235,118 +196,6 @@ let test_canary_isolation () =
   check_bool "A's canary cancels" true (Rmt.Control.rollback_program control "pa");
   check_bool "A idle after cancel" true (status "pa" = `Idle)
 
-(* ---------------- Serving-layer staged rollout ---------------- *)
-
-let submit_exn fleet ~tenant ~page =
-  match Serve.Serving.submit fleet ~producer:0 ~tenant ~page with
-  | `Admitted -> ()
-  | `Throttled | `Backpressure -> Alcotest.fail "inline submit refused"
-
-(* One tenant pinned to each shard, so every stage's canary sees shadow
-   traffic. *)
-let shard_tenants fleet n =
-  Array.init n (fun s ->
-      let rec find t =
-        if Serve.Serving.shard_of_tenant fleet t = s then t else find (t + 1)
-      in
-      find 0)
-
-let test_serve_staged_rollout_promotes () =
-  let config = { Serve.Serving.default_config with shards = 4; max_batch = 8 } in
-  let fleet, dps = Serve.Serving.create_datapath ~config () in
-  let tenants = shard_tenants fleet 4 in
-  let now = ref 1_000 in
-  Serve.Serving.set_now fleet !now;
-  let prog = Rkd.Prefetch_rmt.build_collect_program Rkd.Prefetch_rmt.default_params in
-  (* Identical program text fed a constant page stream: the collect
-     program mutates its context (history shift, last-page store) and the
-     shadow copy is taken after the incumbent ran, so only a fixed point
-     of that mutation — delta 0 under a constant page — shadow-runs
-     divergence-free.  Every stage then promotes under a zero-divergence
-     budget. *)
-  (match
-     Serve.Serving.staged_rollout ~invocations:4 ~max_divergences:0 ~grace:2 fleet ~dps
-       ~program:prog ()
-   with
-  | `Unhealthy -> Alcotest.fail "healthy fleet reported unhealthy"
-  | `Failed n -> Alcotest.failf "identical rollout failed (%d rollbacks)" n
-  | `Started r ->
-    let rec loop i =
-      if i > 500 then Alcotest.fail "rollout did not settle"
-      else begin
-        now := !now + 1_000_000;
-        Serve.Serving.set_now fleet !now;
-        Array.iter (fun t -> submit_exn fleet ~tenant:t ~page:0) tenants;
-        ignore (Serve.Serving.drain fleet : int);
-        match Rkd.Fleet.Rollout.step r ~now:!now with
-        | `In_flight -> loop (i + 1)
-        | `Promoted -> ()
-        | `Failed n -> Alcotest.failf "identical rollout rolled back (%d)" n
-      end
-    in
-    loop 0;
-    check_int "one canary per shard" 4 (Rkd.Fleet.Rollout.installs r))
-
-let test_serve_staged_rollout_fails_stage0 () =
-  let config = { Serve.Serving.default_config with shards = 4; max_batch = 8 } in
-  let fleet, dps = Serve.Serving.create_datapath ~config () in
-  let tenants = shard_tenants fleet 4 in
-  let now = ref 1_000 in
-  Serve.Serving.set_now fleet !now;
-  let before = Array.map (fun dp -> Rmt.Vm.loaded (Serve.Shard.Datapath.vm dp)) dps in
-  (* A biased candidate: returns page mod 2 + 5000 where the incumbent
-     collect program returns a clamped delta in [-4096, 4096] — every
-     shadow invocation diverges, so the zero-divergence budget trips on
-     the very first stage. *)
-  let biased =
-    let open Rmt in
-    let b =
-      Builder.create ~name:Serve.Shard.Datapath.program_name ~vmem_size:1 ()
-    in
-    Builder.emit b (Insn.Ld_ctxt_k (0, Rkd.Hooks.key_page));
-    Builder.emit b (Insn.Alu_imm (Insn.Mod, 0, 2));
-    Builder.emit b (Insn.Alu_imm (Insn.Add, 0, 5000));
-    Builder.emit b Insn.Exit;
-    Builder.finish b ()
-  in
-  (match
-     Serve.Serving.staged_rollout ~invocations:4 ~max_divergences:0 ~grace:2 fleet ~dps
-       ~program:biased ()
-   with
-  | `Unhealthy -> Alcotest.fail "healthy fleet reported unhealthy"
-  | `Failed n -> Alcotest.failf "failed before shadow traffic (%d)" n
-  | `Started r ->
-    let rec loop i =
-      if i > 500 then Alcotest.fail "divergent rollout never failed"
-      else begin
-        now := !now + 1_000_000;
-        Serve.Serving.set_now fleet !now;
-        Array.iter (fun t -> submit_exn fleet ~tenant:t ~page:0) tenants;
-        ignore (Serve.Serving.drain fleet : int);
-        match Rkd.Fleet.Rollout.step r ~now:!now with
-        | `In_flight -> loop (i + 1)
-        | `Promoted -> Alcotest.fail "divergent candidate promoted"
-        | `Failed n -> n
-      end
-    in
-    let rollbacks = loop 0 in
-    check_bool "the divergence was rolled back" true (rollbacks >= 1);
-    check_int "only stage 0 was ever installed" 1 (Rkd.Fleet.Rollout.installs r));
-  (* Every shard still runs its incumbent, and no canary is left behind. *)
-  Array.iteri
-    (fun i dp ->
-      check_bool
-        (Printf.sprintf "shard %d incumbent untouched" i)
-        true
-        (Rmt.Vm.loaded (Serve.Shard.Datapath.vm dp) == before.(i));
-      check_bool
-        (Printf.sprintf "shard %d idle" i)
-        true
-        (Rmt.Control.canary_status (Serve.Shard.Datapath.control dp)
-           Serve.Shard.Datapath.program_name
-         = Some `Idle))
-    dps
-
 let suite =
   [ ( "fleet",
       [ Alcotest.test_case "soak digest identical across pool widths" `Slow
@@ -365,12 +214,6 @@ let suite =
           test_adapt_below_high;
         Alcotest.test_case "adapt: dwell floor prevents flapping" `Quick
           test_adapt_dwell;
-        Alcotest.test_case "model-update backoff is per tenant" `Quick
-          test_backoff_isolation;
-        Alcotest.test_case "canary state is per program" `Quick test_canary_isolation;
-        Alcotest.test_case "serve staged rollout promotes across shards" `Quick
-          test_serve_staged_rollout_promotes;
-        Alcotest.test_case "serve staged rollout fails fast and restores" `Quick
-          test_serve_staged_rollout_fails_stage0
+        Alcotest.test_case "canary state is per program" `Quick test_canary_isolation
       ] )
   ]

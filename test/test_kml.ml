@@ -35,20 +35,6 @@ let test_rng_uniformity () =
         (abs (c - expected) < expected / 10))
     counts
 
-let test_rng_gaussian_moments () =
-  let rng = Rng.create 9 in
-  let n = 50_000 in
-  let sum = ref 0.0 and sum_sq = ref 0.0 in
-  for _ = 1 to n do
-    let x = Rng.gaussian rng in
-    sum := !sum +. x;
-    sum_sq := !sum_sq +. (x *. x)
-  done;
-  let mean = !sum /. float_of_int n in
-  let var = (!sum_sq /. float_of_int n) -. (mean *. mean) in
-  Alcotest.(check bool) "mean ~ 0" true (Float.abs mean < 0.03);
-  Alcotest.(check bool) "var ~ 1" true (Float.abs (var -. 1.0) < 0.05)
-
 let test_rng_shuffle_permutation () =
   let rng = Rng.create 3 in
   let arr = Array.init 50 Fun.id in
@@ -108,10 +94,6 @@ let prop_split_substreams_independent =
 
 (* ---------------- Tensor ---------------- *)
 
-let test_vec_dot () =
-  let a = [| 1.0; 2.0; 3.0 |] and b = [| 4.0; 5.0; 6.0 |] in
-  Alcotest.(check (float 1e-9)) "dot" 32.0 (Tensor.Vec.dot a b)
-
 let test_vec_axpy () =
   let x = [| 1.0; 2.0 |] and y = [| 10.0; 20.0 |] in
   Tensor.Vec.axpy ~alpha:2.0 ~x ~y;
@@ -137,26 +119,10 @@ let test_mat_tmul_vec () =
   Alcotest.(check (float 1e-9)) "c1" 9.0 v.(1);
   Alcotest.(check (float 1e-9)) "c2" 12.0 v.(2)
 
-let test_mat_mul () =
-  let a = Tensor.Mat.init ~rows:2 ~cols:2 (fun i j -> float_of_int ((i * 2) + j + 1)) in
-  (* [1 2; 3 4] *)
-  let c = Tensor.Mat.mul a a in
-  Alcotest.(check (float 1e-9)) "c00" 7.0 (Tensor.Mat.get c 0 0);
-  Alcotest.(check (float 1e-9)) "c01" 10.0 (Tensor.Mat.get c 0 1);
-  Alcotest.(check (float 1e-9)) "c10" 15.0 (Tensor.Mat.get c 1 0);
-  Alcotest.(check (float 1e-9)) "c11" 22.0 (Tensor.Mat.get c 1 1)
-
 let test_mat_bounds () =
   let m = Tensor.Mat.create ~rows:2 ~cols:2 in
   Alcotest.check_raises "get oob" (Invalid_argument "Mat.get: out of bounds") (fun () ->
       ignore (Tensor.Mat.get m 2 0))
-
-let test_qvec_dot_matches_float () =
-  let a = [| 1.5; -2.25; 3.0 |] and b = [| 0.5; 1.0; -1.5 |] in
-  let qa = Tensor.Qvec.of_vec a and qb = Tensor.Qvec.of_vec b in
-  let expected = Tensor.Vec.dot a b in
-  let got = Fixed.to_float (Tensor.Qvec.dot qa qb) in
-  Alcotest.(check bool) "close" true (Float.abs (got -. expected) < 0.001)
 
 let test_qmat_mul_vec_matches_float () =
   let m = Tensor.Mat.init ~rows:3 ~cols:4 (fun i j -> (float_of_int ((i * 4) + j) /. 7.0) -. 1.0) in
@@ -212,12 +178,6 @@ let test_dataset_project () =
   Alcotest.(check int) "first sample keeps col 1" 0 (Dataset.get projected 0).Dataset.features.(0);
   Alcotest.(check int) "last sample keeps col 1" 2 (Dataset.get projected 4).Dataset.features.(0)
 
-let test_dataset_subset () =
-  let ds = mk_dataset () in
-  let sub = Dataset.subset ds [| 0; 4 |] in
-  Alcotest.(check int) "size" 2 (Dataset.length sub);
-  Alcotest.(check int) "second label" 1 (Dataset.get sub 1).Dataset.label
-
 (* ---------------- Metrics ---------------- *)
 
 let test_metrics_empty () =
@@ -240,26 +200,21 @@ let suite =
       [ Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
         Alcotest.test_case "bounds" `Quick test_rng_bounds;
         Alcotest.test_case "uniformity" `Quick test_rng_uniformity;
-        Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
         Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
         Alcotest.test_case "split independent" `Quick test_rng_split_independent;
         QCheck_alcotest.to_alcotest prop_split_substreams_independent ] );
     ( "tensor",
-      [ Alcotest.test_case "vec dot" `Quick test_vec_dot;
-        Alcotest.test_case "vec axpy" `Quick test_vec_axpy;
+      [ Alcotest.test_case "vec axpy" `Quick test_vec_axpy;
         Alcotest.test_case "vec max_index" `Quick test_vec_max_index;
         Alcotest.test_case "mat mul_vec" `Quick test_mat_mul_vec;
         Alcotest.test_case "mat tmul_vec" `Quick test_mat_tmul_vec;
-        Alcotest.test_case "mat mul" `Quick test_mat_mul;
         Alcotest.test_case "mat bounds" `Quick test_mat_bounds;
-        Alcotest.test_case "qvec dot matches float" `Quick test_qvec_dot_matches_float;
         Alcotest.test_case "qmat mul matches float" `Quick test_qmat_mul_vec_matches_float ] );
     ( "dataset",
       [ Alcotest.test_case "basics" `Quick test_dataset_basics;
         Alcotest.test_case "validation" `Quick test_dataset_validation;
         Alcotest.test_case "split" `Quick test_dataset_split;
-        Alcotest.test_case "project" `Quick test_dataset_project;
-        Alcotest.test_case "subset" `Quick test_dataset_subset ] );
+        Alcotest.test_case "project" `Quick test_dataset_project ] );
     ( "metrics",
       [ Alcotest.test_case "empty" `Quick test_metrics_empty;
         Alcotest.test_case "evaluate" `Quick test_metrics_evaluate ] ) ]

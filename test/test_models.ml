@@ -88,17 +88,6 @@ let test_tree_of_nodes_rejects_cycles () =
     (Invalid_argument "Decision_tree.of_nodes: child index must be a later node") (fun () ->
       ignore (Decision_tree.of_nodes ~n_features:1 ~n_classes:2 bad))
 
-let test_tree_importance_finds_signal () =
-  let rng = Rng.create 29 in
-  let ds = linear_dataset ~rng ~n:800 in
-  let tree = Decision_tree.train ds in
-  let imp = Decision_tree.feature_importance tree in
-  (* f2 is noise: must rank below both informative features. *)
-  Alcotest.(check bool) "f0 informative" true (imp.(0) > imp.(2));
-  Alcotest.(check bool) "f1 informative" true (imp.(1) > imp.(2));
-  let total = Array.fold_left ( +. ) 0.0 imp in
-  Alcotest.(check bool) "normalized" true (Float.abs (total -. 1.0) < 1e-9)
-
 let prop_tree_predict_total =
   QCheck2.Test.make ~name:"tree predicts a valid class on any input" ~count:200
     QCheck2.Gen.(array_size (return 3) (int_range (-1000) 1000))
@@ -295,7 +284,11 @@ let test_quantize_accuracy_drop_small () =
   let rng = Rng.create 59 in
   let ds = linear_dataset ~rng ~n:600 in
   let mlp = Mlp.train ~rng ds in
-  let drop = Quantize.accuracy_drop mlp ds in
+  let q = Quantize.Qmlp.of_mlp mlp in
+  let drop =
+    Metrics.accuracy_of ~predict:(Mlp.predict mlp) ds
+    -. Metrics.accuracy_of ~predict:(Quantize.Qmlp.predict q) ds
+  in
   Alcotest.(check bool) (Printf.sprintf "drop %.4f < 0.02" drop) true (Float.abs drop < 0.02)
 
 let test_qmlp_integer_only_inference () =
@@ -439,7 +432,6 @@ let suite =
         Alcotest.test_case "arity check" `Quick test_tree_arity_check;
         Alcotest.test_case "nodes roundtrip" `Quick test_tree_nodes_roundtrip;
         Alcotest.test_case "of_nodes rejects cycles" `Quick test_tree_of_nodes_rejects_cycles;
-        Alcotest.test_case "importance finds signal" `Quick test_tree_importance_finds_signal;
         QCheck_alcotest.to_alcotest prop_tree_predict_total;
         QCheck_alcotest.to_alcotest prop_tree_matches_oracle ] );
     ( "mlp",

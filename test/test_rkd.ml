@@ -23,7 +23,7 @@ let test_prefetch_learns_stride () =
   let t = Rkd.Prefetch_rmt.create ~params:small_params () in
   let prefetcher = Rkd.Prefetch_rmt.prefetcher t in
   let trace = Ksim.Workload_mem.strided ~pid:1 ~start:0 ~stride:5 ~n:3000 in
-  let r = Ksim.Mem_sim.run ~prefetcher trace in
+  let r = Ksim.Mem_sim.run ~config:Rkd.Experiment.mem_config ~prefetcher trace in
   Alcotest.(check bool)
     (Printf.sprintf "coverage %.2f > 0.8 on pure stride" r.Ksim.Mem_sim.coverage)
     true (r.Ksim.Mem_sim.coverage > 0.8);
@@ -53,8 +53,8 @@ let test_prefetch_reset_is_complete () =
   let t = Rkd.Prefetch_rmt.create ~params:small_params () in
   let prefetcher = Rkd.Prefetch_rmt.prefetcher t in
   let trace = Ksim.Workload_mem.strided ~pid:1 ~start:0 ~stride:3 ~n:2000 in
-  let r1 = Ksim.Mem_sim.run ~prefetcher trace in
-  let r2 = Ksim.Mem_sim.run ~prefetcher trace in
+  let r1 = Ksim.Mem_sim.run ~config:Rkd.Experiment.mem_config ~prefetcher trace in
+  let r2 = Ksim.Mem_sim.run ~config:Rkd.Experiment.mem_config ~prefetcher trace in
   Alcotest.(check int) "same faults after reset" r1.Ksim.Mem_sim.faults r2.Ksim.Mem_sim.faults;
   Alcotest.(check (float 0.0001)) "same accuracy after reset" r1.Ksim.Mem_sim.accuracy
     r2.Ksim.Mem_sim.accuracy
@@ -63,7 +63,7 @@ let test_prefetch_interp_jit_agree () =
   let run engine =
     let t = Rkd.Prefetch_rmt.create ~params:small_params ~engine () in
     let trace = Ksim.Workload_mem.strided ~pid:1 ~start:0 ~stride:7 ~n:1500 in
-    let r = Ksim.Mem_sim.run ~prefetcher:(Rkd.Prefetch_rmt.prefetcher t) trace in
+    let r = Ksim.Mem_sim.run ~config:Rkd.Experiment.mem_config ~prefetcher:(Rkd.Prefetch_rmt.prefetcher t) trace in
     (r.Ksim.Mem_sim.faults, r.Ksim.Mem_sim.prefetches_issued, r.Ksim.Mem_sim.prefetches_used)
   in
   Alcotest.(check bool) "engines agree end-to-end" true
@@ -80,7 +80,7 @@ let test_prefetch_per_pid_entries () =
           { Ksim.Mem_sim.pid = 2; page = 1_000_000 + (i * 3) } ])
       (List.init 800 Fun.id)
   in
-  ignore (Ksim.Mem_sim.run ~prefetcher trace);
+  ignore (Ksim.Mem_sim.run ~config:Rkd.Experiment.mem_config ~prefetcher trace);
   let control = Rkd.Prefetch_rmt.control t in
   let table = Option.get (Rmt.Control.find_table control "page_access_tab") in
   Alcotest.(check int) "one entry per process" 2 (Rmt.Table.entry_count table)

@@ -43,12 +43,14 @@ let test_table_runtime_updates () =
   let e = Rmt.Table.insert t ~patterns:[| Rmt.Table.Eq 1 |] (Rmt.Table.Const 10) in
   let look () = Single.lookup t ~ctxt:(Rmt.Ctxt.of_list [ (0, 1) ]) ~now:now0 in
   Alcotest.(check int) "initial action" 10 (look ());
-  Alcotest.(check bool) "set_action" true (Rmt.Table.set_action t e (Rmt.Table.Const 20));
-  Alcotest.(check int) "updated action" 20 (look ());
-  Alcotest.(check int) "entry hits" 2 (Rmt.Table.entry_hits t e);
-  Alcotest.(check bool) "remove" true (Rmt.Table.remove t e);
-  Alcotest.(check int) "fell to default" 0 (look ());
-  Alcotest.(check bool) "double remove" false (Rmt.Table.remove t e)
+  let e2 =
+    Rmt.Table.insert t ~priority:1 ~patterns:[| Rmt.Table.Eq 1 |] (Rmt.Table.Const 20)
+  in
+  Alcotest.(check int) "entry inserted at runtime takes over" 20 (look ());
+  Alcotest.(check int) "earlier entry hit once" 1 (Rmt.Table.entry_hits t e);
+  Alcotest.(check int) "new entry hit once" 1 (Rmt.Table.entry_hits t e2);
+  Alcotest.(check int) "other keys fall to the default" 0
+    (Single.lookup t ~ctxt:(Rmt.Ctxt.of_list [ (0, 2) ]) ~now:now0)
 
 let test_table_insertion_order_breaks_ties () =
   let t = Rmt.Table.create ~name:"t" ~match_keys:[| 0 |] ~default:(Rmt.Table.Const 0) in
@@ -381,7 +383,7 @@ let test_builder_backward_label_rejected () =
   let back = Builder.fresh_label b in
   Builder.place b back;
   Builder.emit b (Insn.Ld_imm (0, 0));
-  Builder.jump b ~target:back;
+  Builder.jump_if b Insn.Eq ~reg:0 ~imm:0 ~target:back;
   Builder.emit b Insn.Exit;
   Alcotest.check_raises "backward" (Invalid_argument "Builder.finish: backward label")
     (fun () -> ignore (Builder.finish b ()))

@@ -65,11 +65,9 @@ let test_ctxt_basics () =
   Alcotest.(check int) "absent reads 0" 0 (Rmt.Ctxt.get ctxt 5);
   Rmt.Ctxt.set ctxt 5 42;
   Alcotest.(check int) "set/get" 42 (Rmt.Ctxt.get ctxt 5);
-  Rmt.Ctxt.set_range ctxt ~base:10 [| 1; 2; 3 |];
-  Alcotest.(check (array int)) "range" [| 1; 2; 3 |] (Rmt.Ctxt.get_range ctxt ~base:10 ~len:3);
-  Alcotest.(check int) "reads counted" 5 (Rmt.Ctxt.reads ctxt);
-  Rmt.Ctxt.reset_reads ctxt;
-  Alcotest.(check int) "reads reset" 0 (Rmt.Ctxt.reads ctxt);
+  Rmt.Ctxt.set ctxt 200 7;
+  Alcotest.(check int) "sparse key" 7 (Rmt.Ctxt.get ctxt 200);
+  Alcotest.(check int) "reads counted" 3 (Rmt.Ctxt.reads ctxt);
   Alcotest.check_raises "negative key" (Invalid_argument "Ctxt.set: negative key") (fun () ->
       Rmt.Ctxt.set ctxt (-1) 0)
 
@@ -391,7 +389,7 @@ let prop_interp_equals_jit =
             let ctxt = Rmt.Ctxt.of_list ctxt_bindings in
             let outcome = Single.run vm ~ctxt ~now:(fun () -> 0) in
             (outcome.Rmt.Interp.result, outcome.Rmt.Interp.steps,
-             Rmt.Ctxt.get_range ctxt ~base:0 ~len:8)
+             Array.init 8 (Rmt.Ctxt.get ctxt))
           | Error e -> Alcotest.failf "install: %s" e
         in
         run Rmt.Vm.Interpreted = run Rmt.Vm.Jit_compiled)

@@ -186,13 +186,6 @@ let test_run_with_constant_decider () =
   Alcotest.(check bool) "jct positive" true (r.Ksim.Sched_sim.jct_ns > 0);
   Alcotest.(check bool) "agreement below 1" true (r.Ksim.Sched_sim.agreement < 1.0)
 
-let test_decider_of_predict () =
-  let d = Ksim.Sched_sim.decider_of_predict (fun f -> if f.(0) > 0 then 1 else 0) in
-  Alcotest.(check bool) "class1" true
-    (d ~features:(Array.make 15 1) ~heuristic:false);
-  Alcotest.(check bool) "class0" false
-    (d ~features:(Array.make 15 0) ~heuristic:true)
-
 let suite =
   [ ( "task",
       [ Alcotest.test_case "charge" `Quick test_task_charge;
@@ -215,5 +208,4 @@ let suite =
         Alcotest.test_case "heuristic rules" `Quick test_heuristic_rules ] );
     ( "sched_sim",
       [ Alcotest.test_case "collect dataset" `Quick test_collect_produces_dataset;
-        Alcotest.test_case "constant decider" `Quick test_run_with_constant_decider;
-        Alcotest.test_case "decider_of_predict" `Quick test_decider_of_predict ] ) ]
+        Alcotest.test_case "constant decider" `Quick test_run_with_constant_decider ] ) ]

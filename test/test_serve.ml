@@ -1,8 +1,8 @@
 (* Tests for the sharded serving layer (DESIGN.md section 14): SPSC ring
    semantics, digest determinism across shard counts and drain modes,
-   registry counters vs the fleet's accessors, per-shard breaker and
-   canary isolation, fault-plan capture into pinned workers, the obs
-   stripe guard, and steady-state allocation. *)
+   registry counters vs the fleet's accessors, per-shard breaker
+   isolation, fault-plan capture into pinned workers, the obs stripe
+   guard, and steady-state allocation. *)
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -85,18 +85,16 @@ let test_ring_length_bounds_under_concurrency () =
   check_int "quiescent length is exact" 0 (Serve.Ring.length r);
   check_bool "quiescent ring is empty" true (Serve.Ring.is_empty r)
 
-(* ---------------- Shard park/post exception safety ---------------- *)
+(* ---------------- Shard park exception safety ---------------- *)
 
 let null_sink =
-  { Serve.Shard.run = (fun ~n:_ ~tenants:_ ~pages:_ ~now:_ -> ());
-    control = None;
-    digest = (fun () -> 0) }
+  { Serve.Shard.run = (fun ~n:_ ~tenants:_ ~pages:_ ~now:_ -> ()); digest = (fun () -> 0) }
 
 exception Probe_fault
 
 (* A raise out of [should_stop] must leave the shard parkable: the
    parked flag cleared and the park mutex released ([Fun.protect]), so
-   the next post/wake/park cycle behaves normally. *)
+   the next push/wake/park cycle behaves normally. *)
 let test_park_exception_safety () =
   let shard =
     Serve.Shard.create ~index:90 ~producers:1 ~ring_capacity:8 ~max_batch:4 null_sink
@@ -104,42 +102,21 @@ let test_park_exception_safety () =
   (match Serve.Shard.park shard ~should_stop:(fun () -> raise Probe_fault) with
    | () -> Alcotest.fail "faulting stop probe did not propagate"
    | exception Probe_fault -> ());
-  (* The mutex is free and the flag cleared: a full post -> wake ->
-     park -> drain cycle completes without deadlock. *)
-  let ran = ref false in
-  Serve.Shard.post shard (fun () -> ran := true);
-  Serve.Shard.park shard ~should_stop:(fun () -> true);
-  check_int "posted command runs on the next sweep" 0
-    (Serve.Shard.drain_once shard ~now:0);
-  check_bool "post survived the faulting park" true !ran;
-  Serve.Shard.wake_force shard
-
-(* A posted command that raises propagates out of [drain_once]; the
-   shard must stay serviceable: later posts run, events drain, and the
-   park path still works. *)
-let test_faulting_posted_command () =
-  let shard =
-    Serve.Shard.create ~index:91 ~producers:1 ~ring_capacity:8 ~max_batch:4 null_sink
-  in
-  Serve.Shard.post shard (fun () -> raise Probe_fault);
-  (match Serve.Shard.drain_once shard ~now:0 with
-   | _ -> Alcotest.fail "faulting command did not propagate"
-   | exception Probe_fault -> ());
+  (* The mutex is free and the flag cleared: a full push -> wake -> park
+     -> drain cycle completes without deadlock. *)
   check_bool "event admitted after the fault" true
     (Serve.Ring.try_push (Serve.Shard.ring shard 0) ~tenant:1 ~page:2 ~stamp:3);
-  let ran = ref false in
-  Serve.Shard.post shard (fun () -> ran := true);
-  check_int "drain serves the event" 1 (Serve.Shard.drain_once shard ~now:0);
-  check_bool "later posts still run" true !ran;
-  (* Work is queued on neither ring nor pending: park sleeps until a
-     wake, proving the flag/mutex state survived the fault. *)
+  Serve.Shard.wake shard;
+  Serve.Shard.park shard ~should_stop:(fun () -> false);
+  check_int "pushed event drains on the next sweep" 1 (Serve.Shard.drain_once shard ~now:0);
+  (* Nothing queued now: park sleeps until a wake, proving the flag and
+     mutex state survived the fault. *)
   let parked = ref false in
   let consumer =
     Domain.spawn (fun () ->
         Serve.Shard.park shard ~should_stop:(fun () ->
             parked := true;
-            false);
-        ())
+            false))
   in
   while not !parked do
     Domain.cpu_relax ()
@@ -161,19 +138,15 @@ let submit_exn fleet ~tenant ~page =
   | `Throttled -> Alcotest.fail "unlimited fleet throttled"
   | `Backpressure -> Alcotest.fail "unexpected backpressure"
 
-let breaker_of dp =
-  match
-    Rmt.Pipeline.breaker
-      (Rmt.Control.pipeline (Serve.Shard.Datapath.control dp))
-      ~hook:Serve.Shard.Datapath.hook
-  with
-  | Some b -> b
-  | None -> Alcotest.fail "shard datapath hook is protected"
-
-let fallbacks_of dp =
-  Rmt.Pipeline.fallback_served
-    (Rmt.Control.pipeline (Serve.Shard.Datapath.control dp))
-    ~hook:Serve.Shard.Datapath.hook
+(* Stock-fallback results shard [i]'s breaker served, read from its
+   registry view as [rkdctl stats] does. *)
+let fallbacks_of i =
+  let name =
+    Printf.sprintf "rmt.serve.%d.breaker.%s.fallback_served" i Serve.Shard.Datapath.hook
+  in
+  match Obs.Snapshot.scalar (Obs.Registry.snapshot ()) name with
+  | Some n -> n
+  | None -> Alcotest.failf "%s is not registered" name
 
 (* ---------------- Digest determinism ---------------- *)
 
@@ -390,69 +363,25 @@ let test_breaker_trip_is_shard_local () =
   submit_exn fleet ~tenant:t1 ~page:1;
   ignore (Serve.Serving.drain fleet : int);
   let d1_before = Serve.Shard.Datapath.digest dps.(1) in
-  (* Trip shard 0's breaker through the control-command queue — the same
-     route rkdctl and the front-end use — then keep serving both. *)
-  Serve.Serving.post_tenant fleet ~tenant:t0 (fun () ->
-      Rmt.Breaker.trip (breaker_of dps.(0)) ~now:0);
+  (* Inline mode: the calling domain is every shard's consumer, so it may
+     trip shard 0's breaker directly between drains. *)
+  Rmt.Breaker.trip (Serve.Shard.Datapath.breaker dps.(0)) ~now:0;
   for i = 2 to 9 do
     submit_exn fleet ~tenant:t0 ~page:i;
     submit_exn fleet ~tenant:t1 ~page:i
   done;
   Serve.Serving.drain_until_idle fleet;
   check_bool "tripped shard is open" true
-    (Rmt.Breaker.state (breaker_of dps.(0)) = Rmt.Breaker.Open);
-  check_bool "tripped shard serves the stock fallback" true (fallbacks_of dps.(0) >= 8);
-  check_int "peer shard never falls back" 0 (fallbacks_of dps.(1));
+    (Rmt.Breaker.state (Serve.Shard.Datapath.breaker dps.(0)) = Rmt.Breaker.Open);
+  check_bool "tripped shard serves the stock fallback" true (fallbacks_of 0 >= 8);
+  check_int "peer shard never falls back" 0 (fallbacks_of 1);
   check_bool "peer breaker stays closed" true
-    (Rmt.Breaker.state (breaker_of dps.(1)) = Rmt.Breaker.Closed);
+    (Rmt.Breaker.state (Serve.Shard.Datapath.breaker dps.(1)) = Rmt.Breaker.Closed);
   check_bool "peer keeps making real decisions" true
     (Serve.Shard.Datapath.digest dps.(1) <> d1_before);
   check_int "every event was still served" 18 (Serve.Serving.served fleet)
 
 (* ---------------- Per-shard canary transactions ---------------- *)
-
-let test_canary_routes_per_shard () =
-  let config = { Serve.Serving.default_config with shards = 2; max_batch = 8 } in
-  let fleet, dps = Serve.Serving.create_datapath ~config () in
-  let c0 = Serve.Shard.Datapath.control dps.(0)
-  and c1 = Serve.Shard.Datapath.control dps.(1) in
-  let name = Serve.Shard.Datapath.program_name in
-  let status c =
-    match Rmt.Control.canary_status c name with
-    | Some s -> s
-    | None -> Alcotest.fail "serve program is installed"
-  in
-  check_bool "idle before staging" true (status c0 = `Idle);
-  let prog =
-    Rkd.Prefetch_rmt.build_collect_program Rkd.Prefetch_rmt.default_params
-  in
-  (match Rmt.Control.install_canary c0 ~invocations:4 ~max_divergences:4 ~grace:2 prog with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "canary install: %s" e);
-  check_bool "staged on shard 0" true
-    (match status c0 with `Canary _ -> true | _ -> false);
-  check_bool "peer shard untouched" true (status c1 = `Idle);
-  (* Shadow traffic on shard 0 only: identical program text diverges
-     nowhere, so it promotes and its grace window closes. *)
-  let t0 = tenant_on fleet 0 in
-  let rec drive i =
-    if status c0 <> `Idle && i < 64 then begin
-      submit_exn fleet ~tenant:t0 ~page:i;
-      Serve.Serving.drain_until_idle fleet;
-      drive (i + 1)
-    end
-  in
-  drive 0;
-  check_bool "promoted through its grace window" true (status c0 = `Idle);
-  (* A re-staged canary aborts cleanly, still shard-locally. *)
-  (match Rmt.Control.install_canary c0 ~invocations:8 ~grace:2 prog with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "second canary: %s" e);
-  check_bool "second canary staged" true
-    (match status c0 with `Canary _ -> true | _ -> false);
-  check_bool "rollback accepted" true (Rmt.Control.rollback_program c0 name);
-  check_bool "rolled back to idle" true (status c0 = `Idle);
-  check_bool "peer shard still idle" true (status c1 = `Idle)
 
 (* ---------------- Fault capture into pinned workers ---------------- *)
 
@@ -546,8 +475,6 @@ let suite =
           test_ring_length_bounds_under_concurrency;
         Alcotest.test_case "park survives a faulting stop probe" `Quick
           test_park_exception_safety;
-        Alcotest.test_case "shard survives a faulting posted command" `Quick
-          test_faulting_posted_command;
         Alcotest.test_case "digest stable across widths and modes" `Quick
           test_digest_across_widths;
         Alcotest.test_case "clean digest pinned on the rkdctl serve trace" `Quick
@@ -559,8 +486,6 @@ let suite =
           test_batch_slots_counts_dispatches;
         Alcotest.test_case "breaker trip is shard-local" `Quick
           test_breaker_trip_is_shard_local;
-        Alcotest.test_case "canary transactions route per shard" `Quick
-          test_canary_routes_per_shard;
         Alcotest.test_case "fault plan reaches pinned workers" `Quick
           test_fault_plan_reaches_pinned_workers;
         Alcotest.test_case "obs stripe guard masks overflow ids" `Quick
