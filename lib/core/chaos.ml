@@ -27,8 +27,6 @@ type summary = {
   digest : int; (* order-independent combination of scenario digests *)
 }
 
-let mix h v = ((h * 0x100000001b3) + (v land max_int)) land max_int
-
 (* Random per-scenario fault plan: each point is enabled with probability
    1/2 at a severity between 1% and 40%. *)
 let plan_of rng =
@@ -51,7 +49,7 @@ let run_prefetch rng ~events =
     match
       p.Ksim.Prefetcher.on_access ~pid:1 ~page:!page ~hit:(Kml.Rng.bool rng) ~now:(e * 1000)
     with
-    | pages -> List.iter (fun pg -> digest := mix !digest pg) pages
+    | pages -> List.iter (fun pg -> digest := Ksim.Net_sim.mix !digest pg) pages
     | exception _ -> incr uncaught
   in
   for e = 1 to events do
@@ -69,7 +67,7 @@ let run_prefetch rng ~events =
       p.Ksim.Prefetcher.on_access ~pid:1 ~page:!page ~hit:false
         ~now:((events * 1000) + (e * 64_000_000))
     with
-    | pages -> List.iter (fun pg -> digest := mix !digest pg) pages
+    | pages -> List.iter (fun pg -> digest := Ksim.Net_sim.mix !digest pg) pages
     | exception _ -> incr uncaught
   in
   let fallbacks () = (Prefetch_rmt.stats pf).Prefetch_rmt.fallback_accesses in
@@ -97,7 +95,7 @@ let run_sched rng ~events =
     now := e * 1000;
     let features = Array.init n (fun _ -> Kml.Rng.int rng 1024) in
     match decide ~features ~heuristic:(Kml.Rng.bool rng) with
-    | b -> digest := mix !digest (if b then 1 else 0)
+    | b -> digest := Ksim.Net_sim.mix !digest (if b then 1 else 0)
     | exception _ -> incr uncaught
   in
   for e = 1 to events do
@@ -108,7 +106,7 @@ let run_sched rng ~events =
     now := (events * 1000) + (e * 64_000_000);
     let features = Array.init n (fun _ -> Kml.Rng.int rng 1024) in
     match decide ~features ~heuristic:false with
-    | b -> digest := mix !digest (if b then 1 else 0)
+    | b -> digest := Ksim.Net_sim.mix !digest (if b then 1 else 0)
     | exception _ -> incr uncaught
   in
   let fallbacks () = (Sched_rmt.stats sr).Sched_rmt.fallback_decisions in
@@ -158,12 +156,12 @@ let run_churn rng ~events =
     if e mod 64 = 0 then begin
       let bias = if Kml.Rng.bool rng then 1 else 7 in
       match Rmt.Control.install_canary control ~invocations:16 ~grace:32 (build_simple ~bias) with
-      | Ok _ -> digest := mix !digest bias
-      | Error _ -> digest := mix !digest (-bias)
+      | Ok _ -> digest := Ksim.Net_sim.mix !digest bias
+      | Error _ -> digest := Ksim.Net_sim.mix !digest (-bias)
     end;
     if e mod 97 = 0 then ignore (Rmt.Control.rollback_program control "chaos_prog");
     match Rmt.Control.fire control ~hook:chaos_hook ~ctxt with
-    | Some v -> digest := mix !digest v
+    | Some v -> digest := Ksim.Net_sim.mix !digest v
     | None -> ()
     | exception _ -> incr uncaught
   in
@@ -176,7 +174,7 @@ let run_churn rng ~events =
     Rmt.Ctxt.set ctxt Hooks.key_page page;
     Rmt.Ctxt.set ctxt Hooks.key_heuristic (page land 1);
     match Rmt.Control.fire control ~hook:chaos_hook ~ctxt with
-    | Some v -> digest := mix !digest v
+    | Some v -> digest := Ksim.Net_sim.mix !digest v
     | None -> ()
     | exception _ -> incr uncaught
   in
@@ -220,7 +218,7 @@ let run_net rng ~events =
     match Net_rmt.decide net ~flow:1 (signal ~now:(e * 1_000_000) ~rtt ~ecn ~loss) with
     | d ->
         cwnd := d.Ksim.Cc.cwnd;
-        digest := mix (mix !digest d.Ksim.Cc.cwnd) d.Ksim.Cc.pacing_ns
+        digest := Ksim.Net_sim.mix (Ksim.Net_sim.mix !digest d.Ksim.Cc.cwnd) d.Ksim.Cc.pacing_ns
     | exception _ -> incr uncaught
   in
   for e = 1 to events do
@@ -233,7 +231,7 @@ let run_net rng ~events =
     match Net_rmt.decide net ~flow:1 (signal ~now ~rtt:min_rtt ~ecn:false ~loss:false) with
     | d ->
         cwnd := d.Ksim.Cc.cwnd;
-        digest := mix !digest d.Ksim.Cc.cwnd
+        digest := Ksim.Net_sim.mix !digest d.Ksim.Cc.cwnd
     | exception _ -> incr uncaught
   in
   let fallbacks () = (Net_rmt.stats net).Net_rmt.fallback_decisions in
@@ -335,7 +333,7 @@ let summarize reports =
         total_uncaught = acc.total_uncaught + r.uncaught;
         not_reclosed = (acc.not_reclosed + if r.reclosed then 0 else 1);
         (* xor keeps the combination independent of completion order *)
-        digest = acc.digest lxor mix r.index r.digest })
+        digest = acc.digest lxor Ksim.Net_sim.mix r.index r.digest })
     { scenarios = 0;
       total_events = 0;
       total_fallbacks = 0;

@@ -6,8 +6,6 @@
    tick * tick_ns — so a soak replays bit-identically at any pool width,
    clean or faulted. *)
 
-let mix h v = ((h * 0x100000001b3) + (v land max_int)) land max_int
-
 type params = {
   tenants : int;
   shards : int;
@@ -243,7 +241,6 @@ type t = {
   now_cell : int array;
   tenants : tenant array;
   shards : shard array;
-  shard_indices : int array;
   mutable ticks : int;
   mutable recovering : bool;
   mutable events : int;
@@ -426,7 +423,6 @@ let create ?(params = default_params) ?fault_specs ~seed () =
       now_cell;
       tenants;
       shards;
-      shard_indices = Array.init p.shards Fun.id;
       ticks = 0;
       recovering = false;
       events = 0;
@@ -436,7 +432,7 @@ let create ?(params = default_params) ?fault_specs ~seed () =
   register_views t;
   t
 
-(* --- drive phase (parallel across shards) ---------------------------- *)
+(* --- drive phase (shards in order) ------------------------------------ *)
 
 let plan_seed t s ~tick =
   (t.seed lxor (0x9e3779b9 * (s + 1)) lxor (0x85ebca6b * (tick + 1))) land 0x3fffffff
@@ -477,7 +473,7 @@ let drive_shard t s ~tick =
         in
         if served = label then sl.sl_mask <- sl.sl_mask lor (1 lsl e);
         sl.sl_total <- sl.sl_total + 1;
-        sh.digests.(tn) <- mix (mix sh.digests.(tn) (served + 3)) label;
+        sh.digests.(tn) <- Ksim.Net_sim.mix (Ksim.Net_sim.mix sh.digests.(tn) (served + 3)) label;
         sl.sl_samples.(e) <- { Kml.Dataset.features; label }
       done
     done
@@ -552,7 +548,7 @@ let train_candidate t tenant =
 
 (* --- rollout targets -------------------------------------------------- *)
 
-let cd t v = t.cdigest <- mix t.cdigest v
+let cd t v = t.cdigest <- Ksim.Net_sim.mix t.cdigest v
 
 (* One rollout target per shard, home shard first.  [install] stages the
    candidate as a canary under the install-time budgets; [status] detects
@@ -742,25 +738,22 @@ let control_step t ~tick =
     | Some specs -> Rmt.Fault.with_plan ~seed:(plan_seed t (p.shards + 17) ~tick) specs run
     | None -> run ()
 
-let tick ?pool t =
+let tick t =
   let tick = t.ticks in
   t.now_cell.(0) <- tick * tick_ns;
-  (match pool with
-  | Some pool when Par.domains pool > 1 && not t.recovering ->
-    ignore
-      (Par.parallel_map_array pool (fun s -> drive_shard t s ~tick) t.shard_indices
-        : unit array)
-  | _ -> Array.iter (fun s -> drive_shard t s ~tick) t.shard_indices);
+  for s = 0 to Array.length t.shards - 1 do
+    drive_shard t s ~tick
+  done;
   control_step t ~tick;
   t.ticks <- tick + 1
 
 let digest t =
   let p = t.params in
-  let acc = ref (mix 0x7f1e37 t.cdigest) in
+  let acc = ref (Ksim.Net_sim.mix 0x7f1e37 t.cdigest) in
   Array.iter
     (fun sh ->
       Array.iteri
-        (fun tn d -> acc := !acc lxor mix ((sh.s_index * p.tenants) + tn + 1) d)
+        (fun tn d -> acc := !acc lxor Ksim.Net_sim.mix ((sh.s_index * p.tenants) + tn + 1) d)
         sh.digests)
     t.shards;
   !acc
@@ -925,7 +918,7 @@ let report_json r =
 let soak ?params ?fault_specs ?(ticks = 160) ~seed () =
   let t = create ?params ?fault_specs ~seed () in
   for _ = 1 to ticks do
-    tick ~pool:(Par.global ()) t
+    tick t
   done;
   ignore (recover t : bool);
   report t

@@ -68,10 +68,9 @@ val create :
     draws from one process-wide rng and is only deterministic
     sequentially. *)
 
-val tick : ?pool:Par.pool -> t -> unit
-(** One control-loop iteration: drive every shard's event slice (fanned
-    over [pool] when given — results are bit-identical at any width),
-    then run the sequential control step (accuracy merge, drift
+val tick : t -> unit
+(** One control-loop iteration: drive every shard's event slice, shard
+    0 first, then run the control step (accuracy merge, drift
     detection, episode state machines). *)
 
 val digest : t -> int
@@ -124,6 +123,5 @@ val soak :
   seed:int ->
   unit ->
   report
-(** [create] + [ticks] (default 160) iterations on the global pool
-    ({!Par.global}) + {!recover} + {!report}: the [rkdctl fleet] entry
-    point. *)
+(** [create] + [ticks] (default 160) iterations + {!recover} +
+    {!report}: the [rkdctl fleet] entry point. *)

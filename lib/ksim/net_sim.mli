@@ -39,7 +39,8 @@ type result = {
 }
 
 val mix : int -> int -> int
-(** The digest combiner (same as the chaos soak's). *)
+(** The digest combiner; the chaos soak, the fleet and Table 3 fold
+    their digests with it too. *)
 
 val run : link:Link.config -> make_cc:(Flow.spec -> Cc.t) -> Flow.spec array -> result
 (** [make_cc] is called once per flow, in flow order, before any event

@@ -1,58 +1,14 @@
-(* Fixed domain pool with chunked, deque-based work distribution.
+(* Fixed domain pool with one shared cursor per batch.
 
-   A batch over indices [0, n) is cut into chunks; chunks are dealt
-   round-robin onto one deque per participant.  Participants pop from the
-   back of their own deque (most recently dealt, cache-warm) and steal
-   from the front of a victim's (oldest remaining) when theirs is empty.
-   Deques only shrink after distribution, so a per-deque mutex is
-   uncontended in the common case and trivially correct when stealing. *)
-
-(* ---------------- chunk deques ---------------- *)
-
-module Deque = struct
-  type t = {
-    items : (int * int) array; (* [lo, hi) index ranges *)
-    mutable head : int;        (* first live slot *)
-    mutable tail : int;        (* one past the last live slot *)
-    lock : Mutex.t;
-  }
-
-  let of_list chunks =
-    let items = Array.of_list chunks in
-    { items; head = 0; tail = Array.length items; lock = Mutex.create () }
-
-  let pop_back d =
-    Mutex.lock d.lock;
-    let r =
-      if d.tail > d.head then begin
-        d.tail <- d.tail - 1;
-        Some d.items.(d.tail)
-      end
-      else None
-    in
-    Mutex.unlock d.lock;
-    r
-
-  let pop_front d =
-    Mutex.lock d.lock;
-    let r =
-      if d.tail > d.head then begin
-        let c = d.items.(d.head) in
-        d.head <- d.head + 1;
-        Some c
-      end
-      else None
-    in
-    Mutex.unlock d.lock;
-    r
-end
-
-(* ---------------- pool ---------------- *)
+   A batch over indices [0, n) keeps an atomic cursor that starts at
+   [n - 1]; every participant claims the next index with
+   [fetch_and_add] until the cursor goes negative, so the last indices
+   start first and an idle participant simply claims more of them. *)
 
 type job = {
   run : int -> unit;
-  deques : Deque.t array; (* one per participant; index 0 = submitter *)
-  remaining : int Atomic.t;
+  next : int Atomic.t;      (* next index to claim, counting down *)
+  remaining : int Atomic.t; (* indices not yet finished *)
   mutable failure : (exn * Printexc.raw_backtrace) option;
   failure_lock : Mutex.t;
 }
@@ -94,45 +50,27 @@ let record_failure job exn bt =
   if job.failure = None then job.failure <- Some (exn, bt);
   Mutex.unlock job.failure_lock
 
-(* Pop local chunks, then sweep the other deques. *)
-let next_chunk job idx =
-  match Deque.pop_back job.deques.(idx) with
-  | Some _ as c -> c
-  | None ->
-    let p = Array.length job.deques in
-    let rec steal k =
-      if k >= p then None
-      else
-        match Deque.pop_front job.deques.((idx + k) mod p) with
-        | Some _ as c -> c
-        | None -> steal (k + 1)
-    in
-    steal 1
-
-let participate pool job idx =
+let participate pool job =
   let flag = Domain.DLS.get inside_pool in
   let saved = !flag in
   flag := true;
   let rec loop () =
-    match next_chunk job idx with
-    | None -> ()
-    | Some (lo, hi) ->
-      for i = lo to hi - 1 do
-        try job.run i
-        with exn -> record_failure job exn (Printexc.get_raw_backtrace ())
-      done;
+    let i = Atomic.fetch_and_add job.next (-1) in
+    if i >= 0 then begin
+      (try job.run i with exn -> record_failure job exn (Printexc.get_raw_backtrace ()));
       (* [fetch_and_add] returns the pre-decrement value. *)
-      if Atomic.fetch_and_add job.remaining (lo - hi) = hi - lo then begin
+      if Atomic.fetch_and_add job.remaining (-1) = 1 then begin
         Mutex.lock pool.m;
         Condition.broadcast pool.done_cv;
         Mutex.unlock pool.m
       end;
       loop ()
+    end
   in
   loop ();
   flag := saved
 
-let worker_main pool idx =
+let worker_main pool =
   let seen = ref 0 in
   let rec loop () =
     Mutex.lock pool.m;
@@ -144,7 +82,7 @@ let worker_main pool idx =
       seen := pool.gen;
       let job = pool.current in
       Mutex.unlock pool.m;
-      (match job with Some j -> participate pool j idx | None -> ());
+      (match job with Some j -> participate pool j | None -> ());
       loop ()
     end
   in
@@ -166,10 +104,8 @@ let create ?domains () =
   in
   if width > 1 then
     pool.workers <-
-      Array.init (width - 1) (fun i -> Domain.spawn (fun () -> worker_main pool (i + 1)));
+      Array.init (width - 1) (fun _ -> Domain.spawn (fun () -> worker_main pool));
   pool
-
-let domains pool = pool.width
 
 let shutdown pool =
   Mutex.lock pool.m;
@@ -184,89 +120,56 @@ let shutdown pool =
 
 (* ---------------- batch submission ---------------- *)
 
-let run_seq ~n ~run =
-  for i = 0 to n - 1 do
-    run i
-  done
+let run_batch pool ~n ~run =
+  Mutex.lock pool.submit_lock;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock pool.submit_lock)
+    (fun () ->
+      let job =
+        { run;
+          next = Atomic.make (n - 1);
+          remaining = Atomic.make n;
+          failure = None;
+          failure_lock = Mutex.create () }
+      in
+      Mutex.lock pool.m;
+      pool.current <- Some job;
+      pool.gen <- pool.gen + 1;
+      Condition.broadcast pool.work_cv;
+      Mutex.unlock pool.m;
+      participate pool job;
+      Mutex.lock pool.m;
+      while Atomic.get job.remaining > 0 do
+        Condition.wait pool.done_cv pool.m
+      done;
+      pool.current <- None;
+      Mutex.unlock pool.m;
+      match job.failure with
+      | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
+      | None -> ())
 
-let make_chunks ~n ~size =
-  let rec go lo acc =
-    if lo >= n then List.rev acc else go (lo + size) ((lo, min n (lo + size)) :: acc)
-  in
-  go 0 []
-
-(* Below this many items per chunk, the deque/steal machinery costs more
-   than it recovers (macro ablations ran at 0.93x the sequential path on
-   fine-grained batches): default-sized chunks are rounded up to this
-   grain, and a batch that no longer fills two chunks runs inline.  An
-   explicit [?chunk] is authoritative — callers distributing a few heavy
-   tasks (e.g. [parallel_map] with chunk 1) keep their layout. *)
-let steal_grain = 4
-
-let run_batch ?chunk pool ~n ~run =
-  if n <= 0 then ()
-  else if pool.width <= 1 || pool.stop || !(Domain.DLS.get inside_pool) || n = 1
-          || (chunk = None && n <= steal_grain)
-  then run_seq ~n ~run
-  else begin
-    Mutex.lock pool.submit_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock pool.submit_lock)
-      (fun () ->
-        let size =
-          match chunk with
-          | Some c when c > 0 -> c
-          | Some _ | None ->
-            max steal_grain ((n + (4 * pool.width) - 1) / (4 * pool.width))
-        in
-        let chunks = make_chunks ~n ~size in
-        let dealt = Array.make pool.width [] in
-        List.iteri (fun i c -> dealt.(i mod pool.width) <- c :: dealt.(i mod pool.width)) chunks;
-        let job =
-          { run;
-            deques = Array.map (fun l -> Deque.of_list (List.rev l)) dealt;
-            remaining = Atomic.make n;
-            failure = None;
-            failure_lock = Mutex.create () }
-        in
-        Mutex.lock pool.m;
-        pool.current <- Some job;
-        pool.gen <- pool.gen + 1;
-        Condition.broadcast pool.work_cv;
-        Mutex.unlock pool.m;
-        participate pool job 0;
-        Mutex.lock pool.m;
-        while Atomic.get job.remaining > 0 do
-          Condition.wait pool.done_cv pool.m
-        done;
-        pool.current <- None;
-        Mutex.unlock pool.m;
-        match job.failure with
-        | Some (exn, bt) -> Printexc.raise_with_backtrace exn bt
-        | None -> ())
-  end
-
-let parallel_map_array ?chunk pool f arr =
+let parallel_map_array pool f arr =
   let n = Array.length arr in
-  if n = 0 then [||]
-  else if pool.width <= 1 || pool.stop || !(Domain.DLS.get inside_pool) || n = 1 then
-    (* Sequential fast path: no per-element option boxing, no unboxing
-       pass — a width-1 pool is bit-for-bit an [Array.map]. *)
+  (* Width 1, a shut-down pool, a batch submitted from inside a pool task
+     and a batch of at most one item run inline: no per-element option
+     boxing, no unboxing pass — a width-1 pool is bit-for-bit an
+     [Array.map]. *)
+  if n <= 1 || pool.width <= 1 || pool.stop || !(Domain.DLS.get inside_pool) then
     Array.map f arr
   else begin
     let out = Array.make n None in
-    run_batch ?chunk pool ~n ~run:(fun i -> out.(i) <- Some (f arr.(i)));
+    run_batch pool ~n ~run:(fun i -> out.(i) <- Some (f arr.(i)));
     Array.map (function Some v -> v | None -> assert false) out
   end
 
 let parallel_map pool f l =
-  Array.to_list (parallel_map_array ~chunk:1 pool f (Array.of_list l))
+  Array.to_list (parallel_map_array pool f (Array.of_list l))
 
 let run_tasks pool thunks = parallel_map pool (fun f -> f ()) thunks
 
 (* ---------------- pinned long-lived workers ---------------- *)
 
-(* The stealing pool runs short indexed batches; the serving layer needs
+(* The pool runs short indexed batches; the serving layer needs
    the opposite shape — a domain that lives for the whole serving session
    and owns its shard's state.  A pinned worker marks itself as inside
    the pool so any nested [run_batch] it reaches (model retraining, say)

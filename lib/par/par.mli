@@ -1,11 +1,10 @@
 (** Dependency-free OCaml 5 domain pool for the experiment layer.
 
     A [pool] owns a fixed set of worker domains.  Work arrives as an
-    indexed batch; the index space is cut into chunks which are dealt
-    round-robin onto per-participant deques.  Each participant (the
-    submitting domain plus every worker) pops chunks from the back of its
-    own deque and steals from the front of a victim's deque when its own
-    runs dry, so large early chunks migrate to idle domains.
+    indexed batch over [0, n) with one shared atomic cursor: each
+    participant (the submitting domain plus every worker) claims the next
+    index, counting down from [n - 1], until none is left, so a domain
+    that finishes early just claims more.
 
     Design rules:
     - The submitting domain participates, so a pool of [n] domains gives
@@ -32,30 +31,24 @@ val create : ?domains:int -> unit -> pool
 (** [create ~domains ()] spawns [domains - 1] worker domains
     (default: [default_domains ()]).  [domains] is clamped to \[1, 64\]. *)
 
-val domains : pool -> int
-(** Parallelism width, including the submitting domain. *)
-
 val shutdown : pool -> unit
 (** Stops and joins the workers.  Idempotent.  Submitting to a shut-down
     pool runs the batch sequentially. *)
 
-val parallel_map_array : ?chunk:int -> pool -> ('a -> 'b) -> 'a array -> 'b array
-(** Order-preserving parallel map.  [chunk] overrides the chunk size
-    (default: splits the index space into about 4 chunks per domain,
-    never below the stealing-overhead grain).  On a width-1 pool, or
-    when the default grain says the batch is too fine to be worth
-    distributing, this degenerates to a plain sequential [Array.map]. *)
+val parallel_map_array : pool -> ('a -> 'b) -> 'a array -> 'b array
+(** Order-preserving parallel map, one task per element.  On a width-1
+    or shut-down pool, inside a pool task, or for at most one element,
+    this is a plain sequential [Array.map]. *)
 
 val parallel_map : pool -> ('a -> 'b) -> 'a list -> 'b list
-(** Order-preserving parallel map over a list (chunk size 1: experiment
-    tasks are few and heavy). *)
+(** Order-preserving parallel map over a list. *)
 
 val run_tasks : pool -> (unit -> 'a) list -> 'a list
 (** Runs independent thunks in parallel; results in input order. *)
 
 (** {2 Pinned long-lived workers}
 
-    The inverse shape of the stealing pool: a domain that lives for a
+    The inverse shape of the pool's batches: a domain that lives for a
     whole serving session and owns long-lived state (a shard's VM and
     tables), instead of participating in short indexed batches.  Pinned
     workers mark themselves as pool participants, so nested batch

@@ -41,7 +41,11 @@ type outcome = { result : int; steps : int; privacy_denied : int }
    per-program accessors (Loaded.runs / total_steps). *)
 let c_steps = Obs.Counter.make "rmt.interp.steps"
 
+(* Semantics the JIT shares: the tail-call cap and the fixed-point
+   arithmetic of Mat_mul / Vec_add_const. *)
 let max_tail_depth = 32
+let fix_mul a b = Kml.Fixed.to_raw (Kml.Fixed.mul (Kml.Fixed.of_raw a) (Kml.Fixed.of_raw b))
+let fix_add a b = Kml.Fixed.to_raw (Kml.Fixed.add (Kml.Fixed.of_raw a) (Kml.Fixed.of_raw b))
 
 type state = {
   regs : int array;
@@ -52,9 +56,6 @@ type state = {
 
 exception Finished of int
 exception Tail of int (* slot *)
-
-let fix_mul a b = Kml.Fixed.to_raw (Kml.Fixed.mul (Kml.Fixed.of_raw a) (Kml.Fixed.of_raw b))
-let fix_add a b = Kml.Fixed.to_raw (Kml.Fixed.add (Kml.Fixed.of_raw a) (Kml.Fixed.of_raw b))
 
 let run_helper (loaded : Loaded.t) st env id =
   let arity = Helper.arity loaded.helpers id in

@@ -41,3 +41,14 @@ type outcome = {
 
 val run : ?fuel:int -> Loaded.t -> ctxt:Ctxt.t -> now:(unit -> int) -> outcome
 (** Default fuel: {!Verifier.max_steps} × (tail-call depth limit + 1). *)
+
+(** {2 Semantics shared with {!Jit}} *)
+
+val max_tail_depth : int
+(** Tail calls chain at most this deep; a [Tail_call] beyond it ends the
+    run with result 0. *)
+
+val fix_mul : int -> int -> int
+val fix_add : int -> int -> int
+(** {!Kml.Fixed} multiply and add on raw ints: the arithmetic of
+    [Mat_mul] and [Vec_add_const]. *)

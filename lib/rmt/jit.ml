@@ -53,59 +53,10 @@ type compiled = {
   mutable batch : batch_state;
 }
 
-let fix_mul a b = Kml.Fixed.to_raw (Kml.Fixed.mul (Kml.Fixed.of_raw a) (Kml.Fixed.of_raw b))
-let fix_add a b = Kml.Fixed.to_raw (Kml.Fixed.add (Kml.Fixed.of_raw a) (Kml.Fixed.of_raw b))
-
-(* Micro-op encoding for fused straight-line runs of register-only
-   instructions (Ld_imm / Mov / Alu / Alu_imm).  A run compiles to one
-   closure executing the whole block from flat arrays — one indirect call
-   per block instead of one per instruction. *)
-let uop_ld_imm = 0
-let uop_mov = 1
-let uop_alu = 2
-let uop_alu_imm = 3
-
-let fusible (insn : Insn.t) =
-  match insn with
-  | Insn.Ld_imm _ | Insn.Mov _ | Insn.Alu _ | Insn.Alu_imm _ -> true
-  | _ -> false
-
-(* Fill micro-op tables from a program's instruction array. *)
-let fill_uops code uop_kind uop_x uop_y uop_op =
-  Array.iteri
-    (fun pc insn ->
-      match insn with
-      | Insn.Ld_imm (rd, imm) ->
-        uop_kind.(pc) <- uop_ld_imm;
-        uop_x.(pc) <- rd;
-        uop_y.(pc) <- imm
-      | Insn.Mov (rd, rs) ->
-        uop_kind.(pc) <- uop_mov;
-        uop_x.(pc) <- rd;
-        uop_y.(pc) <- rs
-      | Insn.Alu (op, rd, rs) ->
-        uop_kind.(pc) <- uop_alu;
-        uop_x.(pc) <- rd;
-        uop_y.(pc) <- rs;
-        uop_op.(pc) <- op
-      | Insn.Alu_imm (op, rd, imm) ->
-        uop_kind.(pc) <- uop_alu_imm;
-        uop_x.(pc) <- rd;
-        uop_y.(pc) <- imm;
-        uop_op.(pc) <- op
-      | _ -> ())
-    code
-
 let compile_unit (loaded : Loaded.t) : unit_code =
   let code = loaded.Loaded.prog.Program.code in
   let vmem = loaded.vmem in
   let n = Array.length code in
-  (* Flat micro-op tables, valid at fusible pcs only. *)
-  let uop_kind = Array.make (Stdlib.max 1 n) 0 in
-  let uop_x = Array.make (Stdlib.max 1 n) 0 in
-  let uop_y = Array.make (Stdlib.max 1 n) 0 in
-  let uop_op = Array.make (Stdlib.max 1 n) Insn.Add in
-  fill_uops code uop_kind uop_x uop_y uop_op;
   let module I = Insn in
   (* Compile [lo, hi] as one range: continuations are range-local because
      reaching [hi + 1] means different things at different nesting depths
@@ -121,52 +72,30 @@ let compile_unit (loaded : Loaded.t) : unit_code =
     for pc = hi downto lo do
       let closure =
         match code.(pc) with
-        | I.Ld_imm _ | I.Mov _ | I.Alu _ | I.Alu_imm _ ->
-          (* Extend the fused block as far as the straight-line run goes. *)
-          let finish = ref pc in
-          while !finish < hi && fusible code.(!finish + 1) do incr finish done;
-          let finish = !finish in
-          let next = cont_at (finish + 1) in
-          if finish = pc then begin
-            (* single instruction: specialize, skip the micro-op loop *)
-            match code.(pc) with
-            | I.Ld_imm (rd, imm) ->
-              fun st ->
-                st.regs.(rd) <- imm;
-                st.steps <- st.steps + 1;
-                next st
-            | I.Mov (rd, rs) ->
-              fun st ->
-                st.regs.(rd) <- st.regs.(rs);
-                st.steps <- st.steps + 1;
-                next st
-            | I.Alu (op, rd, rs) ->
-              fun st ->
-                st.regs.(rd) <- Insn.eval_alu op st.regs.(rd) st.regs.(rs);
-                st.steps <- st.steps + 1;
-                next st
-            | I.Alu_imm (op, rd, imm) ->
-              fun st ->
-                st.regs.(rd) <- Insn.eval_alu op st.regs.(rd) imm;
-                st.steps <- st.steps + 1;
-                next st
-            | _ -> assert false (* fusible covers exactly these four *)
-          end
-          else begin
-            let count = finish - pc + 1 in
-            fun st ->
-              let regs = st.regs in
-              for i = pc to finish do
-                let x = uop_x.(i) and y = uop_y.(i) in
-                match uop_kind.(i) with
-                | 0 (* uop_ld_imm *) -> regs.(x) <- y
-                | 1 (* uop_mov *) -> regs.(x) <- regs.(y)
-                | 2 (* uop_alu *) -> regs.(x) <- Insn.eval_alu uop_op.(i) regs.(x) regs.(y)
-                | _ (* uop_alu_imm *) -> regs.(x) <- Insn.eval_alu uop_op.(i) regs.(x) y
-              done;
-              st.steps <- st.steps + count;
-              next st
-          end
+        | I.Ld_imm (rd, imm) ->
+          let next = cont_at (pc + 1) in
+          fun st ->
+            st.regs.(rd) <- imm;
+            st.steps <- st.steps + 1;
+            next st
+        | I.Mov (rd, rs) ->
+          let next = cont_at (pc + 1) in
+          fun st ->
+            st.regs.(rd) <- st.regs.(rs);
+            st.steps <- st.steps + 1;
+            next st
+        | I.Alu (op, rd, rs) ->
+          let next = cont_at (pc + 1) in
+          fun st ->
+            st.regs.(rd) <- Insn.eval_alu op st.regs.(rd) st.regs.(rs);
+            st.steps <- st.steps + 1;
+            next st
+        | I.Alu_imm (op, rd, imm) ->
+          let next = cont_at (pc + 1) in
+          fun st ->
+            st.regs.(rd) <- Insn.eval_alu op st.regs.(rd) imm;
+            st.steps <- st.steps + 1;
+            next st
         | I.Ld_ctxt (rd, rk) ->
           let next = cont_at (pc + 1) in
           fun st ->
@@ -256,56 +185,35 @@ let compile_unit (loaded : Loaded.t) : unit_code =
           let args = loaded.call_args.(arity) in
           let env = loaded.env in
           let next = cont_at (pc + 1) in
-          (* Compiled per (static) privacy configuration: the common
-             free-helper case carries no cost test and no account match at
-             runtime. *)
-          (match cost, loaded.privacy with
-           | 0, _ ->
-             fun st ->
-               for i = 0 to arity - 1 do
-                 args.(i) <- st.regs.(i + 1)
-               done;
-               st.regs.(0) <- Helper.invoke loaded.helpers id env args;
-               for r = 1 to 5 do
-                 st.regs.(r) <- 0
-               done;
-               st.steps <- st.steps + 1;
-               next st
-           | _, None ->
-             (* unreachable for verified programs; fail closed *)
-             fun st ->
-               for i = 0 to arity - 1 do
-                 args.(i) <- st.regs.(i + 1)
-               done;
-               ignore (Helper.invoke loaded.helpers id env args);
-               st.denied <- st.denied + 1;
-               st.regs.(0) <- 0;
-               for r = 1 to 5 do
-                 st.regs.(r) <- 0
-               done;
-               st.steps <- st.steps + 1;
-               next st
-           | _, Some acct ->
-             fun st ->
-               for i = 0 to arity - 1 do
-                 args.(i) <- st.regs.(i + 1)
-               done;
-               let raw = Helper.invoke loaded.helpers id env args in
-               let result =
-                 match
-                   Privacy.noisy_result acct ~rng:loaded.rng ~cost_milli:cost ~sensitivity:1 raw
-                 with
-                 | Some noisy -> noisy
-                 | None ->
-                   st.denied <- st.denied + 1;
-                   0
-               in
-               st.regs.(0) <- result;
-               for r = 1 to 5 do
-                 st.regs.(r) <- 0
-               done;
-               st.steps <- st.steps + 1;
-               next st)
+          fun st ->
+            for i = 0 to arity - 1 do
+              args.(i) <- st.regs.(i + 1)
+            done;
+            let raw = Helper.invoke loaded.helpers id env args in
+            let result =
+              if cost = 0 then raw
+              else begin
+                match loaded.privacy with
+                | None ->
+                  (* unreachable for verified programs; fail closed *)
+                  st.denied <- st.denied + 1;
+                  0
+                | Some acct ->
+                  (match
+                     Privacy.noisy_result acct ~rng:loaded.rng ~cost_milli:cost ~sensitivity:1 raw
+                   with
+                   | Some noisy -> noisy
+                   | None ->
+                     st.denied <- st.denied + 1;
+                     0)
+              end
+            in
+            st.regs.(0) <- result;
+            for r = 1 to 5 do
+              st.regs.(r) <- 0
+            done;
+            st.steps <- st.steps + 1;
+            next st
         | I.Call_ml (slot, off, len) ->
           let handle = loaded.models.(slot) in
           let features = loaded.ml_args.(slot) in
@@ -367,7 +275,7 @@ let compile_unit (loaded : Loaded.t) : unit_code =
             for i = 0 to rows - 1 do
               let acc = ref 0 in
               for j = 0 to cols - 1 do
-                acc := fix_add !acc (fix_mul data.((i * cols) + j) x.(j))
+                acc := Interp.fix_add !acc (Interp.fix_mul data.((i * cols) + j) x.(j))
               done;
               vmem.(dst + i) <- !acc
             done;
@@ -379,7 +287,7 @@ let compile_unit (loaded : Loaded.t) : unit_code =
           let next = cont_at (pc + 1) in
           fun st ->
             for i = 0 to c.Program.cols - 1 do
-              vmem.(dst + i) <- fix_add vmem.(dst + i) data.(i)
+              vmem.(dst + i) <- Interp.fix_add vmem.(dst + i) data.(i)
             done;
             st.steps <- st.steps + 1;
             next st
@@ -457,8 +365,6 @@ let get_unit t loaded =
 
 let compiled_units t = Hashtbl.length t.cache
 
-let max_tail_depth = 32
-
 let rec exec_unit t (u : unit_code) depth =
   let st = t.st in
   let loaded = u.loaded in
@@ -471,7 +377,7 @@ let rec exec_unit t (u : unit_code) depth =
   let final = u.entry st in
   if final = code_exit then st.result
   else if final = code_tail then begin
-    if depth >= max_tail_depth then 0
+    if depth >= Interp.max_tail_depth then 0
     else begin
       match loaded.Loaded.prog_table.(st.tail_slot) with
       | Some target -> exec_unit t (get_unit t target) (depth + 1)
@@ -573,11 +479,6 @@ let batchable (loaded : Loaded.t) =
 let compile_batch_unit (loaded : Loaded.t) ~cap : bst -> int =
   let code = loaded.Loaded.prog.Program.code in
   let n = Array.length code in
-  let uop_kind = Array.make (Stdlib.max 1 n) 0 in
-  let uop_x = Array.make (Stdlib.max 1 n) 0 in
-  let uop_y = Array.make (Stdlib.max 1 n) 0 in
-  let uop_op = Array.make (Stdlib.max 1 n) Insn.Add in
-  fill_uops code uop_kind uop_x uop_y uop_op;
   let module I = Insn in
   (* Mirrors [compile_range] exactly, but every closure executes its
      instruction for all live slots before chaining — registers and vmem
@@ -591,37 +492,42 @@ let compile_batch_unit (loaded : Loaded.t) ~cap : bst -> int =
     for pc = hi downto lo do
       let closure =
         match code.(pc) with
-        | I.Ld_imm _ | I.Mov _ | I.Alu _ | I.Alu_imm _ ->
-          let finish = ref pc in
-          while !finish < hi && fusible code.(!finish + 1) do incr finish done;
-          let finish = !finish in
-          let next = cont_at (finish + 1) in
-          let count = finish - pc + 1 in
+        | I.Ld_imm (rd, imm) ->
+          let next = cont_at (pc + 1) in
+          let rdb = rd * cap in
           fun st ->
-            let regs = st.bregs and bn = st.bn in
-            for i = pc to finish do
-              let x = uop_x.(i) and y = uop_y.(i) in
-              match uop_kind.(i) with
-              | 0 (* uop_ld_imm *) -> Array.fill regs (x * cap) bn y
-              | 1 (* uop_mov *) ->
-                let xb = x * cap and yb = y * cap in
-                for s = 0 to bn - 1 do
-                  regs.(xb + s) <- regs.(yb + s)
-                done
-              | 2 (* uop_alu *) ->
-                let op = uop_op.(i) in
-                let xb = x * cap and yb = y * cap in
-                for s = 0 to bn - 1 do
-                  regs.(xb + s) <- Insn.eval_alu op regs.(xb + s) regs.(yb + s)
-                done
-              | _ (* uop_alu_imm *) ->
-                let op = uop_op.(i) in
-                let xb = x * cap in
-                for s = 0 to bn - 1 do
-                  regs.(xb + s) <- Insn.eval_alu op regs.(xb + s) y
-                done
+            Array.fill st.bregs rdb st.bn imm;
+            st.bsteps <- st.bsteps + 1;
+            next st
+        | I.Mov (rd, rs) ->
+          let next = cont_at (pc + 1) in
+          let rdb = rd * cap and rsb = rs * cap in
+          fun st ->
+            let regs = st.bregs in
+            for s = 0 to st.bn - 1 do
+              regs.(rdb + s) <- regs.(rsb + s)
             done;
-            st.bsteps <- st.bsteps + count;
+            st.bsteps <- st.bsteps + 1;
+            next st
+        | I.Alu (op, rd, rs) ->
+          let next = cont_at (pc + 1) in
+          let rdb = rd * cap and rsb = rs * cap in
+          fun st ->
+            let regs = st.bregs in
+            for s = 0 to st.bn - 1 do
+              regs.(rdb + s) <- Insn.eval_alu op regs.(rdb + s) regs.(rsb + s)
+            done;
+            st.bsteps <- st.bsteps + 1;
+            next st
+        | I.Alu_imm (op, rd, imm) ->
+          let next = cont_at (pc + 1) in
+          let rdb = rd * cap in
+          fun st ->
+            let regs = st.bregs in
+            for s = 0 to st.bn - 1 do
+              regs.(rdb + s) <- Insn.eval_alu op regs.(rdb + s) imm
+            done;
+            st.bsteps <- st.bsteps + 1;
             next st
         | I.Ld_ctxt (rd, rk) ->
           let next = cont_at (pc + 1) in
@@ -759,7 +665,8 @@ let compile_batch_unit (loaded : Loaded.t) ~cap : bst -> int =
               for s = 0 to bn - 1 do
                 vm.(ib + s) <- 0;
                 for j = 0 to cols - 1 do
-                  vm.(ib + s) <- fix_add vm.(ib + s) (fix_mul data.(rb + j) snap.((j * cap) + s))
+                  vm.(ib + s) <-
+                    Interp.fix_add vm.(ib + s) (Interp.fix_mul data.(rb + j) snap.((j * cap) + s))
                 done
               done
             done;
@@ -774,7 +681,7 @@ let compile_batch_unit (loaded : Loaded.t) ~cap : bst -> int =
             for i = 0 to c.Program.cols - 1 do
               let wb = (dst + i) * cap and d = data.(i) in
               for s = 0 to bn - 1 do
-                vm.(wb + s) <- fix_add vm.(wb + s) d
+                vm.(wb + s) <- Interp.fix_add vm.(wb + s) d
               done
             done;
             st.bsteps <- st.bsteps + 1;

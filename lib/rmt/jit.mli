@@ -4,11 +4,10 @@
     In this OCaml reproduction, JIT = ahead-of-time translation of the
     program into direct-threaded OCaml closures: each compiled instruction
     tail-calls its successor, so there is no per-step driver loop, no pc
-    register, and no instruction decode.  Straight-line runs of
-    register-only instructions (Ld_imm/Mov/Alu/Alu_imm) are fused into a
-    single closure.  Semantics — including exact dynamic step counts — are
-    identical to {!Interp} (the test suite checks this differentially on
-    random verified programs).
+    register, and no instruction decode.  Every instruction compiles to
+    exactly one closure.  Semantics — including exact dynamic step
+    counts — are identical to {!Interp} (the test suite checks this
+    differentially on random verified programs).
 
     The compiled code is the program's code as written: every
     instruction has one compiled form, with the same runtime guards as
