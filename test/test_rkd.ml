@@ -299,6 +299,59 @@ let test_report_paper_tables_complete () =
   Alcotest.(check int) "table1 reference rows" 6 (List.length Rkd.Report.paper_table1);
   Alcotest.(check int) "table2 reference rows" 12 (List.length Rkd.Report.paper_table2)
 
+(* The seed-42 rows that an MLP feeds, as [rkdctl table2]/[ablations]
+   print them: any change to float training or quantization moves one. *)
+let test_table2_rows () =
+  Alcotest.(check (list string))
+    "seed-42 table2 rows"
+    [ "blackscholes mlp-full 99.44 / 3.023 s";
+      "blackscholes mlp-lean 99.72 / 3.101 s";
+      "blackscholes linux 100.00 / 3.001 s";
+      "streamcluster mlp-full 99.82 / 6.526 s";
+      "streamcluster mlp-lean 98.06 / 6.539 s";
+      "streamcluster linux 100.00 / 6.527 s";
+      "matmul mlp-full 96.37 / 1.325 s";
+      "matmul mlp-lean 100.00 / 1.319 s";
+      "matmul linux 100.00 / 1.319 s" ]
+    (List.map
+       (fun (r : Rkd.Experiment.table2_row) ->
+         Printf.sprintf "%s %s %.2f / %.3f s" r.benchmark r.system r.accuracy_pct r.jct_s)
+       (List.concat
+          (Par.parallel_map (Par.global ())
+             (Rkd.Experiment.table2_benchmark ~seed:42)
+             [ "blackscholes"; "streamcluster"; "matmul" ])))
+
+let test_lean_monitoring_rows () =
+  Alcotest.(check (list string))
+    "seed-42 lean-monitoring rows"
+    [ "15 99.95 15.00"; "8 99.86 8.00"; "4 99.23 4.00"; "2 97.88 2.00"; "1 97.52 1.00" ]
+    (List.map
+       (fun (r : Rkd.Experiment.lean_row) ->
+         Printf.sprintf "%d %.2f %.2f" r.n_features r.accuracy_pct r.reads_per_decision)
+       (Rkd.Experiment.ablation_lean_monitoring ()))
+
+let test_quantization_rows () =
+  Alcotest.(check (list string))
+    "seed-42 quantization rows"
+    [ "blackscholes 99.44 99.49";
+      "streamcluster 99.82 99.14";
+      "fib 96.60 89.79";
+      "matmul 96.37 96.77" ]
+    (List.map
+       (fun (r : Rkd.Experiment.quant_row) ->
+         Printf.sprintf "%s %.2f %.2f" r.benchmark r.float_acc_pct r.quant_acc_pct)
+       (Rkd.Experiment.ablation_quantization ()))
+
+let test_distillation_rows () =
+  Alcotest.(check (list string))
+    "seed-42 distillation rows"
+    [ "teacher-mlp 96.60 100.00 1039 2"; "student-tree 97.02 96.17 0 8" ]
+    (List.map
+       (fun (r : Rkd.Experiment.distill_row) ->
+         Printf.sprintf "%s %.2f %.2f %d %d" r.model r.accuracy_pct r.fidelity_pct r.macs
+           r.comparisons)
+       (Rkd.Experiment.ablation_distillation ()))
+
 let suite =
   [ ( "prefetch_rmt",
       [ Alcotest.test_case "programs verify and install" `Quick test_prefetch_programs_verify;
@@ -322,5 +375,9 @@ let suite =
         Alcotest.test_case "boundary rates" `Quick test_adapt_boundary_rates ] );
     ( "experiment",
       [ Alcotest.test_case "privacy ablation shape" `Quick test_privacy_ablation_shape;
+        Alcotest.test_case "table2 seed-42 rows" `Quick test_table2_rows;
+        Alcotest.test_case "lean-monitoring ablation rows" `Quick test_lean_monitoring_rows;
+        Alcotest.test_case "quantization ablation rows" `Quick test_quantization_rows;
+        Alcotest.test_case "distillation ablation rows" `Quick test_distillation_rows;
         Alcotest.test_case "vm overhead shape" `Slow test_vm_overhead_shape;
         Alcotest.test_case "paper tables complete" `Quick test_report_paper_tables_complete ] ) ]
