@@ -69,6 +69,18 @@ let sched_fixture () =
   let sched = Rkd.Sched_rmt.create ~model:(Rmt.Model_store.Qmlp q) () in
   (Rkd.Sched_rmt.decider sched, q, mlp)
 
+(* One epoch of a Table 2 mimic training: 15 features, hidden [32; 16],
+   2 classes, 512 samples (16 mini-batches). *)
+let mlp_train_fixture () =
+  let rng = Kml.Rng.create 13 in
+  let ds = Kml.Dataset.create ~n_features:15 ~n_classes:2 in
+  for _ = 1 to 512 do
+    let features = Array.init 15 (fun _ -> Kml.Rng.int rng 4096) in
+    let label = if features.(4) > 2048 then 1 else 0 in
+    Kml.Dataset.add ds { Kml.Dataset.features; label }
+  done;
+  ({ Kml.Mlp.hidden = [ 32; 16 ]; epochs = 1; learning_rate = 0.03 }, ds)
+
 (* A context-streaming loop: the absint/analyze row times the verifier's
    abstract interpretation of it, the load-time cost of the analysis. *)
 let absint_fixture () =
@@ -186,6 +198,7 @@ let micro_tests () =
   let fig1_j = Rkd.Experiment.fig1_fixture Rmt.Vm.Jit_compiled in
   let decider, qmlp, mlp = sched_fixture () in
   let train_params, train_ds = tree_train_fixture () in
+  let mlp_params, mlp_ds = mlp_train_fixture () in
   let ai_prog, ai_helpers = absint_fixture () in
   let now () = 0 in
   let features15 = Array.init 15 (fun i -> i * 17) in
@@ -224,6 +237,10 @@ let micro_tests () =
     (* One Prefetch_rmt retrain: the "train" layer of a Table 1 run. *)
     Test.make ~name:"kml/tree-train"
       (Staged.stage (fun () -> Kml.Decision_tree.train ~params:train_params train_ds));
+    (* One epoch of float MLP training: the "train" layer of a Table 2
+       run, which trains for 80 epochs. *)
+    Test.make ~name:"kml/mlp-train"
+      (Staged.stage (fun () -> Kml.Mlp.train ~params:mlp_params ~rng:(Kml.Rng.create 5) mlp_ds));
     (* Table 2 datapath pieces: quantized vs float MLP and the full RMT
        migration decision. *)
     Test.make ~name:"table2/qmlp-predict"

@@ -6,8 +6,9 @@
     set); the normalization constants are part of the model and are carried
     through quantization. *)
 
-type layer = { weights : Tensor.Mat.t; bias : Tensor.Vec.t }
-(** [weights] has shape (fan_out × fan_in). *)
+type layer = { fan_in : int; fan_out : int; weights : float array; bias : float array }
+(** [weights] is row-major (fan_out × fan_in): output [i]'s weight on
+    input [j] is [weights.(i * fan_in + j)]. *)
 
 type t
 
@@ -20,8 +21,9 @@ type params = {
 val default_params : params
 
 val train : ?params:params -> rng:Rng.t -> Dataset.t -> t
-(** Minibatches of 32, momentum 0.9 and weight decay 1e-4.  Raises
-    [Invalid_argument] on an empty dataset. *)
+(** Minibatches of 32, momentum 0.9 and weight decay 1e-4, over flat
+    scratch arrays allocated once per call.  Raises [Invalid_argument] on
+    an empty dataset. *)
 
 val predict : t -> int array -> int
 val predict_probs : t -> int array -> float array
@@ -29,8 +31,8 @@ val predict_probs : t -> int array -> float array
 val layers : t -> layer list
 val n_features : t -> int
 val n_classes : t -> int
-val feature_mean : t -> Tensor.Vec.t
-val feature_std : t -> Tensor.Vec.t
+val feature_mean : t -> float array
+val feature_std : t -> float array
 val n_parameters : t -> int
 val architecture : t -> int list
 (** Layer widths input → output, e.g. [[15; 16; 16; 2]]. *)

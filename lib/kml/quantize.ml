@@ -21,7 +21,9 @@ module Qmlp = struct
   let of_mlp mlp =
     let layers =
       List.map
-        (fun { Mlp.weights; bias } -> { weights = Qmat.of_mat weights; bias = Qvec.of_vec bias })
+        (fun { Mlp.fan_in; fan_out; weights; bias } ->
+          { weights = Qmat.of_floats ~rows:fan_out ~cols:fan_in weights;
+            bias = Qvec.of_floats bias })
         (Mlp.layers mlp)
     in
     let scratch =
@@ -32,8 +34,8 @@ module Qmlp = struct
       layers_arr = Array.of_list layers;
       n_features;
       n_classes = Mlp.n_classes mlp;
-      mean = Qvec.of_vec (Mlp.feature_mean mlp);
-      inv_std = Qvec.of_vec (Array.map (fun s -> 1.0 /. s) (Mlp.feature_std mlp));
+      mean = Qvec.of_floats (Mlp.feature_mean mlp);
+      inv_std = Qvec.of_floats (Array.map (fun s -> 1.0 /. s) (Mlp.feature_std mlp));
       scratch;
       input = Qvec.create n_features;
       maxdim = List.fold_left (fun acc l -> Stdlib.max acc (Qmat.rows l.weights)) n_features layers;

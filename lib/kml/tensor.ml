@@ -1,92 +1,8 @@
-module Vec = struct
-  type t = float array
-
-  let create n = Array.make n 0.0
-  let dim = Array.length
-
-  let check_same_dim a b name =
-    if Array.length a <> Array.length b then invalid_arg (name ^ ": dimension mismatch")
-
-  let axpy ~alpha ~x ~y =
-    check_same_dim x y "Vec.axpy";
-    for i = 0 to Array.length x - 1 do
-      y.(i) <- y.(i) +. (alpha *. x.(i))
-    done
-
-  let map = Array.map
-
-  let max_index v =
-    if Array.length v = 0 then invalid_arg "Vec.max_index: empty vector";
-    let best = ref 0 in
-    for i = 1 to Array.length v - 1 do
-      if v.(i) > v.(!best) then best := i
-    done;
-    !best
-
-  let mean v =
-    if Array.length v = 0 then 0.0
-    else Array.fold_left ( +. ) 0.0 v /. float_of_int (Array.length v)
-
-end
-
-module Mat = struct
-  type t = { rows : int; cols : int; data : float array }
-
-  let create ~rows ~cols =
-    if rows < 0 || cols < 0 then invalid_arg "Mat.create: negative dimension";
-    { rows; cols; data = Array.make (rows * cols) 0.0 }
-
-  let init ~rows ~cols f =
-    let m = create ~rows ~cols in
-    for i = 0 to rows - 1 do
-      for j = 0 to cols - 1 do
-        m.data.((i * cols) + j) <- f i j
-      done
-    done;
-    m
-
-  let rows m = m.rows
-  let cols m = m.cols
-
-  let get m i j =
-    if i < 0 || i >= m.rows || j < 0 || j >= m.cols then invalid_arg "Mat.get: out of bounds";
-    m.data.((i * m.cols) + j)
-
-  let set m i j v =
-    if i < 0 || i >= m.rows || j < 0 || j >= m.cols then invalid_arg "Mat.set: out of bounds";
-    m.data.((i * m.cols) + j) <- v
-
-  let mul_vec m x =
-    if m.cols <> Array.length x then invalid_arg "Mat.mul_vec: dimension mismatch";
-    let out = Array.make m.rows 0.0 in
-    for i = 0 to m.rows - 1 do
-      let base = i * m.cols in
-      let acc = ref 0.0 in
-      for j = 0 to m.cols - 1 do
-        acc := !acc +. (m.data.(base + j) *. x.(j))
-      done;
-      out.(i) <- !acc
-    done;
-    out
-
-  let tmul_vec m x =
-    if m.rows <> Array.length x then invalid_arg "Mat.tmul_vec: dimension mismatch";
-    let out = Array.make m.cols 0.0 in
-    for i = 0 to m.rows - 1 do
-      let base = i * m.cols in
-      let xi = x.(i) in
-      for j = 0 to m.cols - 1 do
-        out.(j) <- out.(j) +. (m.data.(base + j) *. xi)
-      done
-    done;
-    out
-end
-
 module Qvec = struct
   type t = Fixed.t array
 
   let create n = Array.make n Fixed.zero
-  let of_vec v = Array.map Fixed.of_float v
+  let of_floats v = Array.map Fixed.of_float v
 
   let add_inplace dst src =
     if Array.length dst <> Array.length src then invalid_arg "Qvec.add_inplace: dimension mismatch";
@@ -111,15 +27,10 @@ end
 module Qmat = struct
   type t = { rows : int; cols : int; data : Fixed.t array }
 
-  let of_mat m =
-    let rows = Mat.rows m and cols = Mat.cols m in
-    let data = Array.make (rows * cols) Fixed.zero in
-    for i = 0 to rows - 1 do
-      for j = 0 to cols - 1 do
-        data.((i * cols) + j) <- Fixed.of_float (Mat.get m i j)
-      done
-    done;
-    { rows; cols; data }
+  let of_floats ~rows ~cols data =
+    if rows < 0 || cols < 0 || Array.length data <> rows * cols then
+      invalid_arg "Qmat.of_floats: dimension mismatch";
+    { rows; cols; data = Array.map Fixed.of_float data }
 
   let rows m = m.rows
   let cols m = m.cols

@@ -1,44 +1,11 @@
-(** Dense vectors and matrices, in float (userspace training) and Q16.16
-    fixed point (kernel-side inference).
-
-    Matrices are row-major: [Mat.get m i j] reads row [i], column [j]. *)
-
-module Vec : sig
-  type t = float array
-
-  val create : int -> t
-  val dim : t -> int
-  val axpy : alpha:float -> x:t -> y:t -> unit
-  (** [axpy ~alpha ~x ~y] updates [y <- alpha * x + y] in place. *)
-
-  val map : (float -> float) -> t -> t
-  val max_index : t -> int
-  (** Index of the maximum element; first wins on ties. Requires [dim > 0]. *)
-
-  val mean : t -> float
-end
-
-module Mat : sig
-  type t
-
-  val create : rows:int -> cols:int -> t
-  val init : rows:int -> cols:int -> (int -> int -> float) -> t
-  val rows : t -> int
-  val cols : t -> int
-  val get : t -> int -> int -> float
-  val set : t -> int -> int -> float -> unit
-  val mul_vec : t -> Vec.t -> Vec.t
-  (** [mul_vec m x] is [m * x]; requires [cols m = Vec.dim x]. *)
-
-  val tmul_vec : t -> Vec.t -> Vec.t
-  (** [tmul_vec m x] is [mᵀ * x]; requires [rows m = Vec.dim x]. *)
-end
+(** Dense vectors and matrices in Q16.16 fixed point (kernel-side
+    inference).  Matrices are row-major. *)
 
 module Qvec : sig
   type t = Fixed.t array
 
   val create : int -> t
-  val of_vec : Vec.t -> t
+  val of_floats : float array -> t
   val add_inplace : t -> t -> unit
   val relu_inplace : t -> unit
   val max_index : t -> int
@@ -47,7 +14,10 @@ end
 module Qmat : sig
   type t
 
-  val of_mat : Mat.t -> t
+  val of_floats : rows:int -> cols:int -> float array -> t
+  (** Quantizes a row-major [rows × cols] float matrix: row [i], column
+      [j] is [data.(i * cols + j)]. *)
+
   val rows : t -> int
   val cols : t -> int
   val mul_vec_into : t -> Qvec.t -> Qvec.t -> unit

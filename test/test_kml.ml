@@ -94,42 +94,15 @@ let prop_split_substreams_independent =
 
 (* ---------------- Tensor ---------------- *)
 
-let test_vec_axpy () =
-  let x = [| 1.0; 2.0 |] and y = [| 10.0; 20.0 |] in
-  Tensor.Vec.axpy ~alpha:2.0 ~x ~y;
-  Alcotest.(check (float 1e-9)) "y0" 12.0 y.(0);
-  Alcotest.(check (float 1e-9)) "y1" 24.0 y.(1)
-
-let test_vec_max_index () =
-  Alcotest.(check int) "argmax" 2 (Tensor.Vec.max_index [| 1.0; 3.0; 5.0; 2.0 |]);
-  Alcotest.(check int) "tie -> first" 0 (Tensor.Vec.max_index [| 5.0; 5.0 |])
-
-let test_mat_mul_vec () =
-  let m = Tensor.Mat.init ~rows:2 ~cols:3 (fun i j -> float_of_int ((i * 3) + j)) in
-  (* rows: [0 1 2], [3 4 5] *)
-  let v = Tensor.Mat.mul_vec m [| 1.0; 1.0; 1.0 |] in
-  Alcotest.(check (float 1e-9)) "row0" 3.0 v.(0);
-  Alcotest.(check (float 1e-9)) "row1" 12.0 v.(1)
-
-let test_mat_tmul_vec () =
-  let m = Tensor.Mat.init ~rows:2 ~cols:3 (fun i j -> float_of_int ((i * 3) + j)) in
-  let v = Tensor.Mat.tmul_vec m [| 1.0; 2.0 |] in
-  (* m^T * [1;2] = [0+6; 1+8; 2+10] *)
-  Alcotest.(check (float 1e-9)) "c0" 6.0 v.(0);
-  Alcotest.(check (float 1e-9)) "c1" 9.0 v.(1);
-  Alcotest.(check (float 1e-9)) "c2" 12.0 v.(2)
-
-let test_mat_bounds () =
-  let m = Tensor.Mat.create ~rows:2 ~cols:2 in
-  Alcotest.check_raises "get oob" (Invalid_argument "Mat.get: out of bounds") (fun () ->
-      ignore (Tensor.Mat.get m 2 0))
-
 let test_qmat_mul_vec_matches_float () =
-  let m = Tensor.Mat.init ~rows:3 ~cols:4 (fun i j -> (float_of_int ((i * 4) + j) /. 7.0) -. 1.0) in
+  let m = Array.init 12 (fun k -> (float_of_int k /. 7.0) -. 1.0) in
   let x = [| 0.5; -1.0; 2.0; 0.25 |] in
-  let expected = Tensor.Mat.mul_vec m x in
+  let expected =
+    Array.init 3 (fun i ->
+        Array.fold_left ( +. ) 0.0 (Array.mapi (fun j xj -> m.((i * 4) + j) *. xj) x))
+  in
   let got = Tensor.Qvec.create 3 in
-  Tensor.Qmat.mul_vec_into (Tensor.Qmat.of_mat m) (Tensor.Qvec.of_vec x) got;
+  Tensor.Qmat.mul_vec_into (Tensor.Qmat.of_floats ~rows:3 ~cols:4 m) (Tensor.Qvec.of_floats x) got;
   Array.iteri
     (fun i e ->
       Alcotest.(check bool) "row close" true (Float.abs (Fixed.to_float got.(i) -. e) < 0.005))
@@ -204,12 +177,7 @@ let suite =
         Alcotest.test_case "split independent" `Quick test_rng_split_independent;
         QCheck_alcotest.to_alcotest prop_split_substreams_independent ] );
     ( "tensor",
-      [ Alcotest.test_case "vec axpy" `Quick test_vec_axpy;
-        Alcotest.test_case "vec max_index" `Quick test_vec_max_index;
-        Alcotest.test_case "mat mul_vec" `Quick test_mat_mul_vec;
-        Alcotest.test_case "mat tmul_vec" `Quick test_mat_tmul_vec;
-        Alcotest.test_case "mat bounds" `Quick test_mat_bounds;
-        Alcotest.test_case "qmat mul matches float" `Quick test_qmat_mul_vec_matches_float ] );
+      [ Alcotest.test_case "qmat mul matches float" `Quick test_qmat_mul_vec_matches_float ] );
     ( "dataset",
       [ Alcotest.test_case "basics" `Quick test_dataset_basics;
         Alcotest.test_case "validation" `Quick test_dataset_validation;
