@@ -31,29 +31,32 @@ open Toolkit
    samples of eight deltas clamped to +-4096 (mostly short strides), page
    mod 64, (page / 64) mod 64 and a horizon of 1..8, labelled with a
    noisy function of the newest delta and the horizon over its 32 delta
-   classes, trained as it trains (depth 12, splits down to 2 samples). *)
+   classes, trained as it trains (depth 12, splits down to 2 samples):
+   in place, through a workspace that outlives the call. *)
 let tree_train_fixture () =
   let params = Rkd.Prefetch_rmt.default_params in
   let rng = Kml.Rng.create 11 in
   let history = params.Rkd.Prefetch_rmt.history in
+  let nf = history + 3 and n = params.Rkd.Prefetch_rmt.window_capacity in
   let n_classes = 32 in
-  let ds = Kml.Dataset.create ~n_features:(history + 3) ~n_classes in
+  let rows = Array.make (n * nf) 0 and labels = Array.make n 0 in
   let delta () =
     if Kml.Rng.int rng 4 = 0 then Kml.Rng.int rng 8193 - 4096 else Kml.Rng.int rng 17 - 8
   in
-  for _ = 1 to params.Rkd.Prefetch_rmt.window_capacity do
+  for i = 0 to n - 1 do
     let deltas = Array.init history (fun _ -> delta ()) in
     let horizon = 1 + Kml.Rng.int rng 8 in
     let features =
       Array.append deltas [| Kml.Rng.int rng 64; Kml.Rng.int rng 64; horizon |]
     in
-    let label =
-      if Kml.Rng.int rng 8 = 0 then Kml.Rng.int rng n_classes
-      else (deltas.(0) + (4 * horizon)) land (n_classes - 1)
-    in
-    Kml.Dataset.add ds { Kml.Dataset.features; label }
+    Array.blit features 0 rows (i * nf) nf;
+    labels.(i) <-
+      (if Kml.Rng.int rng 8 = 0 then Kml.Rng.int rng n_classes
+       else (deltas.(0) + (4 * horizon)) land (n_classes - 1))
   done;
-  ({ Kml.Decision_tree.max_depth = 12; min_samples_split = 2 }, ds)
+  let ws = Kml.Decision_tree.workspace ~n_features:nf ~n_classes ~capacity:n in
+  let params = { Kml.Decision_tree.max_depth = 12; min_samples_split = 2 } in
+  fun () -> Kml.Decision_tree.train_rows ws ~params ~rows ~labels ~n
 
 let sched_fixture () =
   (* A trained quantized MLP over the 15 LB features, as in case study 2. *)
@@ -197,7 +200,7 @@ let micro_tests () =
   let fig1_i = Rkd.Experiment.fig1_fixture Rmt.Vm.Interpreted in
   let fig1_j = Rkd.Experiment.fig1_fixture Rmt.Vm.Jit_compiled in
   let decider, qmlp, mlp = sched_fixture () in
-  let train_params, train_ds = tree_train_fixture () in
+  let tree_train = tree_train_fixture () in
   let mlp_params, mlp_ds = mlp_train_fixture () in
   let ai_prog, ai_helpers = absint_fixture () in
   let now () = 0 in
@@ -236,7 +239,7 @@ let micro_tests () =
       (Staged.stage (fun () -> Rmt.Table.lookup_batch table table_one ~now));
     (* One Prefetch_rmt retrain: the "train" layer of a Table 1 run. *)
     Test.make ~name:"kml/tree-train"
-      (Staged.stage (fun () -> Kml.Decision_tree.train ~params:train_params train_ds));
+      (Staged.stage tree_train);
     (* One epoch of float MLP training: the "train" layer of a Table 2
        run, which trains for 80 epochs. *)
     Test.make ~name:"kml/mlp-train"

@@ -52,12 +52,15 @@ type t = {
   mutable fallback_accesses : int;
   pids : (int, pid_state) Hashtbl.t;
   (* The training window: a [window_capacity] x [n_features] ring of
-     feature rows (horizon in the last column) and their cumulative
-     deltas.  Both are allocated with the first pid's state, so [create]
-     stays cheap and a prefetcher that never sees an access holds no
-     window. *)
+     feature rows (horizon in the last column), their cumulative deltas,
+     the delta classes of the last retrain and the tree workspace that
+     trains on the rows in place.  All four are allocated with the first
+     pid's state, so [create] stays cheap and a prefetcher that never sees
+     an access holds no window. *)
   mutable window : int array;
   mutable window_delta : int array;
+  mutable window_label : int array;
+  mutable workspace : Kml.Decision_tree.workspace;
   mutable window_head : int;
   mutable window_len : int;
   predictions : int array; (* [depth] deduplicated prefetch targets *)
@@ -212,6 +215,10 @@ let create ?(params = default_params) ?(engine = Rmt.Vm.Jit_compiled) ?(seed = 4
       pids = Hashtbl.create 8;
       window = [||];
       window_delta = [||];
+      window_label = [||];
+      workspace =
+        Kml.Decision_tree.workspace ~n_features:(n_features params) ~n_classes:n_delta_classes
+          ~capacity:0;
       window_head = 0;
       window_len = 0;
       predictions = Array.make depth 0;
@@ -243,8 +250,12 @@ let pid_state t pid =
   | exception Not_found ->
     let nf = n_features t.params in
     if Array.length t.window = 0 then begin
-      t.window <- Array.make (t.params.window_capacity * nf) 0;
-      t.window_delta <- Array.make t.params.window_capacity 0
+      let cap = t.params.window_capacity in
+      t.window <- Array.make (cap * nf) 0;
+      t.window_delta <- Array.make cap 0;
+      t.window_label <- Array.make cap 0;
+      t.workspace <-
+        Kml.Decision_tree.workspace ~n_features:nf ~n_classes:n_delta_classes ~capacity:cap
     end;
     let st =
       { ctxt = Rmt.Ctxt.create ();
@@ -289,40 +300,62 @@ let window_iter t fn =
     fn ((start + i) mod cap)
   done
 
+(* Ranks the [n_delta_classes - 1] most frequent deltas of [freq] into
+   [class_deltas.(1..)], most frequent first.  Equal counts rank in reverse
+   [Hashtbl.iter] order, the order a stable sort of the list that
+   [Hashtbl.fold] conses up gives them: each delta is inserted ahead of
+   every ranked delta whose count it reaches. *)
+let rank_classes freq class_deltas =
+  let counts = Array.make n_delta_classes 0 and ranked = ref 0 in
+  Hashtbl.iter
+    (fun delta count ->
+      let pos = ref 1 in
+      while !pos <= !ranked && counts.(!pos) > count do
+        incr pos
+      done;
+      if !pos < n_delta_classes then begin
+        for i = min !ranked (n_delta_classes - 2) downto !pos do
+          class_deltas.(i + 1) <- class_deltas.(i);
+          counts.(i + 1) <- counts.(i)
+        done;
+        class_deltas.(!pos) <- delta;
+        counts.(!pos) <- count;
+        ranked := min (!ranked + 1) (n_delta_classes - 1)
+      end)
+    freq
+
 (* Rebuild the delta-class table from the window (most frequent cumulative
    deltas get classes 1..C-1; 0 and the long tail map to class 0 = no
-   prefetch), then retrain the tree and swap it into the model store. *)
+   prefetch), then retrain the tree and swap it into the model store.  The
+   frequencies are counted over the window oldest first, which fixes the
+   [Hashtbl] iteration order that breaks ties between equal counts.  The
+   tree trains on the ring in physical row order, which gives the same
+   tree (see the tie-break contract of [Decision_tree.train_rows]). *)
 let retrain t =
   let freq = Hashtbl.create 64 in
   window_iter t (fun r ->
       let cum_delta = t.window_delta.(r) in
       if cum_delta <> 0 then begin
-        let count = match Hashtbl.find_opt freq cum_delta with Some c -> c | None -> 0 in
+        let count = match Hashtbl.find freq cum_delta with c -> c | exception Not_found -> 0 in
         Hashtbl.replace freq cum_delta (count + 1)
       end);
-  let by_freq =
-    List.sort
-      (fun (_, a) (_, b) -> compare b a)
-      (Hashtbl.fold (fun d c acc -> (d, c) :: acc) freq [])
-  in
   let n_classes = n_delta_classes in
   let class_deltas = Array.make n_classes 0 in
+  rank_classes freq class_deltas;
   let class_of = Hashtbl.create 64 in
-  List.iteri
-    (fun i (delta, _) ->
-      if i < n_classes - 1 then begin
-        class_deltas.(i + 1) <- delta;
-        Hashtbl.replace class_of delta (i + 1)
-      end)
-    by_freq;
-  let nf = n_features t.params in
-  let ds = Kml.Dataset.create ~n_features:nf ~n_classes in
-  window_iter t (fun r ->
-      let label =
-        match Hashtbl.find_opt class_of t.window_delta.(r) with Some c -> c | None -> 0
-      in
-      Kml.Dataset.add ds { Kml.Dataset.features = Array.sub t.window (r * nf) nf; label });
-  let tree = Kml.Decision_tree.train ~params:tree_params ds in
+  for c = 1 to n_classes - 1 do
+    if class_deltas.(c) <> 0 then Hashtbl.replace class_of class_deltas.(c) c
+  done;
+  (* Until the ring first wraps, its rows are [0, window_len). *)
+  let n = t.window_len in
+  for r = 0 to n - 1 do
+    t.window_label.(r) <-
+      (match Hashtbl.find class_of t.window_delta.(r) with c -> c | exception Not_found -> 0)
+  done;
+  let tree =
+    Kml.Decision_tree.train_rows t.workspace ~params:tree_params ~rows:t.window
+      ~labels:t.window_label ~n
+  in
   (* Conservative prefetching: leaves whose majority class is not dominant
      enough are demoted to class 0 (no prefetch), trading a little coverage
      for much better accuracy — the "be more conservative in prefetching"

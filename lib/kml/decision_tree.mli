@@ -17,28 +17,55 @@ val gini_scale : int
 (** Gini impurities are integers scaled by this factor (2^20). *)
 
 val train : ?params:params -> Dataset.t -> t
-(** Trains on the dataset.  An empty dataset yields a tree that always
-    predicts class 0.  A split must gain at least [gini_scale / 1024].
+(** Copies the dataset into rows once and trains on them with {!train_rows}
+    through a workspace sized for it.  An empty dataset yields a tree that
+    always predicts class 0.  Raises [Invalid_argument] past the limits of
+    {!workspace}. *)
 
-    Presorted CART.  The samples are copied once into a flat
-    feature-major int matrix, and each feature's sample indices are
-    sorted once by value (a stable LSD radix sort on [value - min]).  A
-    node is a range of every feature's order.  Its split search sweeps
-    each feature's range in ascending value order, keeps class counts
-    incrementally and evaluates the Gini gain only where the value
-    changes.  The split stably partitions every range into the left part
-    and the right part, so the children stay sorted and nothing is sorted
-    again below the root.  One tree level costs O(n * n_features) for [n]
-    samples, plus one O(n * n_features) presort per call.
+type workspace
+(** Every buffer {!train_rows} needs but the nodes of the tree it returns:
+    the presorted per-feature orders, the partition scratch, the
+    partition marks, the class sweep counts, the children's class counts
+    at each depth and a node buffer that grows to the largest tree
+    trained.  Reused across calls, so a trainer that
+    retrains periodically allocates it once. *)
 
-    Tie-break contract, which fixes the tree for a given dataset and
+val workspace : n_features:int -> n_classes:int -> capacity:int -> workspace
+(** A workspace for up to [capacity] samples of [n_features] features and
+    [n_classes] classes.  A presorted entry packs a value rank and a sample
+    index in 24 bits each and a label in 14, so [capacity] must be in
+    \[0, 2^24\] and [n_classes] in \[1, 2^14\]; [n_features] must be
+    positive.  Raises [Invalid_argument] otherwise, before allocating. *)
+
+val train_rows :
+  workspace -> params:params -> rows:int array -> labels:int array -> n:int -> t
+(** Trains on the first [n] samples of a caller-owned row-major matrix:
+    feature [f] of sample [i] is [rows.(i * n_features + f)] and its class
+    is [labels.(i)].  Neither array is modified or kept.  A split must
+    gain at least [gini_scale / 1024].  Raises [Invalid_argument] if [n]
+    exceeds the workspace's capacity, if either array is shorter than [n]
+    samples, or on a label outside \[0, n_classes).
+
+    Presorted CART.  Each feature's sample indices are sorted once by value
+    (a stable LSD radix sort on [value - min]) and packed with their value's
+    rank and their label.  A node is a range of every feature's order.  Its
+    split search sweeps each feature's range in ascending value order,
+    keeps class counts incrementally and evaluates the Gini gain only where
+    the rank changes.  The split stably partitions every range into the
+    left part and the right part, so the children stay sorted and nothing
+    is sorted again below the root.  A split whose two children are both
+    leaves partitions nothing, and a feature that takes one value over a
+    node is neither swept nor partitioned there.  One tree level costs O(n * n_features),
+    plus one O(n * n_features) presort per call.
+
+    Tie-break contract, which fixes the tree for a given set of samples and
     [params]: a boundary's gain depends only on the set of samples at or
-    below its threshold, so the order of equal values does not matter.
-    Thresholds are scanned in ascending order within a feature, features
-    in index order, and a candidate replaces the best split only if its
-    gain is strictly greater, so the lowest threshold and then the
-    earliest feature win ties.  Nodes are numbered in preorder: a node,
-    then its left subtree, then its right subtree. *)
+    below its threshold, so neither the order of equal values nor the order
+    of the rows matters.  Thresholds are scanned in ascending order within
+    a feature, features in index order, and a candidate replaces the best
+    split only if its gain is strictly greater, so the lowest threshold and
+    then the earliest feature win ties.  Nodes are numbered in preorder: a
+    node, then its left subtree, then its right subtree. *)
 
 val predict : t -> int array -> int
 (** Allocation-free inference: walks a structure-of-arrays mirror of the

@@ -1,17 +1,31 @@
-type t = { mutable state : int64 }
+(* The 64-bit state is kept as two 32-bit halves in immediate fields: a
+   mutable [int64] field would box a fresh [int64] on every draw. *)
+type t = { mutable hi : int; mutable lo : int }
 
 let golden = 0x9E3779B97F4A7C15L
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix (Int64.of_int seed) }
+let[@inline] state t = Int64.logor (Int64.shift_left (Int64.of_int t.hi) 32) (Int64.of_int t.lo)
 
-let next64 t =
-  t.state <- Int64.add t.state golden;
-  mix t.state
+let[@inline] set_state t z =
+  t.hi <- Int64.to_int (Int64.shift_right_logical z 32);
+  t.lo <- Int64.to_int (Int64.logand z 0xFFFF_FFFFL)
+
+let of_state z =
+  let t = { hi = 0; lo = 0 } in
+  set_state t z;
+  t
+
+let create seed = of_state (mix (Int64.of_int seed))
+
+let[@inline] next64 t =
+  let z = Int64.add (state t) golden in
+  set_state t z;
+  mix z
 
 let next t = Int64.to_int (Int64.shift_right_logical (next64 t) 2)
 
@@ -21,11 +35,11 @@ let int t bound =
      [0, 2^62); accept below the largest multiple of [bound] that fits in
      the native int (2^62 itself is not representable). *)
   let limit = max_int / bound * bound in
-  let rec draw () =
-    let v = next t in
-    if v < limit then v mod bound else draw ()
-  in
-  draw ()
+  let v = ref (next t) in
+  while !v >= limit do
+    v := next t
+  done;
+  !v mod bound
 
 let bool t = Int64.logand (next64 t) 1L = 1L
 let uniform t = float_of_int (next t) /. 4611686018427387904.0 (* 2^62 *)
@@ -58,5 +72,5 @@ let shuffle t arr =
    order (or domain) in which tasks run. *)
 let split t i =
   if i < 0 then invalid_arg "Rng.split: index must be non-negative";
-  let z = Int64.add t.state (Int64.mul golden (Int64.of_int (i + 1))) in
-  { state = mix (Int64.logxor (mix z) 0xD1342543DE82EF95L) }
+  let z = Int64.add (state t) (Int64.mul golden (Int64.of_int (i + 1))) in
+  of_state (mix (Int64.logxor (mix z) 0xD1342543DE82EF95L))

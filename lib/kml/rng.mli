@@ -2,7 +2,8 @@
 
     Every stochastic component in the repository (workload generators, SGD
     shuffling, NAS search, DP noise) draws from an explicit [Rng.t] so that
-    experiments are reproducible bit-for-bit from a seed. *)
+    experiments are reproducible bit-for-bit from a seed.  The integer
+    draws ([next], [int], [bool], [shuffle]) allocate nothing. *)
 
 type t
 

@@ -59,6 +59,37 @@ let test_rng_split_independent () =
   Alcotest.check_raises "negative index" (Invalid_argument "Rng.split: index must be non-negative")
     (fun () -> ignore (Rng.split parent (-1)))
 
+(* Draws keep the 64-bit state unboxed and loop without a closure, so
+   they allocate nothing.  The bound of 2^61 + 1 makes [int] reject about
+   half its draws, so its retry loop runs too. *)
+let test_rng_draws_allocate_nothing () =
+  let rng = Rng.create 9 and arr = Array.init 64 Fun.id in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let overhead = words ignore in
+  let check name f =
+    Alcotest.(check (float 0.0)) (name ^ " allocates nothing") 0.0 (words f -. overhead)
+  in
+  check "next" (fun () ->
+      for _ = 1 to 1000 do
+        ignore (Sys.opaque_identity (Rng.next rng) : int)
+      done);
+  check "int" (fun () ->
+      for _ = 1 to 1000 do
+        ignore (Sys.opaque_identity (Rng.int rng ((1 lsl 61) + 1)) : int)
+      done);
+  check "bool" (fun () ->
+      for _ = 1 to 1000 do
+        ignore (Sys.opaque_identity (Rng.bool rng) : bool)
+      done);
+  check "shuffle" (fun () ->
+      for _ = 1 to 10 do
+        Rng.shuffle rng arr
+      done)
+
 (* The determinism contract of the parallel experiment engine rests on
    [split]: distinct task indices must give non-colliding, uncorrelated
    substreams.  Check that (a) the first draws of 512 sibling substreams
@@ -175,6 +206,7 @@ let suite =
         Alcotest.test_case "uniformity" `Quick test_rng_uniformity;
         Alcotest.test_case "shuffle permutation" `Quick test_rng_shuffle_permutation;
         Alcotest.test_case "split independent" `Quick test_rng_split_independent;
+        Alcotest.test_case "draws allocate nothing" `Quick test_rng_draws_allocate_nothing;
         QCheck_alcotest.to_alcotest prop_split_substreams_independent ] );
     ( "tensor",
       [ Alcotest.test_case "qmat mul matches float" `Quick test_qmat_mul_vec_matches_float ] );

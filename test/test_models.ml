@@ -227,6 +227,82 @@ let prop_tree_matches_oracle =
     ~print:print_tree_case tree_case_gen (fun (params, ds) ->
       Decision_tree.nodes (Decision_tree.train ~params ds) = Oracle_tree.train params ds)
 
+(* A dataset as [train_rows] takes it: a row-major matrix and its labels. *)
+let rows_of ds =
+  let nf = Dataset.n_features ds in
+  let samples = Dataset.to_array ds in
+  let rows = Array.make (Array.length samples * nf) 0 in
+  Array.iteri (fun i s -> Array.blit s.Dataset.features 0 rows (i * nf) nf) samples;
+  (rows, Array.map (fun s -> s.Dataset.label) samples)
+
+(* One workspace per feature and class count, each reused by every case of
+   that shape.  Before each case it trains on a full-capacity case of its
+   own, so every case runs after a larger one left its state behind. *)
+let prop_tree_rows_match_oracle =
+  let spaces = Hashtbl.create 32 in
+  let space nf nc =
+    match Hashtbl.find_opt spaces (nf, nc) with
+    | Some s -> s
+    | None ->
+      let rng = Rng.create ((nf * 8) + nc) in
+      let rows = Array.init (400 * nf) (fun _ -> Rng.int rng 50 - 25) in
+      let labels = Array.init 400 (fun _ -> Rng.int rng nc) in
+      let s = (Decision_tree.workspace ~n_features:nf ~n_classes:nc ~capacity:400, rows, labels) in
+      Hashtbl.replace spaces (nf, nc) s;
+      s
+  in
+  QCheck2.Test.make ~name:"train_rows on a reused workspace = oracle" ~count:1000
+    ~print:print_tree_case tree_case_gen (fun (params, ds) ->
+      let ws, big_rows, big_labels = space (Dataset.n_features ds) (Dataset.n_classes ds) in
+      let big =
+        Decision_tree.train_rows ws ~params:Decision_tree.default_params ~rows:big_rows
+          ~labels:big_labels ~n:400
+      in
+      let rows, labels = rows_of ds in
+      let tree = Decision_tree.train_rows ws ~params ~rows ~labels ~n:(Dataset.length ds) in
+      Decision_tree.n_nodes big > 1 && Decision_tree.nodes tree = Oracle_tree.train params ds)
+
+(* The tie-break contract: the tree depends on the set of samples, not on
+   their order, which lets a trainer train on a ring buffer in physical
+   row order. *)
+let prop_tree_order_independent =
+  QCheck2.Test.make ~name:"train is independent of sample order" ~count:500
+    ~print:(fun (case, seed) -> Printf.sprintf "%s seed=%d" (print_tree_case case) seed)
+    QCheck2.Gen.(pair tree_case_gen int)
+    (fun ((params, ds), seed) ->
+      let samples = Dataset.to_array ds in
+      Rng.shuffle (Rng.create seed) samples;
+      let shuffled =
+        Dataset.of_samples ~n_features:(Dataset.n_features ds) ~n_classes:(Dataset.n_classes ds)
+          (Array.to_list samples)
+      in
+      Decision_tree.nodes (Decision_tree.train ~params shuffled)
+      = Decision_tree.nodes (Decision_tree.train ~params ds))
+
+(* A presorted entry packs a rank and an index in 24 bits each and a label
+   in 14; a workspace past that is refused before anything is allocated. *)
+let test_tree_workspace_limits () =
+  let refuses name ~n_classes ~capacity =
+    Alcotest.check_raises name (Invalid_argument name) (fun () ->
+        ignore (Decision_tree.workspace ~n_features:4 ~n_classes ~capacity))
+  in
+  refuses "Decision_tree.workspace: capacity must be in [0, 2^24]" ~n_classes:2
+    ~capacity:((1 lsl 24) + 1);
+  refuses "Decision_tree.workspace: n_classes must be in [1, 2^14]" ~n_classes:((1 lsl 14) + 1)
+    ~capacity:8;
+  let ws = Decision_tree.workspace ~n_features:1 ~n_classes:2 ~capacity:2 in
+  Alcotest.check_raises "label"
+    (Invalid_argument "Decision_tree.train_rows: label out of range") (fun () ->
+      ignore
+        (Decision_tree.train_rows ws ~params:Decision_tree.default_params ~rows:[| 1; 2 |]
+           ~labels:[| 0; 2 |] ~n:2));
+  Alcotest.check_raises "capacity"
+    (Invalid_argument "Decision_tree.train_rows: n must be in [0, workspace capacity]")
+    (fun () ->
+      ignore
+        (Decision_tree.train_rows ws ~params:Decision_tree.default_params
+           ~rows:[| 1; 2; 3 |] ~labels:[| 0; 1; 0 |] ~n:3))
+
 (* ---------------- MLP ---------------- *)
 
 let test_mlp_learns_linear () =
@@ -505,12 +581,11 @@ let prop_mlp_matches_oracle =
                 = bits (Oracle_mlp.predict_probs oracle s.Dataset.features))
            true ds)
 
-(* An extra epoch of [train] allocates no per-sample or per-batch
-   vector: all it allocates is the shuffle's 12 words per [Rng.int] draw
-   (the boxed [int64] state and the rejection-sampling closure), one draw
-   per sample.  Per-call scratch is the same at any epoch count, so it
-   cancels in the difference; the slack covers [Gc.minor_words]'s boxed
-   float, and is smaller than one 2-word vector per sample. *)
+(* An extra epoch of [train] allocates nothing per sample or per batch:
+   its shuffle's [Rng.int] draws allocate nothing either.  Per-call
+   scratch is the same at any epoch count, so it cancels in the
+   difference; the constant slack covers [Gc.minor_words]'s boxed floats,
+   and is smaller than one 2-word vector per sample. *)
 let test_mlp_train_allocation () =
   let rng = Rng.create 71 in
   let ds = Dataset.create ~n_features:15 ~n_classes:2 in
@@ -528,7 +603,7 @@ let test_mlp_train_allocation () =
   ignore (words 1);
   let extra = words 2 -. words 1 in
   let samples = Dataset.length ds in
-  let bound = (12 * samples) + 128 in
+  let bound = 128 in
   if extra > float_of_int bound then
     Alcotest.failf "one extra epoch over %d samples allocated %.0f minor words (bound %d)"
       samples extra bound
@@ -702,7 +777,10 @@ let suite =
         Alcotest.test_case "nodes roundtrip" `Quick test_tree_nodes_roundtrip;
         Alcotest.test_case "of_nodes rejects cycles" `Quick test_tree_of_nodes_rejects_cycles;
         QCheck_alcotest.to_alcotest prop_tree_predict_total;
-        QCheck_alcotest.to_alcotest prop_tree_matches_oracle ] );
+        Alcotest.test_case "workspace limits" `Quick test_tree_workspace_limits;
+        QCheck_alcotest.to_alcotest prop_tree_matches_oracle;
+        QCheck_alcotest.to_alcotest prop_tree_rows_match_oracle;
+        QCheck_alcotest.to_alcotest prop_tree_order_independent ] );
     ( "mlp",
       [ Alcotest.test_case "learns linear" `Quick test_mlp_learns_linear;
         Alcotest.test_case "learns xor" `Slow test_mlp_learns_xor;

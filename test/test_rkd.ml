@@ -126,6 +126,45 @@ let test_prefetch_hook_allocation () =
   if words > float_of_int bound then
     Alcotest.failf "%d frozen accesses allocated %.0f minor words (bound %d)" accesses words bound
 
+(* Once the workspace has trained, a retrain on a full window copies none
+   of it: what it allocates (the delta-class ranking and the tree it
+   returns) stays below one window-sized copy of the rows.  Each access
+   retrains here, and its hook allocates the 4 words and 3 per returned
+   page bounded above, so that is taken off; minor plus direct major
+   allocation is counted, since big arrays skip the minor heap. *)
+let test_prefetch_warm_retrain_allocation () =
+  let params = { Rkd.Prefetch_rmt.default_params with retrain_period = 1 } in
+  let t = Rkd.Prefetch_rmt.create ~params () in
+  let prefetcher = Rkd.Prefetch_rmt.prefetcher t in
+  let trace = Ksim.Workload_mem.video_resize ~rng:(Kml.Rng.create 42) ~pid:1 () in
+  let pages = Array.of_list (List.map (fun a -> a.Ksim.Mem_sim.page) trace) in
+  let call i =
+    List.length
+      (prefetcher.Ksim.Prefetcher.on_access ~pid:1 ~page:pages.(i) ~hit:false ~now:(i * 10_000))
+  in
+  Rkd.Prefetch_rmt.set_online t false;
+  let warm = (params.window_capacity / 8) + 16 in
+  for i = 0 to warm - 1 do
+    ignore (call i)
+  done;
+  Rkd.Prefetch_rmt.set_online t true;
+  ignore (call warm);
+  let retrains = 3 and returned = ref 0 in
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = allocated () in
+  for i = warm + 1 to warm + retrains do
+    returned := !returned + call i
+  done;
+  let words = allocated () -. before -. float_of_int ((4 * retrains) + (3 * !returned)) in
+  Alcotest.(check int) "every access retrained" (retrains + 1)
+    (Rkd.Prefetch_rmt.stats t).Rkd.Prefetch_rmt.retrains;
+  let copy = params.window_capacity * (params.history + 3) in
+  if words /. float_of_int retrains >= float_of_int copy then
+    Alcotest.failf "%d warm retrains allocated %.0f words, not under %d each" retrains words copy
+
 (* ---------------- Sched_rmt ---------------- *)
 
 let linear_model weights threshold =
@@ -362,7 +401,9 @@ let suite =
         Alcotest.test_case "per-pid entries" `Quick test_prefetch_per_pid_entries;
         Alcotest.test_case "rejects an empty window" `Quick test_prefetch_rejects_empty_window;
         Alcotest.test_case "frozen hook allocates only its result" `Quick
-          test_prefetch_hook_allocation ] );
+          test_prefetch_hook_allocation;
+        Alcotest.test_case "warm retrain copies no window" `Quick
+          test_prefetch_warm_retrain_allocation ] );
     ( "sched_rmt",
       [ Alcotest.test_case "decider" `Quick test_sched_rmt_decider;
         Alcotest.test_case "lean reads less" `Quick test_sched_rmt_lean_reads_less;
