@@ -281,14 +281,20 @@ let pid_state t pid =
 
 (* Labels pending row [row] of [st] with [horizon] and [cum_delta] and
    pushes it into the training window, overwriting the oldest sample when
-   full. *)
+   full.  Up to eight rows an access: the copy is a loop because [Array.blit]
+   into the major-heap window takes the write barrier for every word, and
+   the head wraps with a compare, not a division (DESIGN.md section 8). *)
 let window_push t st row ~horizon ~cum_delta =
   let nf = n_features t.params in
-  let dst = t.window_head * nf in
-  Array.blit st.pending (row * nf) t.window dst (nf - 1);
-  t.window.(dst + nf - 1) <- horizon;
+  let window = t.window and pending = st.pending in
+  let dst = t.window_head * nf and src = row * nf in
+  for i = 0 to nf - 2 do
+    window.(dst + i) <- pending.(src + i)
+  done;
+  window.(dst + nf - 1) <- horizon;
   t.window_delta.(t.window_head) <- cum_delta;
-  t.window_head <- (t.window_head + 1) mod t.params.window_capacity;
+  let head = t.window_head + 1 in
+  t.window_head <- (if head = t.params.window_capacity then 0 else head);
   if t.window_len < t.params.window_capacity then t.window_len <- t.window_len + 1;
   t.training_samples <- t.training_samples + 1
 
@@ -361,20 +367,9 @@ let retrain t =
      for much better accuracy — the "be more conservative in prefetching"
      adjustment of §3.1. *)
   let tree =
-    let nodes = Kml.Decision_tree.nodes tree in
-    let pruned =
-      Array.map
-        (fun node ->
-          match node with
-          | Kml.Decision_tree.Leaf { label; counts } ->
-            let total = Array.fold_left ( + ) 0 counts in
-            if total > 0 && 100 * counts.(label) / total < min_leaf_purity_pct then
-              Kml.Decision_tree.Leaf { label = 0; counts }
-            else node
-          | Kml.Decision_tree.Split _ -> node)
-        nodes
-    in
-    Kml.Decision_tree.of_nodes ~n_features:(n_features t.params) ~n_classes pruned
+    Kml.Decision_tree.relabel_leaves tree (fun ~label ~counts ->
+        let total = Array.fold_left ( + ) 0 counts in
+        if total > 0 && 100 * counts.(label) / total < min_leaf_purity_pct then 0 else label)
   in
   (* Model admission: the verifier's cost budget also gates swapped-in
      models; an oversized tree is rejected and the old model kept. *)

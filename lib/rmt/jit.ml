@@ -22,6 +22,12 @@ let code_tail = 2
 
 type unit_code = { entry : st -> int; loaded : Loaded.t }
 
+(* Every per-run copy between int buffers below is a loop, not
+   [Array.blit]: the buffers are long-lived, so they sit in the major
+   heap, where OCaml 5's blit calls [caml_modify] for every word, ints
+   included, and a typed int store needs no barrier (DESIGN.md section
+   8). *)
+
 (* --------------------------------------------------------------------- *)
 (* Batch (SoA) kernel state                                              *)
 (* --------------------------------------------------------------------- *)
@@ -219,7 +225,9 @@ let compile_unit (loaded : Loaded.t) : unit_code =
           let features = loaded.ml_args.(slot) in
           let next = cont_at (pc + 1) in
           fun st ->
-            Array.blit vmem off features 0 len;
+            for i = 0 to len - 1 do
+              features.(i) <- vmem.(off + i)
+            done;
             st.regs.(0) <- Model_store.predict loaded.store handle features;
             for r = 1 to 5 do
               st.regs.(r) <- 0
@@ -271,7 +279,9 @@ let compile_unit (loaded : Loaded.t) : unit_code =
           let x = loaded.matmul_src in
           let next = cont_at (pc + 1) in
           fun st ->
-            Array.blit vmem src x 0 cols;
+            for j = 0 to cols - 1 do
+              x.(j) <- vmem.(src + j)
+            done;
             for i = 0 to rows - 1 do
               let acc = ref 0 in
               for j = 0 to cols - 1 do
@@ -658,7 +668,10 @@ let compile_batch_unit (loaded : Loaded.t) ~cap : bst -> int =
             let vm = st.bvmem and snap = st.bsnap and bn = st.bn in
             (* snapshot the source columns first: dst may overlap src *)
             for j = 0 to cols - 1 do
-              Array.blit vm ((src + j) * cap) snap (j * cap) bn
+              let sb = (src + j) * cap and db = j * cap in
+              for s = 0 to bn - 1 do
+                snap.(db + s) <- vm.(sb + s)
+              done
             done;
             for i = 0 to rows - 1 do
               let ib = (dst + i) * cap and rb = i * cols in
@@ -724,7 +737,10 @@ let compile_batch_unit (loaded : Loaded.t) ~cap : bst -> int =
            | None ->
              fun st ->
                st.bsteps <- st.bsteps + 1;
-               Array.blit st.bregs 0 st.bout 0 st.bn;
+               let regs = st.bregs and out = st.bout in
+               for s = 0 to st.bn - 1 do
+                 out.(s) <- regs.(s)
+               done;
                code_exit)
         | I.Map_lookup _ | I.Map_update _ | I.Map_delete _ | I.Ring_push _ | I.Vec_ld_map _
         | I.Jmp _ | I.Jcond _ | I.Jcond_imm _ | I.Call _ | I.Tail_call _ ->

@@ -81,7 +81,10 @@ let predict t h features =
     else r
   else r
 
-(* Exactly [nf] wide — the scalar predictors arity-check their argument. *)
+(* Exactly [nf] wide — the scalar predictors arity-check their argument.
+   Rows are copied into it with a loop: [Array.blit] into this long-lived
+   buffer would take the write barrier for every word (DESIGN.md
+   section 8). *)
 let row_scratch t nf =
   if Array.length t.row_scratch <> nf then t.row_scratch <- Array.make nf 0;
   t.row_scratch
@@ -100,13 +103,17 @@ let predict_batch t h ~features ~n ~out =
    | Svm svm ->
      let row = row_scratch t nf in
      for s = 0 to n - 1 do
-       Array.blit features (s * nf) row 0 nf;
+       for i = 0 to nf - 1 do
+         row.(i) <- features.((s * nf) + i)
+       done;
        out.(s) <- Kml.Linear.Svm.predict svm row
      done
    | Fn { f; _ } ->
      let row = row_scratch t nf in
      for s = 0 to n - 1 do
-       Array.blit features (s * nf) row 0 nf;
+       for i = 0 to nf - 1 do
+         row.(i) <- features.((s * nf) + i)
+       done;
        out.(s) <- f row
      done);
   (* Same fault seam as [predict], applied per slot so injection
