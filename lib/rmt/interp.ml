@@ -170,7 +170,12 @@ let run ?fuel (loaded : Loaded.t) ~ctxt ~now =
           exec_range (pc + 1) pc_hi
         | I.Call_ml (slot, off, len) ->
           let features = loaded.ml_args.(slot) in
-          Array.blit vmem off features 0 len;
+          (* A loop, not [Array.blit], which would take the write barrier
+             for every word of this long-lived buffer (DESIGN.md section
+             8). *)
+          for i = 0 to len - 1 do
+            features.(i) <- vmem.(off + i)
+          done;
           st.regs.(0) <- Model_store.predict loaded.store loaded.models.(slot) features;
           for r = 1 to 5 do
             st.regs.(r) <- 0

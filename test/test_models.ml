@@ -68,25 +68,28 @@ let test_tree_arity_check () =
   Alcotest.check_raises "arity" (Invalid_argument "Decision_tree.predict: feature arity mismatch")
     (fun () -> ignore (Decision_tree.predict tree [| 1 |]))
 
-let test_tree_nodes_roundtrip () =
+let test_tree_relabel_leaves () =
   let rng = Rng.create 23 in
   let ds = linear_dataset ~rng ~n:300 in
   let tree = Decision_tree.train ds in
-  let rebuilt = Decision_tree.of_nodes ~n_features:3 ~n_classes:2 (Decision_tree.nodes tree) in
+  let same = Decision_tree.relabel_leaves tree (fun ~label ~counts:_ -> label) in
+  Alcotest.(check bool) "identity keeps every node" true
+    (Decision_tree.nodes same = Decision_tree.nodes tree);
+  let flipped = Decision_tree.relabel_leaves tree (fun ~label ~counts:_ -> 1 - label) in
+  Alcotest.(check bool) "splits and counts kept, leaf labels flipped" true
+    (Array.for_all2
+       (fun a b ->
+         match (a, b) with
+         | Decision_tree.Leaf { label; counts }, Decision_tree.Leaf l ->
+           l.label = 1 - label && l.counts = counts
+         | Decision_tree.Split _, Decision_tree.Split _ -> a = b
+         | _ -> false)
+       (Decision_tree.nodes tree) (Decision_tree.nodes flipped));
   Dataset.iter
     (fun s ->
-      Alcotest.(check int) "same prediction" (Decision_tree.predict tree s.Dataset.features)
-        (Decision_tree.predict rebuilt s.Dataset.features))
+      Alcotest.(check int) "flipped prediction" (1 - Decision_tree.predict tree s.Dataset.features)
+        (Decision_tree.predict flipped s.Dataset.features))
     ds
-
-let test_tree_of_nodes_rejects_cycles () =
-  let bad =
-    [| Decision_tree.Split { feature = 0; threshold = 1; left = 0; right = 1 };
-       Decision_tree.Leaf { label = 0; counts = [| 1; 0 |] } |]
-  in
-  Alcotest.check_raises "self loop"
-    (Invalid_argument "Decision_tree.of_nodes: child index must be a later node") (fun () ->
-      ignore (Decision_tree.of_nodes ~n_features:1 ~n_classes:2 bad))
 
 let prop_tree_predict_total =
   QCheck2.Test.make ~name:"tree predicts a valid class on any input" ~count:200
@@ -774,8 +777,7 @@ let suite =
         Alcotest.test_case "pure dataset" `Quick test_tree_pure_dataset;
         Alcotest.test_case "depth limit" `Quick test_tree_depth_limit;
         Alcotest.test_case "arity check" `Quick test_tree_arity_check;
-        Alcotest.test_case "nodes roundtrip" `Quick test_tree_nodes_roundtrip;
-        Alcotest.test_case "of_nodes rejects cycles" `Quick test_tree_of_nodes_rejects_cycles;
+        Alcotest.test_case "relabel keeps the splits" `Quick test_tree_relabel_leaves;
         QCheck_alcotest.to_alcotest prop_tree_predict_total;
         Alcotest.test_case "workspace limits" `Quick test_tree_workspace_limits;
         QCheck_alcotest.to_alcotest prop_tree_matches_oracle;
